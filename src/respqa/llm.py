@@ -15,11 +15,12 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol
 
 from .errors import BackendError, ConfigurationError, ScriptError
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -240,9 +241,15 @@ class HttpChatBackend(_CompletionBase):
         self.backoff_base = backoff_base
         self.estimator = estimator
         self._sleep = sleep
-        self._session = session or requests.Session()
+        if session is None:
+            import requests  # deferred: offline runs never load the HTTP stack
+
+            session = requests.Session()
+        self._session = session
 
     def _generate(self, request: LlmRequest) -> str:
+        import requests
+
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": request.prompt}],

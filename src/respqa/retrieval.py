@@ -1,8 +1,10 @@
 """Corpus ingestion, a persistent BM25 inverted index, and top-k retrieval.
 
 The corpus is JSONL with keys ``id``, ``title``, ``contents`` (one document
-per line). The index lives in a directory of JSON files tagged with a format
-version, so a rebuilt or reopened index returns byte-identical rankings.
+per line). The index lives in a directory: a JSON manifest tagged with a
+format version, the documents and the vocabulary as JSON, and the postings as
+little-endian int32 arrays. A rebuilt or reopened index returns
+byte-identical rankings.
 
 An alternative dense retriever (cosine over externally computed vectors) is
 provided behind the same ``retrieve(query, k)`` surface.
@@ -12,41 +14,61 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
 import unicodedata
+import uuid
+import zlib
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol
 
-import requests
+import numpy as np
 
 from .errors import CorpusError, RetrieverError
 
+if TYPE_CHECKING:
+    import requests
+
 INDEX_FORMAT_TAG = "respqa-bm25"
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 _MANIFEST_FILE = "manifest.json"
-_DOCUMENTS_FILE = "documents.jsonl"
-_POSTINGS_FILE = "postings.json"
+_DOCUMENTS_FILE = "documents.json"
+_TERMS_FILE = "terms.json"
+_POSTINGS_FILE = "postings.bin"
+_DATA_FILES = (_DOCUMENTS_FILE, _TERMS_FILE, _POSTINGS_FILE)
+_INT32 = np.dtype("<i4")
 
-_punct_cache: dict[str, bool] = {}
+
+class _PunctuationTable(dict):
+    """``str.translate`` table that deletes Unicode punctuation (category P).
+
+    Each code point is classified the first time a text contains it.
+    """
+
+    def __missing__(self, code: int) -> int | None:
+        value = None if unicodedata.category(chr(code)).startswith("P") else code
+        self[code] = value
+        return value
+
+
+_PUNCTUATION = _PunctuationTable()
 
 
 def is_punctuation_char(ch: str) -> bool:
     """True for characters in any Unicode punctuation category."""
-    cached = _punct_cache.get(ch)
-    if cached is None:
-        cached = unicodedata.category(ch).startswith("P")
-        _punct_cache[ch] = cached
-    return cached
+    return _PUNCTUATION[ord(ch)] is None
 
 
 def strip_punctuation(text: str) -> str:
     """Remove all Unicode punctuation characters."""
-    return "".join(ch for ch in text if not is_punctuation_char(ch))
+    return text.translate(_PUNCTUATION)
 
 
 def tokenize(text: str) -> list[str]:
@@ -135,32 +157,43 @@ def read_corpus(path: str | Path) -> Iterator[Document]:
 class BM25Index:
     """Inverted index with BM25 ranking (k1/b configurable, Lucene-style IDF).
 
-    Immutable after build; concurrent retrieval is safe. Scores are always
-    non-negative because the IDF uses log(1 + (N - df + 0.5) / (df + 0.5)).
-    Ties are broken by ascending doc_id so rankings are deterministic.
+    Postings are flat int32 arrays (document index and term frequency)
+    grouped by term through per-term offsets. Each posting's BM25 gain is
+    computed once, at build and at open, so a query only adds gains into a
+    score vector. Immutable after build; concurrent retrieval is safe.
+    Scores are always non-negative because the IDF uses
+    log(1 + (N - df + 0.5) / (df + 0.5)). Ties are broken by ascending doc_id
+    so rankings are deterministic.
     """
 
     def __init__(
         self,
         documents: list[Document],
-        postings: dict[str, list[tuple[int, int]]],
-        doc_lengths: list[int],
+        doc_lengths: np.ndarray,
+        terms: list[str],
+        offsets: np.ndarray,
+        doc_indices: np.ndarray,
+        term_freqs: np.ndarray,
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
     ) -> None:
         self._documents = documents
-        self._postings = postings
         self._doc_lengths = doc_lengths
-        total = sum(doc_lengths)
-        self._avgdl = total / len(documents) if documents else 0.0
+        self._term_ids = dict(zip(terms, range(len(terms))))
+        self._offsets = offsets
+        self._doc_indices = doc_indices
+        self._term_freqs = term_freqs
+        self._avgdl = int(doc_lengths.sum()) / len(documents) if documents else 0.0
         self.k1 = k1
         self.b = b
+        self._weights = self._posting_weights()
+        self._id_ranks = _id_ranks(documents)
 
     @property
     def stats(self) -> IndexStats:
         return IndexStats(
             num_documents=len(self._documents),
-            num_terms=len(self._postings),
+            num_terms=len(self._term_ids),
             avg_doc_length=self._avgdl,
         )
 
@@ -182,28 +215,62 @@ class BM25Index:
         """
         docs: list[Document] = []
         seen_ids: set[str] = set()
-        postings: dict[str, list[tuple[int, int]]] = {}
-        lengths: list[int] = []
+        vocabulary = _Vocabulary()
+        lengths = array("i")
+        distinct_terms = array("i")
+        # One entry per (document, term) pair, in document order.
+        term_ids = array("i")
+        term_freqs = array("i")
         for doc in documents:
             if doc.doc_id in seen_ids:
                 raise CorpusError(f"duplicate doc_id in corpus: {doc.doc_id!r}")
             if not doc.text.strip():
                 raise CorpusError(f"document {doc.doc_id!r} has empty text")
             seen_ids.add(doc.doc_id)
-            idx = len(docs)
             docs.append(doc)
             tokens = tokenize(doc.text)
+            counts = Counter(tokens)
             lengths.append(len(tokens))
-            for term, tf in Counter(tokens).items():
-                postings.setdefault(term, []).append((idx, tf))
+            distinct_terms.append(len(counts))
+            term_ids.extend(map(vocabulary.__getitem__, counts))
+            term_freqs.extend(counts.values())
         if not docs:
             raise CorpusError("corpus is empty: at least one document is required")
-        return cls(docs, postings, lengths, k1=k1, b=b)
+        term_of_pair = np.array(term_ids, dtype=np.int32)
+        # A stable sort groups pairs by term and keeps document order within a term.
+        order = np.argsort(term_of_pair, kind="stable")
+        doc_of_pair = np.repeat(np.arange(len(docs), dtype=np.int32), distinct_terms)
+        offsets = np.zeros(len(vocabulary) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(term_of_pair, minlength=len(vocabulary)), out=offsets[1:])
+        return cls(
+            docs,
+            np.array(lengths, dtype=np.int32),
+            list(vocabulary),
+            offsets,
+            doc_of_pair[order],
+            np.array(term_freqs, dtype=np.int32)[order],
+            k1=k1,
+            b=b,
+        )
 
-    def _idf(self, term: str) -> float:
-        df = len(self._postings[term])
+    def _posting_weights(self) -> np.ndarray:
+        """BM25 gain of every posting.
+
+        The IDF uses ``math.log`` and the gain keeps the scalar formula's
+        operation order, so each weight, and each query's sum of weights in
+        query-term order, equals the scalar computation bit for bit.
+        """
         n = len(self._documents)
-        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        df = np.diff(self._offsets)
+        # Terms share few distinct document frequencies: one log per distinct df.
+        distinct_df, df_index = np.unique(df, return_inverse=True)
+        idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in distinct_df.tolist()])
+        idf = idf[df_index]
+        avgdl = self._avgdl or 1.0
+        norm = 1.0 - self.b + self.b * self._doc_lengths / avgdl
+        tf = self._term_freqs
+        norm = norm[self._doc_indices]
+        return np.repeat(idf, df) * (tf * (self.k1 + 1.0)) / (tf + self.k1 * norm)
 
     def retrieve(self, query: str, k: int) -> list[RetrievedDocument]:
         """Top-k documents by BM25 score over the tokenized query.
@@ -214,69 +281,66 @@ class BM25Index:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        terms = tokenize(query)
-        if not terms:
-            return []
-        avgdl = self._avgdl or 1.0
-        scores: dict[int, float] = {}
-        for term in terms:
-            posting = self._postings.get(term)
-            if not posting:
+        scores = np.zeros(len(self._documents))
+        for term in tokenize(query):
+            term_id = self._term_ids.get(term)
+            if term_id is None:
                 continue
-            idf = self._idf(term)
-            for idx, tf in posting:
-                norm = 1.0 - self.b + self.b * self._doc_lengths[idx] / avgdl
-                gain = idf * (tf * (self.k1 + 1.0)) / (tf + self.k1 * norm)
-                scores[idx] = scores.get(idx, 0.0) + gain
-        ranked = sorted(
-            scores.items(), key=lambda item: (-item[1], self._documents[item[0]].doc_id)
-        )
-        hits = []
-        for rank, (idx, score) in enumerate(ranked[:k], start=1):
-            if score <= 0.0:
-                break
-            doc = self._documents[idx]
-            hits.append(
-                RetrievedDocument(
-                    doc_id=doc.doc_id, title=doc.title, text=doc.text, score=score, rank=rank
-                )
-            )
-        return hits
+            start, end = self._offsets[term_id], self._offsets[term_id + 1]
+            # A term lists each document once, so this fancy-indexed add is exact.
+            scores[self._doc_indices[start:end]] += self._weights[start:end]
+        return _ranked_hits(self._documents, self._id_ranks, scores, k)
 
     def save(self, index_dir: str | Path) -> None:
-        """Persist to a directory (manifest + documents + postings)."""
-        index_dir = Path(index_dir)
-        index_dir.mkdir(parents=True, exist_ok=True)
+        """Persist to a directory (manifest, documents, vocabulary, postings).
+
+        The files are written to a sibling temporary directory that then
+        replaces ``index_dir``, so a failed save never leaves a directory that
+        opens as an index. A non-empty ``index_dir`` without a manifest is
+        refused rather than replaced.
+        """
+        target = Path(os.path.abspath(index_dir))
+        if target.exists() and not (
+            (target / _MANIFEST_FILE).is_file() or (target.is_dir() and not any(target.iterdir()))
+        ):
+            raise CorpusError(f"refusing to replace {target}: not empty and not an index directory")
+        payloads = {
+            _DOCUMENTS_FILE: json.dumps(
+                [[doc.doc_id, doc.title, doc.text] for doc in self._documents], ensure_ascii=False
+            ).encode("utf-8"),
+            _TERMS_FILE: json.dumps(list(self._term_ids), ensure_ascii=False).encode("utf-8"),
+            _POSTINGS_FILE: b"".join(
+                part.astype(_INT32).tobytes()
+                for part in (self._doc_lengths, self._offsets, self._doc_indices, self._term_freqs)
+            ),
+        }
         manifest = {
             "format_tag": INDEX_FORMAT_TAG,
             "format_version": INDEX_FORMAT_VERSION,
             "num_documents": len(self._documents),
-            "num_terms": len(self._postings),
+            "num_terms": len(self._term_ids),
+            "num_postings": len(self._doc_indices),
             "avg_doc_length": self._avgdl,
+            "files": {
+                name: {"bytes": len(data), "crc32": zlib.crc32(data)}
+                for name, data in payloads.items()
+            },
         }
-        (index_dir / _MANIFEST_FILE).write_text(
-            json.dumps(manifest, indent=2), encoding="utf-8"
-        )
-        with (index_dir / _DOCUMENTS_FILE).open("w", encoding="utf-8") as handle:
-            for doc, length in zip(self._documents, self._doc_lengths):
-                handle.write(
-                    json.dumps(
-                        {
-                            "id": doc.doc_id,
-                            "title": doc.title,
-                            "contents": doc.text,
-                            "length": length,
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
-        with (index_dir / _POSTINGS_FILE).open("w", encoding="utf-8") as handle:
-            json.dump(
-                {term: [[idx, tf] for idx, tf in posting] for term, posting in self._postings.items()},
-                handle,
-                ensure_ascii=False,
-            )
+        payloads[_MANIFEST_FILE] = json.dumps(manifest, indent=2).encode("utf-8")
+        target.parent.mkdir(parents=True, exist_ok=True)
+        staging = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
+        retired = staging.with_suffix(".old")
+        staging.mkdir()
+        try:
+            for name, data in payloads.items():
+                (staging / name).write_bytes(data)
+            if target.exists():
+                os.replace(target, retired)
+            os.replace(staging, target)
+        except BaseException:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
+        shutil.rmtree(retired, ignore_errors=True)
 
     @classmethod
     def open(
@@ -285,33 +349,94 @@ class BM25Index:
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
     ) -> "BM25Index":
-        """Open a persisted index; validates the format tag and version."""
+        """Open a persisted index.
+
+        Validates the format tag and version, each data file's size and
+        CRC-32 against the manifest, and the manifest's counts. Any missing,
+        truncated or malformed file raises CorpusError.
+        """
         index_dir = Path(index_dir)
         manifest_path = index_dir / _MANIFEST_FILE
         if not manifest_path.exists():
             raise CorpusError(f"not an index directory (no manifest): {index_dir}")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(manifest_path.read_bytes())
+            if not isinstance(manifest, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as exc:
+            raise CorpusError(f"unreadable index manifest {manifest_path}: {exc}") from exc
         if manifest.get("format_tag") != INDEX_FORMAT_TAG:
             raise CorpusError(f"unrecognized index format tag: {manifest.get('format_tag')!r}")
-        if manifest.get("format_version") != INDEX_FORMAT_VERSION:
+        version = manifest.get("format_version")
+        if version != INDEX_FORMAT_VERSION:
             raise CorpusError(
-                f"unsupported index format version: {manifest.get('format_version')!r}"
+                f"unsupported index format version {version!r} in {index_dir} (this version "
+                f"reads {INDEX_FORMAT_VERSION}); rebuild the index with `respqa index`"
             )
-        documents: list[Document] = []
-        lengths: list[int] = []
-        with (index_dir / _DOCUMENTS_FILE).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                documents.append(
-                    Document(doc_id=row["id"], title=row["title"], text=row["contents"])
-                )
-                lengths.append(int(row["length"]))
-        with (index_dir / _POSTINGS_FILE).open("r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        postings = {term: [(int(i), int(tf)) for i, tf in posting] for term, posting in raw.items()}
-        return cls(documents, postings, lengths, k1=k1, b=b)
+        try:
+            files = manifest["files"]
+            data = {name: _read_checked(index_dir / name, files[name]) for name in _DATA_FILES}
+            n, t, p = (int(manifest[key]) for key in ("num_documents", "num_terms", "num_postings"))
+            documents = [
+                Document(doc_id=doc_id, title=title, text=text)
+                for doc_id, title, text in json.loads(data[_DOCUMENTS_FILE])
+            ]
+            terms = json.loads(data[_TERMS_FILE])
+            arrays = np.frombuffer(data[_POSTINGS_FILE], dtype=_INT32)
+            if (len(documents), len(terms), arrays.size) != (n, t, n + t + 1 + 2 * p):
+                raise ValueError("document, term or posting counts disagree with the manifest")
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise CorpusError(
+                f"corrupt index in {index_dir}: {exc}; rebuild it with `respqa index`"
+            ) from exc
+        lengths, offsets, doc_indices, term_freqs = np.split(arrays, [n, n + t + 1, n + t + 1 + p])
+        return cls(documents, lengths, terms, offsets, doc_indices, term_freqs, k1=k1, b=b)
+
+
+class _Vocabulary(dict):
+    """Term -> term id; an unseen term gets the next id."""
+
+    def __missing__(self, term: str) -> int:
+        term_id = self[term] = len(self)
+        return term_id
+
+
+def _read_checked(path: Path, expected: dict) -> bytes:
+    """File contents, or ValueError when size or CRC-32 differ from the manifest."""
+    data = path.read_bytes()
+    if len(data) != expected["bytes"] or zlib.crc32(data) != expected["crc32"]:
+        raise ValueError(f"{path.name} does not match the manifest (truncated or modified)")
+    return data
+
+
+def _id_ranks(documents: list[Document]) -> np.ndarray:
+    """Each document's position in ascending doc_id order: the tie-break key."""
+    order = sorted(range(len(documents)), key=lambda i: documents[i].doc_id)
+    ranks = np.empty(len(documents), dtype=np.int64)
+    ranks[order] = np.arange(len(documents))
+    return ranks
+
+
+def _ranked_hits(
+    documents: list[Document], id_ranks: np.ndarray, scores: np.ndarray, k: int
+) -> list[RetrievedDocument]:
+    """Hits for the k highest positive scores, ties by ascending doc_id."""
+    candidates = np.flatnonzero(scores > 0.0)
+    if len(candidates) > k:
+        kth = np.partition(scores[candidates], len(candidates) - k)[len(candidates) - k]
+        # Keep every candidate tied with the k-th score; the sort settles them.
+        candidates = candidates[scores[candidates] >= kth]
+    order = np.lexsort((id_ranks[candidates], -scores[candidates]))
+    hits = []
+    for rank, idx in enumerate(candidates[order[:k]].tolist(), start=1):
+        doc = documents[idx]
+        score = float(scores[idx])
+        hits.append(
+            RetrievedDocument(
+                doc_id=doc.doc_id, title=doc.title, text=doc.text, score=score, rank=rank
+            )
+        )
+    return hits
 
 
 def build_index(
@@ -349,9 +474,15 @@ class EmbeddingEndpointClient:
         self.model = model
         self.api_key = api_key
         self.timeout = timeout
-        self._session = session or requests.Session()
+        if session is None:
+            import requests  # deferred: offline runs never load the HTTP stack
+
+            session = requests.Session()
+        self._session = session
 
     def __call__(self, text: str) -> list[float]:
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -391,8 +522,9 @@ class EmbeddingRetriever:
     """Exact cosine-similarity retrieval over precomputed document vectors.
 
     The pluggable dense alternative to BM25: query vectors come from an
-    external embedding callable, document vectors are supplied up front.
-    Cosine scores are clamped at zero to keep hit scores non-negative.
+    external embedding callable, document vectors are supplied up front and
+    kept as one matrix of unit rows. Cosine scores are clamped at zero: only
+    documents with a positive cosine are returned.
     """
 
     def __init__(
@@ -405,32 +537,30 @@ class EmbeddingRetriever:
         if missing:
             raise CorpusError(f"missing vectors for document(s): {', '.join(missing[:5])}")
         self._documents = list(documents)
-        self._units = {doc.doc_id: _unit(vectors[doc.doc_id]) for doc in documents}
+        try:
+            matrix = np.array([vectors[doc.doc_id] for doc in self._documents], dtype=np.float64)
+        except ValueError as exc:
+            raise CorpusError(f"document vectors must all have one length: {exc}") from exc
+        self._units = _unit_rows(matrix)
+        self._id_ranks = _id_ranks(self._documents)
         self._embed = embed
 
     def retrieve(self, query: str, k: int) -> list[RetrievedDocument]:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        query_unit = _unit(self._embed(query))
-        scored = []
-        for doc in self._documents:
-            cos = sum(a * b for a, b in zip(query_unit, self._units[doc.doc_id]))
-            scored.append((max(cos, 0.0), doc))
-        scored.sort(key=lambda item: (-item[0], item[1].doc_id))
-        hits = []
-        for rank, (score, doc) in enumerate(scored[:k], start=1):
-            if score <= 0.0:
-                break
-            hits.append(
-                RetrievedDocument(
-                    doc_id=doc.doc_id, title=doc.title, text=doc.text, score=score, rank=rank
-                )
+        query_unit = _unit_rows(np.asarray(self._embed(query), dtype=np.float64))
+        if query_unit.shape != self._units.shape[1:]:
+            raise RetrieverError(
+                f"query vector has shape {query_unit.shape}, "
+                f"document vectors {self._units.shape[1:]}"
             )
-        return hits
+        # einsum, not BLAS gemv: gemv may round identical rows differently by
+        # their position, which would break the doc-id tie-break.
+        scores = np.einsum("ij,j->i", self._units, query_unit)
+        return _ranked_hits(self._documents, self._id_ranks, scores, k)
 
 
-def _unit(vector: list[float]) -> list[float]:
-    norm = math.sqrt(sum(x * x for x in vector))
-    if norm == 0.0:
-        return [0.0] * len(vector)
-    return [x / norm for x in vector]
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """Scale each vector along the last axis to unit length; zero vectors stay zero."""
+    norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
+    return np.divide(vectors, norms, out=np.zeros_like(vectors), where=norms > 0.0)

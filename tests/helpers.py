@@ -151,6 +151,27 @@ def bm25_brute_force(
     return results[:k]
 
 
+def cosine_brute_force(
+    docs: list[Document], vectors: dict[str, list[float]], query: list[float], k: int
+) -> list[tuple[str, float]]:
+    """Cosine of every document straight from its raw vector and sort.
+
+    Dot product over the product of norms; zero vectors and non-positive
+    cosines are left out, ties go to the smaller doc_id.
+    """
+    qnorm = math.sqrt(sum(x * x for x in query))
+    results = []
+    for doc in docs:
+        vec = vectors[doc.doc_id]
+        dnorm = math.sqrt(sum(x * x for x in vec))
+        if qnorm and dnorm:
+            cos = sum(a * b for a, b in zip(query, vec)) / (qnorm * dnorm)
+            if cos > 0.0:
+                results.append((doc.doc_id, cos))
+    results.sort(key=lambda item: (-item[1], item[0]))
+    return results[:k]
+
+
 def f1_brute_force(prediction_tokens: list[str], gold_tokens: list[str]) -> float:
     """Two-pointer multiset overlap on sorted token lists."""
     if not prediction_tokens and not gold_tokens:

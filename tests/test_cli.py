@@ -316,3 +316,28 @@ class TestSweepCommand:
             ]
         )
         assert code == EXIT_CONFIG
+
+
+class TestDamagedIndex:
+    def ask(self, index_dir, script_path):
+        return main(["ask", "q?", "--index-dir", str(index_dir), "--script", str(script_path)])
+
+    def test_truncated_postings_is_io_error(self, index_dir, script_path, capsys):
+        postings = index_dir / "postings.bin"
+        postings.write_bytes(postings.read_bytes()[:-5])
+        assert self.ask(index_dir, script_path) == EXIT_IO
+        assert "postings.bin" in capsys.readouterr().err
+
+    def test_version_1_manifest_is_io_error_naming_the_fix(self, index_dir, script_path, capsys):
+        manifest = index_dir / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["format_version"] = 1
+        manifest.write_text(json.dumps(data))
+        assert self.ask(index_dir, script_path) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "version 1" in err and "respqa index" in err
+
+    def test_reindex_replaces_the_index(self, corpus_path, index_dir, script_path, capsys):
+        (index_dir / "postings.bin").write_bytes(b"")
+        assert main(["index", str(corpus_path), "--out", str(index_dir)]) == EXIT_OK
+        assert self.ask(index_dir, script_path) == EXIT_OK

@@ -272,6 +272,26 @@ def test_wire_requests_confined_to_gateway_modules():
     assert offenders == []
 
 
+def test_offline_modules_do_not_import_requests():
+    # Only the HTTP backend and the embedding client need requests, and they
+    # import it when built; scripted runs and `respqa index` never load it.
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import respqa
+
+    src = str(pathlib.Path(respqa.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, respqa.cli, respqa.config, respqa.pipeline; print('requests' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 class TestBackendRouter:
     def test_shared_binding(self):
         backend = ScriptedBackend([ScriptedRule("", "x")])

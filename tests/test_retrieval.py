@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from respqa.errors import CorpusError
+from respqa.errors import CorpusError, RetrieverError
 from respqa.retrieval import (
     BM25Index,
     Document,
@@ -13,7 +13,7 @@ from respqa.retrieval import (
     tokenize,
 )
 
-from helpers import bm25_brute_force
+from helpers import bm25_brute_force, cosine_brute_force
 
 
 def doc(i: int, text: str) -> Document:
@@ -53,6 +53,18 @@ class TestTokenize:
     def test_deterministic(self):
         text = "Some; odd -- text, with.lots of 'punctuation'!"
         assert tokenize(text) == tokenize(text)
+
+    def test_unicode_punctuation_categories(self):
+        # Em dash (Pd), guillemets (Pi, Pf) and the ideographic comma (Po).
+        assert tokenize("well\u2014known \u00abBon\u00bb \u6771\u4eac\u3001\u5927\u962a") == [
+            "wellknown",
+            "bon",
+            "\u6771\u4eac\u5927\u962a",
+        ]
+
+    def test_soft_hyphen_is_not_punctuation(self):
+        # U+00AD is a format character (Cf), so it stays inside the token.
+        assert tokenize("Co\u00adoperate now") == ["co\u00adoperate", "now"]
 
 
 class TestBuildIndex:
@@ -158,6 +170,68 @@ class TestPersistence:
         with pytest.raises(CorpusError, match="manifest"):
             BM25Index.open(tmp_path)
 
+    def test_save_replaces_an_existing_index(self, tmp_path):
+        BM25Index.build(TEN_DOCS).save(tmp_path / "idx")
+        BM25Index.build(TEN_DOCS[:3]).save(tmp_path / "idx")
+        assert BM25Index.open(tmp_path / "idx").stats.num_documents == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+
+    def test_failed_save_keeps_the_previous_index(self, tmp_path, monkeypatch):
+        BM25Index.build(TEN_DOCS).save(tmp_path / "idx")
+
+        def fail(self, data):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("pathlib.Path.write_bytes", fail)
+        with pytest.raises(OSError, match="disk full"):
+            BM25Index.build(TEN_DOCS[:3]).save(tmp_path / "idx")
+        monkeypatch.undo()
+        assert BM25Index.open(tmp_path / "idx").stats.num_documents == 10
+        assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+
+    def test_save_refuses_a_directory_that_is_not_an_index(self, tmp_path):
+        keep = tmp_path / "notes.txt"
+        keep.write_text("mine")
+        with pytest.raises(CorpusError, match="not an index"):
+            BM25Index.build(TEN_DOCS).save(tmp_path)
+        assert keep.read_text() == "mine"
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("postings.bin", lambda data: data[:-3]),
+            ("documents.json", lambda data: data.replace(b"cat", b"cot", 1)),
+            ("terms.json", None),
+            ("manifest.json", lambda data: data[: len(data) // 2]),
+        ],
+        ids=["truncated-postings", "modified-documents", "missing-terms", "truncated-manifest"],
+    )
+    def test_open_rejects_damaged_files(self, tmp_path, name, damage):
+        BM25Index.build(TEN_DOCS).save(tmp_path / "idx")
+        path = tmp_path / "idx" / name
+        if damage is None:
+            path.unlink()
+        else:
+            path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(CorpusError, match=name):
+            BM25Index.open(tmp_path / "idx")
+
+    def test_open_cross_checks_manifest_counts(self, tmp_path):
+        BM25Index.build(TEN_DOCS).save(tmp_path / "idx")
+        manifest = tmp_path / "idx" / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["num_documents"] = 9
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(CorpusError, match="counts"):
+            BM25Index.open(tmp_path / "idx")
+
+    def test_open_rejects_version_1_with_rebuild_hint(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"format_tag": "respqa-bm25", "format_version": 1, "num_documents": 1})
+        )
+        with pytest.raises(CorpusError, match=r"version 1 .*rebuild the index with `respqa index`"):
+            BM25Index.open(tmp_path)
+
     def test_open_rejects_wrong_format_tag(self, tmp_path):
         index = BM25Index.build(TEN_DOCS[:2])
         index.save(tmp_path / "idx")
@@ -228,6 +302,13 @@ class TestEmbeddingRetriever:
     def test_missing_vector(self):
         with pytest.raises(CorpusError, match="c"):
             EmbeddingRetriever(self.DOCS, {"a": [1.0], "b": [1.0]}, embed=lambda q: [1.0])
+
+    def test_vector_lengths_must_agree(self):
+        with pytest.raises(CorpusError, match="one length"):
+            EmbeddingRetriever(self.DOCS, {"a": [1.0], "b": [1.0, 0.0], "c": [0.0]}, lambda q: [1.0])
+        retriever = EmbeddingRetriever(self.DOCS, self.VECTORS, embed=lambda q: [1.0, 0.0, 0.0])
+        with pytest.raises(RetrieverError, match="shape"):
+            retriever.retrieve("anything", 3)
 
 
 class TestEmbeddingEndpointClient:
@@ -306,3 +387,65 @@ def test_random_corpora_against_brute_force_smoke():
             assert [h.doc_id for h in hits] == [doc_id for doc_id, _ in expected]
             for hit, (_, score) in zip(hits, expected):
                 assert hit.score == pytest.approx(score, abs=1e-9)
+
+
+def tied_corpus(rng: random.Random, vocab: list[str]) -> list[Document]:
+    """Documents drawn from a few distinct texts, so many scores tie
+    exactly; doc_ids are inserted out of sorted order."""
+    texts = [" ".join(rng.choices(vocab, k=rng.randint(1, 6))) for _ in range(rng.randint(1, 8))]
+    ids = [f"doc{i:03d}" for i in range(rng.randint(1, 50))]
+    rng.shuffle(ids)
+    return [Document(doc_id, "t", rng.choice(texts)) for doc_id in ids]
+
+
+def test_bm25_equals_brute_force_exactly_on_tied_random_corpora(tmp_path):
+    rng = random.Random(20241017)
+    vocab = [f"w{i}" for i in range(12)]
+    seen = {"tie": False, "repeated_term": False, "k_above_matches": False}
+    for trial in range(30):
+        docs = tied_corpus(rng, vocab)
+        index = BM25Index.build(docs)
+        index.save(tmp_path / f"idx{trial}")
+        reopened = BM25Index.open(tmp_path / f"idx{trial}")
+        for _ in range(10):
+            terms = rng.choices(vocab + ["absent"], k=rng.randint(1, 6))
+            query, k = " ".join(terms), rng.randint(1, len(docs) + 5)
+            expected = bm25_brute_force(docs, query, k)
+            hits = index.retrieve(query, k)
+            assert [(h.doc_id, h.score) for h in hits] == expected
+            assert reopened.retrieve(query, k) == hits
+            scores = [score for _, score in expected]
+            seen["tie"] |= len(set(scores)) < len(scores)
+            seen["repeated_term"] |= len(set(terms)) < len(terms)
+            seen["k_above_matches"] |= 0 < len(expected) < k
+    assert all(seen.values()), seen
+
+
+def test_dense_equals_brute_force_cosine():
+    rng = random.Random(7)
+    dim = 64
+    shared = [[rng.uniform(-1.0, 1.0) for _ in range(dim)] for _ in range(5)]
+    shared.append([0.0] * dim)
+    # 43 rows, not a multiple of 4: blocked mat-vec kernels round their tail
+    # rows differently, which would split tied vectors out of doc-id order.
+    ids = [f"d{i:02d}" for i in range(43)]
+    rng.shuffle(ids)
+    docs = [Document(doc_id, "t", "x") for doc_id in ids]
+    vectors = {doc_id: list(rng.choice(shared)) for doc_id in ids}
+    queries = [[rng.uniform(-1.0, 1.0) for _ in range(dim)] for _ in range(20)]
+    queries += [[0.0] * dim] + [[-x for x in shared[0]]]
+    for query in queries:
+        retriever = EmbeddingRetriever(docs, vectors, embed=lambda _: query)
+        for k in (1, 3, len(docs) + 2):
+            expected = cosine_brute_force(docs, vectors, query, k)
+            hits = retriever.retrieve("q", k)
+            assert [h.doc_id for h in hits] == [doc_id for doc_id, _ in expected]
+            for hit, (_, score) in zip(hits, expected):
+                assert hit.score == pytest.approx(score, rel=1e-12)
+
+
+def test_dense_all_negative_cosines_return_nothing():
+    docs = [Document(f"d{i}", "t", "x") for i in range(3)]
+    vectors = {"d0": [1.0, 2.0], "d1": [3.0, 0.5], "d2": [0.0, 0.0]}
+    retriever = EmbeddingRetriever(docs, vectors, embed=lambda _: [-1.0, -1.0])
+    assert retriever.retrieve("q", 3) == []
