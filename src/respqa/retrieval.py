@@ -262,10 +262,7 @@ class BM25Index:
         """
         n = len(self._documents)
         df = np.diff(self._offsets)
-        # Terms share few distinct document frequencies: one log per distinct df.
-        distinct_df, df_index = np.unique(df, return_inverse=True)
-        idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in distinct_df.tolist()])
-        idf = idf[df_index]
+        idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df.tolist()])
         avgdl = self._avgdl or 1.0
         norm = 1.0 - self.b + self.b * self._doc_lengths / avgdl
         tf = self._term_freqs
