@@ -252,8 +252,11 @@ class PipelineAgents:
     """Stateless agent frontend: (router, templates, caps) in, parsed results out.
 
     Safe to share across concurrently running questions; each method makes
-    at most two LLM calls (plan retry). The optional ``record`` dict on each
-    method captures the exact prompt(s) sent, for trace logging.
+    at most two LLM calls (plan retry). The optional ``record`` dict on the
+    summarize, local-answer, judge and plan methods captures the exact
+    prompt(s) sent, for trace logging; the two generate methods return the
+    prompt they sent alongside the answer. Only the generator's temperature
+    is configurable; the reasoner and summarizer always run at 0.0.
     """
 
     def __init__(
@@ -263,8 +266,6 @@ class PipelineAgents:
         *,
         max_input_tokens: int = 12_000,
         max_output_tokens: int = 200,
-        reasoner_temperature: float = 0.0,
-        summarizer_temperature: float = 0.0,
         generator_temperature: float = 0.0,
         estimator: TokenEstimator = whitespace_token_estimate,
     ) -> None:
@@ -272,12 +273,10 @@ class PipelineAgents:
         self.templates = templates or PromptTemplateSet.load_default()
         self.max_input_tokens = max_input_tokens
         self.max_output_tokens = max_output_tokens
-        self._reasoner_temperature = reasoner_temperature
-        self._summarizer_temperature = summarizer_temperature
         self._generator_temperature = generator_temperature
         self.estimator = estimator
 
-    def _complete(self, prompt: str, role_tag: str, temperature: float) -> str:
+    def _complete(self, prompt: str, role_tag: str, temperature: float = 0.0) -> str:
         request = LlmRequest(
             prompt=prompt,
             max_output_tokens=self.max_output_tokens,
@@ -312,7 +311,7 @@ class PipelineAgents:
         )
         if record is not None:
             record["global_summary"] = prompt
-        return parse_global_summary(self._complete(prompt, "summarizer", self._summarizer_temperature))
+        return parse_global_summary(self._complete(prompt, "summarizer"))
 
     def answer_local(
         self,
@@ -331,7 +330,7 @@ class PipelineAgents:
         )
         if record is not None:
             record["local_answer"] = prompt
-        return parse_local_answer(self._complete(prompt, "summarizer", self._summarizer_temperature))
+        return parse_local_answer(self._complete(prompt, "summarizer"))
 
     def judge(
         self,
@@ -348,7 +347,7 @@ class PipelineAgents:
         )
         if record is not None:
             record["judge"] = prompt
-        return parse_judgement(self._complete(prompt, "reasoner", self._reasoner_temperature))
+        return parse_judgement(self._complete(prompt, "reasoner"))
 
     def plan(
         self,
@@ -369,7 +368,7 @@ class PipelineAgents:
         )
         if record is not None:
             record["plan"] = prompt
-        raw = self._complete(prompt, "reasoner", self._reasoner_temperature)
+        raw = self._complete(prompt, "reasoner")
         question = parse_plan_surface(raw)
         normalized = normalize_question(question)
         if normalized and normalized not in forbidden:
@@ -390,50 +389,30 @@ class PipelineAgents:
             )
         if record is not None:
             record["plan_retry"] = retry_prompt
-        raw = self._complete(retry_prompt, "reasoner", self._reasoner_temperature)
+        raw = self._complete(retry_prompt, "reasoner")
         question = parse_plan_surface(raw)
         normalized = normalize_question(question)
         forced = not normalized or normalized in forbidden
         return PlanResult(sub_question=question, attempts=2, forced_termination=forced, raw_text=raw)
 
-    def generate(
-        self,
-        overarching_question: str,
-        memory: MemoryState,
-        record: dict[str, str] | None = None,
-    ) -> str:
-        """Final answer from the memory queues; trimmed, no other rewriting."""
-        prompt = self.render_generate_prompt(overarching_question, memory)
-        if record is not None:
-            record["generate"] = prompt
-        return self._complete(prompt, "generator", self._generator_temperature).strip()
-
-    def render_generate_prompt(self, overarching_question: str, memory: MemoryState) -> str:
-        return self._assemble(
+    def generate(self, overarching_question: str, memory: MemoryState) -> tuple[str, str]:
+        """Final answer from the memory queues, trimmed, and the prompt sent."""
+        prompt = self._assemble(
             self.templates.generate,
             {SLOT_OVERARCHING: overarching_question, SLOT_MEMORY: memory.render_combined()},
         )
+        return self._complete(prompt, "generator", self._generator_temperature).strip(), prompt
 
     def generate_standard(
-        self,
-        overarching_question: str,
-        docs: list[RetrievedDocument],
-        record: dict[str, str] | None = None,
-    ) -> str:
-        """Single-shot baseline: answer directly from raw retrieved documents."""
-        prompt = self.render_standard_prompt(overarching_question, docs)
-        if record is not None:
-            record["generate"] = prompt
-        return self._complete(prompt, "generator", self._generator_temperature).strip()
-
-    def render_standard_prompt(
         self, overarching_question: str, docs: list[RetrievedDocument]
-    ) -> str:
+    ) -> tuple[str, str]:
+        """Single-shot baseline: trimmed answer from the raw documents, and the prompt sent."""
         # The reference slot of the generation template carries raw documents
         # here, so it is doc-wise truncatable, unlike memory content.
-        return self._assemble(
+        prompt = self._assemble(
             self.templates.generate,
             {SLOT_OVERARCHING: overarching_question},
             docs=render_docs(docs),
             doc_slot=SLOT_MEMORY,
         )
+        return self._complete(prompt, "generator", self._generator_temperature).strip(), prompt

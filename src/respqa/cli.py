@@ -100,6 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_limit(limit: int) -> None:
+    if limit < 0:
+        raise ConfigurationError(f"--limit must be >= 0, got {limit}")
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     _, stats = build_index(read_corpus(args.corpus), index_dir=args.out)
     print(
@@ -121,6 +126,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _check_limit(args.limit)
     config = load_app_config(args.config, _overrides(args, top_k=args.k))
     runtime = AppRuntime(config)
     examples = load_dataset(args.dataset, limit=args.limit)
@@ -148,6 +154,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"invalid --k list {args.k!r}: {exc}") from exc
     if not k_values:
         raise ConfigurationError("--k must name at least one value")
+    if min(k_values) < 1:
+        raise ConfigurationError(f"--k values must be >= 1, got {args.k!r}")
+    _check_limit(args.limit)
     pipelines = [part.strip() for part in args.pipelines.split(",") if part.strip()]
     for name in pipelines:
         if name not in (PIPELINE_RESP, PIPELINE_STANDARD):

@@ -13,19 +13,20 @@ import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
+from urllib.parse import urlsplit
 
 import yaml
 
 from .agents import PipelineAgents, PromptTemplateSet
 from .errors import ConfigurationError
 from .llm import (
+    ROLE_TAGS,
     BackendRouter,
     HttpChatBackend,
     LlmBackend,
     ScriptedBackend,
     ScriptedRule,
     load_script,
-    whitespace_token_estimate,
 )
 from .pipeline import (
     PIPELINE_RESP,
@@ -48,8 +49,6 @@ from .retrieval import (
 ENV_ENDPOINT = "RESPQA_LLM_ENDPOINT"
 ENV_MODEL = "RESPQA_LLM_MODEL"
 ENV_API_KEY = "RESPQA_API_KEY"
-
-ROLES = ("reasoner", "summarizer", "generator")
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,17 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigurationError(message)
 
 
+def _require_http_url(url: object, owner: str) -> None:
+    try:
+        parts = urlsplit(url) if isinstance(url, str) else None
+    except ValueError:
+        parts = None
+    _require(
+        parts is not None and parts.scheme in ("http", "https") and bool(parts.netloc),
+        f"{owner}: endpoint {url!r} is not an http(s) URL",
+    )
+
+
 def _section(data: dict, key: str) -> dict:
     value = data.get(key) or {}
     _require(isinstance(value, dict), f"config section {key!r} must be a mapping")
@@ -132,12 +142,16 @@ def load_app_config(path: str | Path | None, overrides: CliOverrides | None = No
 
     index_dir = overrides.index_dir or retriever.get("index_dir")
     try:
-        parallelism = overrides.parallelism or int(eval_section.get("parallelism", 1))
+        parallelism = overrides.parallelism
+        if parallelism is None:
+            parallelism = int(eval_section.get("parallelism", 1))
         k1 = float(retriever.get("k1", DEFAULT_K1))
         b = float(retriever.get("b", DEFAULT_B))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"invalid numeric setting: {exc}") from exc
     _require(parallelism >= 1, f"parallelism must be >= 1, got {parallelism}")
+    if retriever.get("endpoint") is not None:
+        _require_http_url(retriever["endpoint"], "retriever")
 
     config = AppConfig(
         pipeline=pipeline,
@@ -235,6 +249,7 @@ def _load_backends(section: dict, overrides: CliOverrides) -> dict[str, BackendS
                 f"backend {spec.name!r} has no endpoint "
                 f"(set it in the config file, {ENV_ENDPOINT}, or --llm-endpoint)",
             )
+            _require_http_url(spec.endpoint, f"backend {spec.name!r}")
     return backends
 
 
@@ -242,7 +257,7 @@ def _load_roles(
     raw_roles: object, backends: dict[str, BackendSpec], overrides: CliOverrides
 ) -> dict[str, str]:
     if overrides.script is not None:
-        return {role: "scripted" for role in ROLES}
+        return {role: "scripted" for role in ROLE_TAGS}
     _require(
         bool(backends),
         "no completion backend configured (define one in the config file, set "
@@ -256,14 +271,14 @@ def _load_roles(
             "(bound to every role) or add explicit role bindings",
         )
         only = next(iter(backends))
-        roles = {role: only for role in ROLES}
+        roles = {role: only for role in ROLE_TAGS}
     else:
         _require(isinstance(raw_roles, dict), "'roles' must be a mapping")
         roles = {str(role): str(name) for role, name in raw_roles.items()}
-    missing = [role for role in ROLES if role not in roles]
+    missing = [role for role in ROLE_TAGS if role not in roles]
     _require(not missing, f"no backend bound for role(s): {', '.join(missing)}")
     for role, name in roles.items():
-        _require(role in ROLES, f"unknown role in 'roles': {role!r}")
+        _require(role in ROLE_TAGS, f"unknown role in 'roles': {role!r}")
         _require(name in backends, f"role {role!r} bound to undefined backend {name!r}")
     return roles
 
@@ -332,7 +347,6 @@ class AppRuntime:
                 max_input_tokens=pipeline_config.max_input_tokens,
                 max_output_tokens=pipeline_config.max_output_tokens,
                 generator_temperature=pipeline_config.generator_temperature,
-                estimator=whitespace_token_estimate,
             )
             return run_fn(question, self.retriever, agents, pipeline_config)
 

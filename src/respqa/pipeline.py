@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .agents import NO_INFO_SENTINEL, Judgement, LocalAnswer, PipelineAgents, PlanResult
 from .errors import BackendError, PipelineError
+from .evaluation import evaluate
 from .memory import MemoryState
 from .retrieval import RetrievedDocument, Retriever
 
@@ -33,19 +34,15 @@ STOP_SINGLE_ROUND = "single_round"  # baseline pipeline only
 PIPELINE_RESP = "resp"
 PIPELINE_STANDARD = "standard"
 
-ROLE_BINDING_DEFAULT = {"reasoner": "default", "summarizer": "default", "generator": "default"}
-
 
 @dataclass
 class PipelineConfig:
-    """Loop parameters and per-role backend routing."""
+    """Loop parameters, generator temperature and prompt logging."""
 
     top_k: int = 5
     max_iterations: int = 3
     max_input_tokens: int = 12_000
     max_output_tokens: int = 200
-    backend_roles: dict[str, str] = field(default_factory=lambda: dict(ROLE_BINDING_DEFAULT))
-    retriever: str = "bm25"
     generator_temperature: float = 0.0
     log_prompts: bool = False
 
@@ -138,80 +135,77 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
     sub_question = question
     stop_reason = STOP_MAX_ITERATIONS
 
-    for round_index in range(config.max_iterations):
-        prompts: dict[str, str] = {}
-        record = prompts if config.log_prompts else None
-        hits = retriever.retrieve(sub_question, config.top_k)
+    try:
+        for round_index in range(config.max_iterations):
+            record: dict[str, str] | None = {} if config.log_prompts else None
+            hits = retriever.retrieve(sub_question, config.top_k)
 
-        if hits:
-            summary = _agent_call(
-                lambda: agents.summarize_global(hits, question, record), round_index
-            )
-        else:
-            # Nothing retrievable: the sentinel keeps the evidence queue
-            # honest and the loop moving.
-            summary = NO_INFO_SENTINEL
-        memory.push_global(round_index, summary)
-
-        local_answer: LocalAnswer | None = None
-        if round_index >= 1:
-            local_answer = _agent_call(
-                lambda: agents.answer_local(sub_question, memory, record), round_index
-            )
-            if local_answer.anomaly:
-                anomalies.append(
-                    f"round {round_index}: unparseable local answer: {local_answer.raw_text!r}"
-                )
-            memory.push_local(round_index, sub_question, local_answer.answer, local_answer.answered)
-
-        judgement = _agent_call(lambda: agents.judge(question, memory, record), round_index)
-        if judgement.anomaly:
-            anomalies.append(f"round {round_index}: unparseable judgement: {judgement.raw_text!r}")
-
-        plan_result: PlanResult | None = None
-        if judgement.sufficient:
-            decision = DECISION_GENERATE
-            stop_reason = STOP_JUDGED_SUFFICIENT
-        elif round_index == config.max_iterations - 1:
-            # Iteration budget exhausted: proceed straight to generation,
-            # without planning a sub-question that would never be retrieved.
-            decision = DECISION_FORCED_GENERATE
-            stop_reason = STOP_MAX_ITERATIONS
-        else:
-            forbidden = memory.seen_subquestions(question)
-            plan_result = _agent_call(
-                lambda: agents.plan(question, memory, forbidden, record), round_index
-            )
-            if plan_result.forced_termination:
-                decision = DECISION_FORCED_GENERATE
-                stop_reason = STOP_DUPLICATE_PLAN
+            if hits:
+                summary = agents.summarize_global(hits, question, record)
             else:
-                decision = DECISION_CONTINUE
+                # Nothing retrievable: the sentinel keeps the evidence queue
+                # honest and the loop moving.
+                summary = NO_INFO_SENTINEL
+            memory.push_global(round_index, summary)
 
-        iterations.append(
-            IterationRecord(
-                round=round_index,
-                sub_question=sub_question,
-                retrieved=hits,
-                global_summary=summary,
-                local_answer=local_answer,
-                judgement=judgement,
-                decision=decision,
-                plan=plan_result,
-                prompts=prompts if config.log_prompts else None,
+            local_answer: LocalAnswer | None = None
+            if round_index >= 1:
+                local_answer = agents.answer_local(sub_question, memory, record)
+                if local_answer.anomaly:
+                    anomalies.append(
+                        f"round {round_index}: unparseable local answer: {local_answer.raw_text!r}"
+                    )
+                memory.push_local(
+                    round_index, sub_question, local_answer.answer, local_answer.answered
+                )
+
+            judgement = agents.judge(question, memory, record)
+            if judgement.anomaly:
+                anomalies.append(
+                    f"round {round_index}: unparseable judgement: {judgement.raw_text!r}"
+                )
+
+            plan_result: PlanResult | None = None
+            if judgement.sufficient:
+                decision = DECISION_GENERATE
+                stop_reason = STOP_JUDGED_SUFFICIENT
+            elif round_index == config.max_iterations - 1:
+                # Iteration budget exhausted: proceed straight to generation,
+                # without planning a sub-question that would never be retrieved.
+                decision = DECISION_FORCED_GENERATE
+                stop_reason = STOP_MAX_ITERATIONS
+            else:
+                forbidden = memory.seen_subquestions(question)
+                plan_result = agents.plan(question, memory, forbidden, record)
+                if plan_result.forced_termination:
+                    decision = DECISION_FORCED_GENERATE
+                    stop_reason = STOP_DUPLICATE_PLAN
+                else:
+                    decision = DECISION_CONTINUE
+
+            iterations.append(
+                IterationRecord(
+                    round=round_index,
+                    sub_question=sub_question,
+                    retrieved=hits,
+                    global_summary=summary,
+                    local_answer=local_answer,
+                    judgement=judgement,
+                    decision=decision,
+                    plan=plan_result,
+                    prompts=record,
+                )
             )
-        )
-        if decision != DECISION_CONTINUE:
-            break
-        sub_question = plan_result.sub_question
+            if decision != DECISION_CONTINUE:
+                break
+            sub_question = plan_result.sub_question
 
-    final_round = iterations[-1].round
-    generate_prompts: dict[str, str] = {}
-    generate_record = generate_prompts if config.log_prompts else None
-    prompt = agents.render_generate_prompt(question, memory)
-    answer = _agent_call(lambda: agents.generate(question, memory, generate_record), final_round)
-    if config.log_prompts and iterations[-1].prompts is not None:
-        iterations[-1].prompts.update(generate_prompts)
+        # The generator's failures are reported against the last loop round.
+        answer, prompt = agents.generate(question, memory)
+    except BackendError as exc:
+        raise _round_failure(exc, round_index) from exc
+    if record is not None:
+        record["generate"] = prompt
 
     return RunTrace(
         question=question,
@@ -231,11 +225,11 @@ def run_standard_rag(
     """One retrieval, one generation from the raw documents; no memory."""
     if not question.strip():
         raise ValueError("question must be non-empty")
-    prompts: dict[str, str] = {}
-    record = prompts if config.log_prompts else None
     hits = retriever.retrieve(question, config.top_k)
-    prompt = agents.render_standard_prompt(question, hits)
-    answer = _agent_call(lambda: agents.generate_standard(question, hits, record), 0)
+    try:
+        answer, prompt = agents.generate_standard(question, hits)
+    except BackendError as exc:
+        raise _round_failure(exc, 0) from exc
     iteration = IterationRecord(
         round=0,
         sub_question=question,
@@ -244,7 +238,7 @@ def run_standard_rag(
         local_answer=None,
         judgement=None,
         decision=DECISION_GENERATE,
-        prompts=prompts if config.log_prompts else None,
+        prompts={"generate": prompt} if config.log_prompts else None,
     )
     return RunTrace(
         question=question,
@@ -258,16 +252,13 @@ def run_standard_rag(
     )
 
 
-def _agent_call(call: Callable, round_index: int):
-    """Wrap backend failures so the surfaced error names round and role."""
-    try:
-        return call()
-    except BackendError as exc:
-        raise PipelineError(
-            f"round {round_index}: {exc.role_tag or 'unknown'} backend failed: {exc}",
-            round_index=round_index,
-            role_tag=exc.role_tag,
-        ) from exc
+def _round_failure(exc: BackendError, round_index: int) -> PipelineError:
+    """The error surfaced for a backend failure, naming round and role."""
+    return PipelineError(
+        f"round {round_index}: {exc.role_tag or 'unknown'} backend failed: {exc}",
+        round_index=round_index,
+        role_tag=exc.role_tag,
+    )
 
 
 @dataclass(frozen=True)
@@ -292,8 +283,6 @@ def sweep_k(
     ``make_runner(k)`` must return a ready-to-call runner for that k;
     per-run errors are collected into the row, not raised.
     """
-    from .evaluation import evaluate
-
     rows = []
     for k in k_values:
         report = evaluate(make_runner(k), examples, parallelism=parallelism)

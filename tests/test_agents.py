@@ -391,19 +391,19 @@ class TestPlan:
 class TestGenerate:
     def test_trim_only(self):
         agents, _ = scripted_agents([ScriptedRule(GENERATE_MARKER, "  Answer: X  ")])
-        assert agents.generate("q?", memory_with(["ev"])) == "Answer: X"
+        assert agents.generate("q?", memory_with(["ev"]))[0] == "Answer: X"
 
     def test_case_study_answer(self):
         agents, _ = scripted_agents([ScriptedRule(GENERATE_MARKER, "Charlie Murphy")])
         memory = memory_with(["Victor Varnado directed Twisted Fortune starring Charlie Murphy."])
-        assert agents.generate("Which brother?", memory) == "Charlie Murphy"
+        assert agents.generate("Which brother?", memory)[0] == "Charlie Murphy"
 
     def test_render_matches_sent_prompt(self):
         agents, backend = scripted_agents([ScriptedRule(GENERATE_MARKER, "x")])
-        memory = memory_with(["ev"])
-        rendered = agents.render_generate_prompt("q?", memory)
-        agents.generate("q?", memory)
-        assert backend.history[0].prompt == rendered
+        _, prompt = agents.generate("q?", memory_with(["ev"]))
+        assert backend.history[0].prompt == prompt
+        _, prompt = agents.generate_standard("q?", [hit(1, "raw doc text", 1)])
+        assert backend.history[1].prompt == prompt
 
     def test_standard_prompt_carries_raw_docs(self):
         agents, backend = scripted_agents([ScriptedRule(GENERATE_MARKER, "x")])
@@ -459,7 +459,7 @@ class TestRoleTemperatures:
 
 def test_generate_on_empty_memory_is_passthrough():
     agents, _ = scripted_agents([ScriptedRule(GENERATE_MARKER, "  raw output  ")])
-    assert agents.generate("q?", MemoryState()) == "raw output"
+    assert agents.generate("q?", MemoryState())[0] == "raw output"
 
 
 class TestAgentTruncation:

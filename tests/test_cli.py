@@ -144,6 +144,34 @@ class TestAskCommand:
         assert code == EXIT_CONFIG
 
 
+class TestFlagErrors:
+    """Invalid flag values exit with the configuration code, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["sweep", "--k", "0,2", "--out", "sweep.csv"], "--k"),
+            (["eval", "--limit", "-1", "--out-dir", "."], "--limit"),
+            (["sweep", "--limit", "-1", "--out", "sweep.csv"], "--limit"),
+            (["eval", "--parallelism", "0", "--out-dir", "."], "parallelism"),
+        ],
+    )
+    def test_exit_config(
+        self, argv, named, index_dir, script_path, dataset_path, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        command, flags = argv[0], argv[1:]
+        runtime = ["--index-dir", str(index_dir), "--script", str(script_path)]
+        assert main([command, str(dataset_path), *flags, *runtime]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.glob("eval_*")) and not (tmp_path / "sweep.csv").exists()
+
+    def test_non_http_endpoint_flag(self, index_dir, capsys):
+        argv = ["ask", "q?", "--index-dir", str(index_dir), "--llm-endpoint", "localhost:9/v1"]
+        assert main(argv) == EXIT_CONFIG
+        assert "backend 'default'" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def write_config(self, tmp_path, index_dir, script_path, roles=None):
         roles_block = roles if roles is not None else {

@@ -164,6 +164,19 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="parallelism"):
             load_app_config(path)
 
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            ({"backends": {"main": {"kind": "http", "endpoint": "localhost:9/v1"}}}, "'main'"),
+            ({"backends": {"main": {"kind": "http", "endpoint": "ftp://x/v1"}}}, "'main'"),
+            ({"retriever": {"kind": "embedding", "endpoint": "localhost:9/v1"}}, "retriever"),
+        ],
+    )
+    def test_non_http_endpoint_in_file(self, tmp_path, script_path, data, named):
+        data.setdefault("backends", {"mock": {"kind": "scripted", "script": str(script_path)}})
+        with pytest.raises(ConfigurationError, match=f"{named}.*not an http"):
+            load_app_config(write_yaml(tmp_path, data))
+
     def test_missing_templates_dir(self, tmp_path, script_path):
         path = write_yaml(
             tmp_path,

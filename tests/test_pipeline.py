@@ -1,8 +1,14 @@
 import pytest
 
-from respqa.agents import NO_INFO_SENTINEL
+from respqa.agents import NO_INFO_SENTINEL, PipelineAgents
 from respqa.errors import BackendError, PipelineError
-from respqa.llm import ScriptedRule
+from respqa.llm import (
+    ROLE_TAGS,
+    BackendRouter,
+    ScriptedBackend,
+    ScriptedRule,
+    whitespace_token_estimate,
+)
 from respqa.memory import normalize_question
 from respqa.pipeline import (
     DECISION_CONTINUE,
@@ -277,6 +283,39 @@ class TestErrorPropagation:
         assert excinfo.value.round_index == 0
         assert excinfo.value.role_tag == "summarizer"
 
+    class FailAfter:
+        """Answers ``after`` calls through a scripted backend, then fails."""
+
+        backend_id = "fail-after"
+
+        def __init__(self, inner, after):
+            self.inner = inner
+            self.after = after
+
+        def complete(self, request):
+            if self.after == 0:
+                raise BackendError("wire down", role_tag=request.role_tag)
+            self.after -= 1
+            return self.inner.complete(request)
+
+    @pytest.mark.parametrize(
+        "run, role, after, expected_round",
+        [
+            (run_resp, "generator", 0, 2),  # generation follows the last of three rounds
+            (run_resp, "reasoner", 2, 1),  # round 0 judges and plans; round 1's judge fails
+            (run_standard_rag, "generator", 0, 0),
+        ],
+    )
+    def test_failure_reports_its_round_and_role(self, run, role, after, expected_round):
+        index = BM25Index.build(TOPIC_DOCS)
+        scripted = ScriptedBackend(always_no_rules())
+        bindings = {tag: scripted for tag in ROLE_TAGS}
+        bindings[role] = self.FailAfter(scripted, after)
+        agents = PipelineAgents(BackendRouter(bindings))
+        with pytest.raises(PipelineError) as excinfo:
+            run(TOPIC_QUESTION, index, agents, PipelineConfig())
+        assert (excinfo.value.round_index, excinfo.value.role_tag) == (expected_round, role)
+
 
 class TestPromptLogging:
     def test_prompts_recorded_when_enabled(self):
@@ -286,13 +325,31 @@ class TestPromptLogging:
         recorded = [p for record in trace.iterations for p in (record.prompts or {}).values()]
         sent = [call.prompt for call in backend.history]
         assert sorted(recorded) == sorted(sent)
-        assert "generate" in trace.iterations[-1].prompts
+        assert trace.iterations[-1].prompts["generate"] == sent[-1]
 
     def test_prompts_absent_by_default(self):
         index = BM25Index.build(TOPIC_DOCS)
         agents, _ = scripted_agents(always_no_rules())
         trace = run_resp(TOPIC_QUESTION, index, agents, PipelineConfig())
         assert all(record.prompts is None for record in trace.iterations)
+
+    def test_standard_prompts(self):
+        index = BM25Index.build(TOPIC_DOCS)
+        for log_prompts in (True, False):
+            agents, backend = scripted_agents([ScriptedRule(GENERATE_MARKER, "x")])
+            config = PipelineConfig(log_prompts=log_prompts)
+            trace = run_standard_rag(TOPIC_QUESTION, index, agents, config)
+            expected = {"generate": backend.history[-1].prompt} if log_prompts else None
+            assert trace.iterations[0].prompts == expected
+
+
+@pytest.mark.parametrize("run", [run_resp, run_standard_rag])
+def test_generator_prompt_tokens_count_the_sent_prompt(run):
+    index = BM25Index.build(TOPIC_DOCS)
+    agents, backend = scripted_agents(always_no_rules())
+    trace = run(TOPIC_QUESTION, index, agents, PipelineConfig())
+    assert backend.history[-1].role_tag == "generator"
+    assert trace.generator_prompt_tokens == whitespace_token_estimate(backend.history[-1].prompt)
 
 
 class TestStandardRag:
