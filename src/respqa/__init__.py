@@ -58,7 +58,6 @@ from .retrieval import (
     EmbeddingRetriever,
     IndexStats,
     RetrievedDocument,
-    build_index,
     read_corpus,
     tokenize,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "ScriptedBackend",
     "ScriptedRule",
     "assemble_prompt",
-    "build_index",
     "evaluate",
     "exact_match",
     "load_dataset",

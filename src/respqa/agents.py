@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import PromptError, PromptTooLargeError
-from .llm import LlmRequest, TokenEstimator, whitespace_token_estimate
+from .llm import LlmRequest, whitespace_token_estimate
 from .memory import NO_ANSWER_MARKER, MemoryState, normalize_question
 from .retrieval import RetrievedDocument
 
@@ -100,7 +100,6 @@ def assemble_prompt(
     docs: list[str] | None = None,
     doc_slot: str = SLOT_DOCS,
     max_input_tokens: int | None = None,
-    estimator: TokenEstimator = whitespace_token_estimate,
 ) -> str:
     """Byte-deterministic template substitution under the input token cap.
 
@@ -121,7 +120,7 @@ def assemble_prompt(
         if max_input_tokens is None:
             return prompt_with(len(docs))
         floor = 1 if docs else 0
-        floor_estimate = estimator(prompt_with(floor))
+        floor_estimate = whitespace_token_estimate(prompt_with(floor))
         if floor_estimate > max_input_tokens:
             raise PromptTooLargeError(
                 f"prompt estimate {floor_estimate:.0f} tokens exceeds cap "
@@ -132,7 +131,7 @@ def assemble_prompt(
         lo, hi = floor, len(docs)
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if estimator(prompt_with(mid)) <= max_input_tokens:
+            if whitespace_token_estimate(prompt_with(mid)) <= max_input_tokens:
                 lo = mid
             else:
                 hi = mid - 1
@@ -140,7 +139,7 @@ def assemble_prompt(
 
     prompt = render_template(template, bindings)
     if max_input_tokens is not None:
-        estimate = estimator(prompt)
+        estimate = whitespace_token_estimate(prompt)
         if estimate > max_input_tokens:
             raise PromptTooLargeError(
                 f"prompt estimate {estimate:.0f} tokens exceeds cap {max_input_tokens} "
@@ -159,9 +158,6 @@ class Judgement:
     raw_text: str
     anomaly: bool = False
 
-    def to_dict(self) -> dict:
-        return {"sufficient": self.sufficient, "raw_text": self.raw_text, "anomaly": self.anomaly}
-
 
 @dataclass(frozen=True)
 class LocalAnswer:
@@ -172,14 +168,6 @@ class LocalAnswer:
     anomaly: bool = False
     raw_text: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "answered": self.answered,
-            "answer": self.answer,
-            "anomaly": self.anomaly,
-            "raw_text": self.raw_text,
-        }
-
 
 @dataclass(frozen=True)
 class PlanResult:
@@ -188,14 +176,6 @@ class PlanResult:
     sub_question: str
     attempts: int
     forced_termination: bool
-    raw_text: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "sub_question": self.sub_question,
-            "attempts": self.attempts,
-            "forced_termination": self.forced_termination,
-        }
 
 
 def parse_global_summary(raw: str) -> str:
@@ -267,14 +247,12 @@ class PipelineAgents:
         max_input_tokens: int = 12_000,
         max_output_tokens: int = 200,
         generator_temperature: float = 0.0,
-        estimator: TokenEstimator = whitespace_token_estimate,
     ) -> None:
         self._router = router
         self.templates = templates or PromptTemplateSet.load_default()
         self.max_input_tokens = max_input_tokens
         self.max_output_tokens = max_output_tokens
         self._generator_temperature = generator_temperature
-        self.estimator = estimator
 
     def _complete(self, prompt: str, role_tag: str, temperature: float = 0.0) -> str:
         request = LlmRequest(
@@ -292,7 +270,6 @@ class PipelineAgents:
             docs=docs,
             doc_slot=doc_slot,
             max_input_tokens=self.max_input_tokens,
-            estimator=self.estimator,
         )
 
     def summarize_global(
@@ -368,18 +345,17 @@ class PipelineAgents:
         )
         if record is not None:
             record["plan"] = prompt
-        raw = self._complete(prompt, "reasoner")
-        question = parse_plan_surface(raw)
+        question = parse_plan_surface(self._complete(prompt, "reasoner"))
         normalized = normalize_question(question)
         if normalized and normalized not in forbidden:
-            return PlanResult(sub_question=question, attempts=1, forced_termination=False, raw_text=raw)
+            return PlanResult(sub_question=question, attempts=1, forced_termination=False)
 
         retry_prompt = (
             prompt
             + "\nDo not repeat any of these questions: "
             + "; ".join(sorted(forbidden))
         )
-        retry_estimate = self.estimator(retry_prompt)
+        retry_estimate = whitespace_token_estimate(retry_prompt)
         if retry_estimate > self.max_input_tokens:
             raise PromptTooLargeError(
                 f"plan retry prompt estimate {retry_estimate:.0f} tokens exceeds cap "
@@ -389,11 +365,10 @@ class PipelineAgents:
             )
         if record is not None:
             record["plan_retry"] = retry_prompt
-        raw = self._complete(retry_prompt, "reasoner")
-        question = parse_plan_surface(raw)
+        question = parse_plan_surface(self._complete(retry_prompt, "reasoner"))
         normalized = normalize_question(question)
         forced = not normalized or normalized in forbidden
-        return PlanResult(sub_question=question, attempts=2, forced_termination=forced, raw_text=raw)
+        return PlanResult(sub_question=question, attempts=2, forced_termination=forced)
 
     def generate(self, overarching_question: str, memory: MemoryState) -> tuple[str, str]:
         """Final answer from the memory queues, trimmed, and the prompt sent."""

@@ -16,7 +16,7 @@ from .config import AppRuntime, CliOverrides, load_app_config
 from .errors import ConfigurationError, CorpusError, DatasetError, RespqaError
 from .evaluation import evaluate, load_dataset, write_report
 from .pipeline import PIPELINE_RESP, PIPELINE_STANDARD, sweep_k
-from .retrieval import build_index, read_corpus
+from .retrieval import BM25Index, read_corpus
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -106,7 +106,9 @@ def _check_limit(limit: int) -> None:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    _, stats = build_index(read_corpus(args.corpus), index_dir=args.out)
+    index = BM25Index.build(read_corpus(args.corpus))
+    index.save(args.out)
+    stats = index.stats
     print(
         f"indexed {stats.num_documents} documents, {stats.num_terms} terms, "
         f"avg length {stats.avg_doc_length:.2f} tokens -> {args.out}"

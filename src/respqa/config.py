@@ -9,6 +9,7 @@ Environment variables: ``RESPQA_LLM_ENDPOINT``, ``RESPQA_LLM_MODEL``, and
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -150,6 +151,13 @@ def load_app_config(path: str | Path | None, overrides: CliOverrides | None = No
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"invalid numeric setting: {exc}") from exc
     _require(parallelism >= 1, f"parallelism must be >= 1, got {parallelism}")
+    temperature = pipeline.generator_temperature
+    _require(
+        0 <= temperature < math.inf,
+        f"pipeline.generator_temperature must be finite and >= 0, got {temperature}",
+    )
+    _require(0 <= k1 < math.inf, f"retriever.k1 must be finite and >= 0, got {k1}")
+    _require(0 <= b <= 1, f"retriever.b must be between 0 and 1, got {b}")
     if retriever.get("endpoint") is not None:
         _require_http_url(retriever["endpoint"], "retriever")
 

@@ -26,12 +26,10 @@ logger = logging.getLogger(__name__)
 
 ROLE_TAGS = ("reasoner", "summarizer", "generator")
 
-TokenEstimator = Callable[[str], float]
-
 _WORD = re.compile(r"\S+")
 
 # Whitespace tokens undercount subword tokenizers; 1.3 is the documented
-# fudge factor. All cap checks in the package use the same estimator.
+# fudge factor. Every cap check in the package uses this one estimate.
 _WORDS_PER_TOKEN = 1.3
 
 
@@ -40,21 +38,18 @@ def whitespace_token_estimate(text: str) -> float:
     return len(text.split()) * _WORDS_PER_TOKEN
 
 
-def truncate_to_token_estimate(
-    text: str, max_tokens: int, estimator: TokenEstimator = whitespace_token_estimate
-) -> str:
+def truncate_to_token_estimate(text: str, max_tokens: int) -> str:
     """Longest word-prefix of ``text`` whose estimate fits ``max_tokens``.
 
-    Original inter-word whitespace is preserved. Assumes the estimator is
-    non-decreasing in prefix length.
+    Original inter-word whitespace is preserved.
     """
-    if estimator(text) <= max_tokens:
+    if whitespace_token_estimate(text) <= max_tokens:
         return text
     ends = [m.end() for m in _WORD.finditer(text)]
     lo, hi = 0, len(ends)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if estimator(text[: ends[mid - 1]]) <= max_tokens:
+        if whitespace_token_estimate(text[: ends[mid - 1]]) <= max_tokens:
             lo = mid
         else:
             hi = mid - 1
@@ -98,12 +93,11 @@ class _CompletionBase:
     """Shared complete(): timing plus output-cap truncation."""
 
     backend_id: str
-    estimator: TokenEstimator
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         start = time.perf_counter()
         text = self._generate(request)
-        text = truncate_to_token_estimate(text, request.max_output_tokens, self.estimator)
+        text = truncate_to_token_estimate(text, request.max_output_tokens)
         return LlmResponse(
             text=text, backend_id=self.backend_id, latency=time.perf_counter() - start
         )
@@ -164,14 +158,8 @@ class ScriptedBackend(_CompletionBase):
     ScriptError quoting the prompt, never a silent default.
     """
 
-    def __init__(
-        self,
-        rules: Iterable[ScriptedRule],
-        backend_id: str = "scripted",
-        estimator: TokenEstimator = whitespace_token_estimate,
-    ) -> None:
+    def __init__(self, rules: Iterable[ScriptedRule], backend_id: str = "scripted") -> None:
         self.backend_id = backend_id
-        self.estimator = estimator
         self._rules = list(rules)
         self._ordinal: dict[int, ScriptedRule] = {}
         for rule in self._rules:
@@ -212,8 +200,9 @@ class HttpChatBackend(_CompletionBase):
     """Chat-completion wire client with retries and exponential backoff.
 
     Transient failures (connection errors, timeouts, HTTP 429/5xx) are
-    retried up to ``max_attempts`` with delays base * 2**attempt; anything
-    else, or exhaustion, surfaces as BackendError carrying the role tag.
+    retried up to ``max_attempts`` with delays base * 2**attempt; any other
+    ``requests`` error, HTTP 4xx, a malformed body, or exhaustion surfaces
+    at once as BackendError carrying the role tag.
     """
 
     def __init__(
@@ -227,7 +216,6 @@ class HttpChatBackend(_CompletionBase):
         backoff_base: float = 1.0,
         sleep: Callable[[float], None] = time.sleep,
         session: requests.Session | None = None,
-        estimator: TokenEstimator = whitespace_token_estimate,
     ) -> None:
         endpoint = endpoint.rstrip("/")
         if not endpoint.endswith("/chat/completions"):
@@ -239,7 +227,6 @@ class HttpChatBackend(_CompletionBase):
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self.estimator = estimator
         self._sleep = sleep
         if session is None:
             import requests  # deferred: offline runs never load the HTTP stack
@@ -287,6 +274,10 @@ class HttpChatBackend(_CompletionBase):
                         delay,
                     )
                     self._sleep(delay)
+            except requests.RequestException as exc:
+                raise BackendError(
+                    f"{self.backend_id}: request failed: {exc}", role_tag=request.role_tag
+                ) from exc
         raise BackendError(
             f"{self.backend_id}: request failed after {self.max_attempts} attempts: {last_error}",
             role_tag=request.role_tag,

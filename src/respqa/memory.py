@@ -8,7 +8,7 @@ entry, so after round r the queues hold r+1 and r entries respectively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .retrieval import is_punctuation_char
 
@@ -128,16 +128,6 @@ class MemoryState:
 
     def to_dict(self) -> dict:
         return {
-            "global_evidence": [
-                {"round": entry.round, "text": entry.text} for entry in self._global
-            ],
-            "local_pathway": [
-                {
-                    "round": entry.round,
-                    "sub_question": entry.sub_question,
-                    "answer": entry.answer,
-                    "answered": entry.answered,
-                }
-                for entry in self._local
-            ],
+            "global_evidence": [asdict(entry) for entry in self._global],
+            "local_pathway": [asdict(entry) for entry in self._local],
         }

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .agents import NO_INFO_SENTINEL, Judgement, LocalAnswer, PipelineAgents, PlanResult
 from .errors import BackendError, PipelineError
 from .evaluation import evaluate
+from .llm import whitespace_token_estimate
 from .memory import MemoryState
 from .retrieval import RetrievedDocument, Retriever
 
@@ -69,19 +70,6 @@ class IterationRecord:
     plan: PlanResult | None = None
     prompts: dict[str, str] | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "sub_question": self.sub_question,
-            "retrieved": [hit.to_dict() for hit in self.retrieved],
-            "global_summary": self.global_summary,
-            "local_answer": self.local_answer.to_dict() if self.local_answer else None,
-            "judgement": self.judgement.to_dict() if self.judgement else None,
-            "decision": self.decision,
-            "plan": self.plan.to_dict() if self.plan else None,
-            "prompts": self.prompts,
-        }
-
 
 @dataclass
 class RunTrace:
@@ -101,16 +89,9 @@ class RunTrace:
         return [record.sub_question for record in self.iterations]
 
     def to_dict(self) -> dict:
-        return {
-            "question": self.question,
-            "pipeline": self.pipeline,
-            "iterations": [record.to_dict() for record in self.iterations],
-            "final_answer": self.final_answer,
-            "stop_reason": self.stop_reason,
-            "anomalies": self.anomalies,
-            "generator_prompt_tokens": self.generator_prompt_tokens,
-            "memory": self.memory.to_dict() if self.memory else None,
-        }
+        data = asdict(self)
+        data["memory"] = self.memory.to_dict() if self.memory else None
+        return data
 
     def write_json(self, path: str | Path) -> None:
         Path(path).write_text(
@@ -214,7 +195,7 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
         final_answer=answer,
         stop_reason=stop_reason,
         anomalies=anomalies,
-        generator_prompt_tokens=agents.estimator(prompt),
+        generator_prompt_tokens=whitespace_token_estimate(prompt),
         memory=memory,
     )
 
@@ -247,7 +228,7 @@ def run_standard_rag(
         final_answer=answer,
         stop_reason=STOP_SINGLE_ROUND,
         anomalies=[],
-        generator_prompt_tokens=agents.estimator(prompt),
+        generator_prompt_tokens=whitespace_token_estimate(prompt),
         memory=None,
     )
 

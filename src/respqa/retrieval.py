@@ -99,15 +99,6 @@ class RetrievedDocument:
     score: float
     rank: int
 
-    def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "title": self.title,
-            "text": self.text,
-            "score": self.score,
-            "rank": self.rank,
-        }
-
 
 @dataclass(frozen=True)
 class IndexStats:
@@ -434,19 +425,6 @@ def _ranked_hits(
             )
         )
     return hits
-
-
-def build_index(
-    documents: Iterable[Document],
-    index_dir: str | Path | None = None,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
-) -> tuple[BM25Index, IndexStats]:
-    """Build (and optionally persist) an index; returns it with its stats."""
-    index = BM25Index.build(documents, k1=k1, b=b)
-    if index_dir is not None:
-        index.save(index_dir)
-    return index, index.stats
 
 
 class EmbeddingEndpointClient:

@@ -173,7 +173,7 @@ class TestFlagErrors:
 
 
 class TestConfigFile:
-    def write_config(self, tmp_path, index_dir, script_path, roles=None):
+    def write_config(self, tmp_path, index_dir, script_path, roles=None, pipeline=None):
         roles_block = roles if roles is not None else {
             "reasoner": "mock",
             "summarizer": "mock",
@@ -184,6 +184,8 @@ class TestConfigFile:
             "backends": {"mock": {"kind": "scripted", "script": str(script_path)}},
             "roles": roles_block,
         }
+        if pipeline is not None:
+            config["pipeline"] = pipeline
         path = tmp_path / "config.yaml"
         import yaml
 
@@ -201,6 +203,15 @@ class TestConfigFile:
         )
         assert main(["ask", "q?", "--config", str(config_path)]) == EXIT_CONFIG
         assert "summarizer" in capsys.readouterr().err
+
+    def test_negative_temperature(self, tmp_path, index_dir, script_path, capsys):
+        config_path = self.write_config(
+            tmp_path, index_dir, script_path, pipeline={"generator_temperature": -1}
+        )
+        assert main(["ask", OVERPLANNING_QUESTION, "--config", str(config_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "generator_temperature" in captured.err
 
     def test_missing_config_file(self, capsys):
         assert main(["ask", "q?", "--config", "/does/not/exist.yaml"]) == EXIT_CONFIG

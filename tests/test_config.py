@@ -12,6 +12,7 @@ from respqa.config import (
 )
 from respqa.errors import ConfigurationError
 from respqa.llm import HttpChatBackend, ScriptedBackend
+from respqa.retrieval import BM25Index
 
 from helpers import film_corpus
 
@@ -25,10 +26,8 @@ def script_path(tmp_path):
 
 @pytest.fixture
 def index_dir(tmp_path):
-    from respqa.retrieval import build_index
-
     out = tmp_path / "index"
-    build_index(film_corpus(), index_dir=out)
+    BM25Index.build(film_corpus()).save(out)
     return out
 
 
@@ -163,6 +162,49 @@ class TestValidation:
         )
         with pytest.raises(ConfigurationError, match="parallelism"):
             load_app_config(path)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("pipeline", "generator_temperature", -1),
+            ("pipeline", "generator_temperature", float("inf")),
+            ("retriever", "k1", -1.0),
+            ("retriever", "k1", float("nan")),
+            ("retriever", "b", -0.1),
+            ("retriever", "b", 3),
+        ],
+    )
+    def test_out_of_range_numeric_setting(self, tmp_path, script_path, section, key, value):
+        path = write_yaml(
+            tmp_path,
+            {
+                section: {key: value},
+                "backends": {"mock": {"kind": "scripted", "script": str(script_path)}},
+            },
+        )
+        with pytest.raises(ConfigurationError, match=f"{section}.{key} must be"):
+            load_app_config(path)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("pipeline", "generator_temperature", 0),
+            ("retriever", "k1", 0.0),
+            ("retriever", "b", 0),
+            ("retriever", "b", 1),
+        ],
+    )
+    def test_numeric_setting_at_its_bound(self, tmp_path, script_path, section, key, value):
+        path = write_yaml(
+            tmp_path,
+            {
+                section: {key: value},
+                "backends": {"mock": {"kind": "scripted", "script": str(script_path)}},
+            },
+        )
+        config = load_app_config(path)
+        owner = config.pipeline if section == "pipeline" else config
+        assert getattr(owner, key) == value
 
     @pytest.mark.parametrize(
         "data, named",

@@ -242,6 +242,25 @@ class TestHttpChatBackend:
         assert len(session.calls) == 1
         assert sleeps == []
 
+    @pytest.mark.parametrize(
+        "error",
+        [
+            requests.exceptions.ChunkedEncodingError("cut"),
+            requests.exceptions.ContentDecodingError("gzip"),
+            requests.TooManyRedirects("loop"),
+            requests.exceptions.InvalidURL("bad url"),
+        ],
+        ids=lambda error: type(error).__name__,
+    )
+    def test_other_request_errors_surface_role_without_retry(self, error):
+        backend, session, sleeps = self.make([error])
+        with pytest.raises(BackendError, match="request failed") as excinfo:
+            backend.complete(req("ping", role="generator"))
+        assert excinfo.value.role_tag == "generator"
+        assert excinfo.value.__cause__ is error
+        assert len(session.calls) == 1
+        assert sleeps == []
+
     def test_malformed_body(self):
         backend, _, _ = self.make([FakeResponse(200, {"unexpected": True})])
         with pytest.raises(BackendError, match="malformed"):

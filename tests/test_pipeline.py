@@ -33,6 +33,8 @@ from helpers import (
     JUDGE_MARKER,
     LOCAL_MARKER,
     OVERPLANNING_QUESTION,
+    PLAN_MARKER,
+    PLAN_RETRY_MARKER,
     REPETITIVE_QUESTION,
     REPETITIVE_SUBQ_1,
     REPETITIVE_SUBQ_2,
@@ -411,6 +413,94 @@ class TestTraceSerialization:
         assert data["iterations"][0]["round"] == 0
         assert data["memory"]["global_evidence"][0]["round"] == 0
         assert data["iterations"][0]["prompts"]
+
+    TOP_KEYS = [
+        "question",
+        "pipeline",
+        "iterations",
+        "final_answer",
+        "stop_reason",
+        "anomalies",
+        "generator_prompt_tokens",
+        "memory",
+    ]
+    ITERATION_KEYS = [
+        "round",
+        "sub_question",
+        "retrieved",
+        "global_summary",
+        "local_answer",
+        "judgement",
+        "decision",
+        "plan",
+        "prompts",
+    ]
+    HIT_KEYS = ["doc_id", "title", "text", "score", "rank"]
+
+    @staticmethod
+    def written(trace, tmp_path) -> dict:
+        import json
+
+        path = tmp_path / "trace.json"
+        trace.write_json(path)
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    def test_resp_key_lists(self, tmp_path):
+        # Round 0: a duplicate plan forces the retry; round 1 is the last
+        # round, so it answers locally and generates without planning.
+        rules = [
+            ScriptedRule(PLAN_RETRY_MARKER, "What about alpha specifically?"),
+            ScriptedRule(PLAN_MARKER, TOPIC_QUESTION),
+            ScriptedRule(SUMMARIZER_MARKER, "A summary of the evidence. [DONE]"),
+            ScriptedRule(JUDGE_MARKER, "No"),
+            ScriptedRule(LOCAL_MARKER, "Yes, alpha details"),
+            ScriptedRule(GENERATE_MARKER, "final answer"),
+        ]
+        agents, _ = scripted_agents(rules)
+        config = PipelineConfig(max_iterations=2, log_prompts=True)
+        data = self.written(
+            run_resp(TOPIC_QUESTION, BM25Index.build(TOPIC_DOCS), agents, config), tmp_path
+        )
+
+        assert list(data) == self.TOP_KEYS
+        first, second = data["iterations"]
+        for iteration in (first, second):
+            assert list(iteration) == self.ITERATION_KEYS
+            assert iteration["retrieved"]
+            for hit in iteration["retrieved"]:
+                assert list(hit) == self.HIT_KEYS
+            assert list(iteration["judgement"]) == ["sufficient", "raw_text", "anomaly"]
+        assert first["local_answer"] is None
+        assert list(second["local_answer"]) == ["answered", "answer", "anomaly", "raw_text"]
+        assert list(first["plan"]) == ["sub_question", "attempts", "forced_termination"]
+        assert first["plan"]["attempts"] == 2
+        assert second["plan"] is None
+        assert list(first["prompts"]) == ["global_summary", "judge", "plan", "plan_retry"]
+        assert list(second["prompts"]) == ["global_summary", "local_answer", "judge", "generate"]
+        assert list(data["memory"]) == ["global_evidence", "local_pathway"]
+        assert [list(entry) for entry in data["memory"]["global_evidence"]] == [["round", "text"]] * 2
+        assert [list(entry) for entry in data["memory"]["local_pathway"]] == [
+            ["round", "sub_question", "answer", "answered"]
+        ]
+
+    def test_standard_key_lists(self, tmp_path):
+        agents, _ = scripted_agents([ScriptedRule(GENERATE_MARKER, "x")])
+        config = PipelineConfig(log_prompts=True)
+        data = self.written(
+            run_standard_rag(TOPIC_QUESTION, BM25Index.build(TOPIC_DOCS), agents, config), tmp_path
+        )
+
+        assert list(data) == self.TOP_KEYS
+        assert data["memory"] is None
+        (iteration,) = data["iterations"]
+        assert list(iteration) == self.ITERATION_KEYS
+        assert iteration["retrieved"]
+        for hit in iteration["retrieved"]:
+            assert list(hit) == self.HIT_KEYS
+        assert iteration["local_answer"] is None
+        assert iteration["judgement"] is None
+        assert iteration["plan"] is None
+        assert list(iteration["prompts"]) == ["generate"]
 
 
 class TestSweep:

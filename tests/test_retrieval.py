@@ -8,7 +8,6 @@ from respqa.retrieval import (
     BM25Index,
     Document,
     EmbeddingRetriever,
-    build_index,
     read_corpus,
     tokenize,
 )
@@ -160,11 +159,6 @@ class TestPersistence:
         after = [reopened.retrieve(q, 4) for q in queries]
         assert before == after
         assert reopened.stats == index.stats
-
-    def test_build_index_helper_persists(self, tmp_path):
-        _, stats = build_index(TEN_DOCS, index_dir=tmp_path / "idx")
-        assert stats.num_documents == 10
-        assert BM25Index.open(tmp_path / "idx").stats == stats
 
     def test_open_missing_manifest(self, tmp_path):
         with pytest.raises(CorpusError, match="manifest"):
