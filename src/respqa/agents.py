@@ -8,12 +8,13 @@ experiments; parsing never raises on arbitrary backend text.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import PromptError, PromptTooLargeError
+from .errors import ConfigurationError, PromptError, PromptTooLargeError
 from .llm import LlmRequest, whitespace_token_estimate
 from .memory import NO_ANSWER_MARKER, MemoryState, normalize_question
 from .retrieval import RetrievedDocument
@@ -61,10 +62,12 @@ class PromptTemplateSet:
         texts = {}
         for name in _TEMPLATE_NAMES:
             path = directory / f"{name}.txt"
-            if path.exists():
+            try:
                 texts[name] = _strip_final_newline(path.read_text("utf-8"))
-            else:
+            except FileNotFoundError:
                 texts[name] = getattr(defaults, name)
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigurationError(f"unreadable template {path}: {exc}") from exc
         return cls(**texts)
 
 
@@ -248,6 +251,12 @@ class PipelineAgents:
         max_output_tokens: int = 200,
         generator_temperature: float = 0.0,
     ) -> None:
+        if not 0 <= generator_temperature < math.inf:
+            raise ValueError(
+                f"generator_temperature must be finite and >= 0, got {generator_temperature}"
+            )
+        if max_input_tokens < 1 or max_output_tokens < 1:
+            raise ValueError("token caps must be >= 1")
         self._router = router
         self.templates = templates or PromptTemplateSet.load_default()
         self.max_input_tokens = max_input_tokens
@@ -339,10 +348,8 @@ class PipelineAgents:
         A duplicate (or empty) first attempt triggers one retry with the
         forbidden list spelled out; a second duplicate forces termination.
         """
-        prompt = self._assemble(
-            self.templates.plan,
-            {SLOT_OVERARCHING: overarching_question, SLOT_MEMORY: memory.render_combined()},
-        )
+        bindings = {SLOT_OVERARCHING: overarching_question, SLOT_MEMORY: memory.render_combined()}
+        prompt = self._assemble(self.templates.plan, bindings)
         if record is not None:
             record["plan"] = prompt
         question = parse_plan_surface(self._complete(prompt, "reasoner"))
@@ -350,19 +357,10 @@ class PipelineAgents:
         if normalized and normalized not in forbidden:
             return PlanResult(sub_question=question, attempts=1, forced_termination=False)
 
-        retry_prompt = (
-            prompt
-            + "\nDo not repeat any of these questions: "
-            + "; ".join(sorted(forbidden))
+        retry_prompt = self._assemble(
+            self.templates.plan + "\nDo not repeat any of these questions: {Forbidden questions}",
+            {**bindings, "Forbidden questions": "; ".join(sorted(forbidden))},
         )
-        retry_estimate = whitespace_token_estimate(retry_prompt)
-        if retry_estimate > self.max_input_tokens:
-            raise PromptTooLargeError(
-                f"plan retry prompt estimate {retry_estimate:.0f} tokens exceeds cap "
-                f"{self.max_input_tokens}",
-                estimate=retry_estimate,
-                cap=self.max_input_tokens,
-            )
         if record is not None:
             record["plan_retry"] = retry_prompt
         question = parse_plan_surface(self._complete(retry_prompt, "reasoner"))

@@ -122,8 +122,10 @@ def load_app_config(path: str | Path | None, overrides: CliOverrides | None = No
     data: dict = {}
     if path is not None:
         path = Path(path)
-        _require(path.exists(), f"config file not found: {path}")
-        loaded = yaml.safe_load(path.read_text(encoding="utf-8"))
+        try:
+            loaded = yaml.safe_load(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+            raise ConfigurationError(f"unreadable config file {path}: {exc}") from exc
         if loaded is None:
             loaded = {}
         _require(isinstance(loaded, dict), "config file must contain a mapping at top level")

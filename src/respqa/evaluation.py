@@ -13,10 +13,12 @@ import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DatasetError
+from .jsonl import read_jsonl
 from .retrieval import strip_punctuation, tokenize
 
 if TYPE_CHECKING:
@@ -39,46 +41,26 @@ def load_dataset(path: str | Path, limit: int | None = None) -> list[QAExample]:
 
     Malformed rows raise DatasetError naming the line number.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"dataset file not found: {path}")
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
     examples: list[QAExample] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if limit is not None and len(examples) >= limit:
-                break
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(row, dict):
-                raise DatasetError(f"{path}:{lineno}: expected an object")
-            missing = [key for key in ("id", "question", "golden_answers") if key not in row]
-            if missing:
-                raise DatasetError(f"{path}:{lineno}: missing key(s): {', '.join(missing)}")
-            question = row["question"]
-            golds = row["golden_answers"]
-            if not isinstance(question, str) or not question.strip():
-                raise DatasetError(f"{path}:{lineno}: 'question' must be non-empty")
-            if (
-                not isinstance(golds, list)
-                or not golds
-                or not all(isinstance(g, str) for g in golds)
-            ):
-                raise DatasetError(
-                    f"{path}:{lineno}: 'golden_answers' must be a non-empty list of strings"
-                )
-            examples.append(
-                QAExample(
-                    example_id=str(row["id"]),
-                    question=question,
-                    golden_answers=tuple(golds),
-                )
+    rows = read_jsonl(path, DatasetError, ("id", "question", "golden_answers"))
+    for where, row in islice(rows, limit):
+        question = row["question"]
+        golds = row["golden_answers"]
+        if not isinstance(question, str) or not question.strip():
+            raise DatasetError(f"{where}: 'question' must be non-empty")
+        if (
+            not isinstance(golds, list)
+            or not golds
+            or not all(isinstance(g, str) for g in golds)
+        ):
+            raise DatasetError(f"{where}: 'golden_answers' must be a non-empty list of strings")
+        examples.append(
+            QAExample(
+                example_id=str(row["id"]),
+                question=question,
+                golden_answers=tuple(golds),
             )
+        )
     return examples
 
 

@@ -8,7 +8,6 @@ through ``BackendRouter.complete``.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 import threading
@@ -18,6 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol
 
 from .errors import BackendError, ConfigurationError, ScriptError
+from .jsonl import read_jsonl
 
 if TYPE_CHECKING:
     import requests
@@ -116,26 +116,14 @@ class ScriptedRule:
 
 def load_script(path: str | Path) -> list[ScriptedRule]:
     """Load rules from JSONL lines {"match": <str|int>, "response": <str>}."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"script file not found: {path}")
     rules: list[ScriptedRule] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(row, dict) or "match" not in row or "response" not in row:
-                raise ConfigurationError(f"{path}:{lineno}: expected keys 'match' and 'response'")
-            match = row["match"]
-            if isinstance(match, bool) or not isinstance(match, (str, int)):
-                raise ConfigurationError(f"{path}:{lineno}: 'match' must be a string or integer")
-            if not isinstance(row["response"], str):
-                raise ConfigurationError(f"{path}:{lineno}: 'response' must be a string")
-            rules.append(ScriptedRule(match=match, response=row["response"]))
+    for where, row in read_jsonl(path, ConfigurationError, ("match", "response")):
+        match = row["match"]
+        if isinstance(match, bool) or not isinstance(match, (str, int)):
+            raise ConfigurationError(f"{where}: 'match' must be a string or integer")
+        if not isinstance(row["response"], str):
+            raise ConfigurationError(f"{where}: 'response' must be a string")
+        rules.append(ScriptedRule(match=match, response=row["response"]))
     return rules
 
 

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol
 import numpy as np
 
 from .errors import CorpusError, RetrieverError
+from .jsonl import read_jsonl
 
 if TYPE_CHECKING:
     import requests
@@ -120,29 +121,14 @@ def read_corpus(path: str | Path) -> Iterator[Document]:
     ``title`` may be empty, and ``contents`` must be non-empty after
     trimming. Malformed lines raise CorpusError naming the line number.
     """
-    path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"corpus file not found: {path}")
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(row, dict):
-                raise CorpusError(f"{path}:{lineno}: expected an object")
-            missing = [key for key in ("id", "title", "contents") if key not in row]
-            if missing:
-                raise CorpusError(f"{path}:{lineno}: missing key(s): {', '.join(missing)}")
-            doc_id = row["id"]
-            if not isinstance(doc_id, str) or not doc_id:
-                raise CorpusError(f"{path}:{lineno}: 'id' must be a non-empty string")
-            text = row["contents"]
-            if not isinstance(text, str) or not text.strip():
-                raise CorpusError(f"{path}:{lineno}: 'contents' must be non-empty")
-            yield Document(doc_id=doc_id, title=str(row["title"]), text=text)
+    for where, row in read_jsonl(path, CorpusError, ("id", "title", "contents")):
+        doc_id = row["id"]
+        if not isinstance(doc_id, str) or not doc_id:
+            raise CorpusError(f"{where}: 'id' must be a non-empty string")
+        text = row["contents"]
+        if not isinstance(text, str) or not text.strip():
+            raise CorpusError(f"{where}: 'contents' must be non-empty")
+        yield Document(doc_id=doc_id, title=str(row["title"]), text=text)
 
 
 class BM25Index:
@@ -471,25 +457,23 @@ class EmbeddingEndpointClient:
             response.raise_for_status()
             payload = response.json()
             return [float(x) for x in payload["data"][0]["embedding"]]
-        except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+        except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
             raise RetrieverError(f"embedding endpoint failed: {exc}") from exc
 
 
 def load_vectors(path: str | Path) -> dict[str, list[float]]:
-    """Load per-document vectors from JSONL rows {"id": ..., "vector": [...]}."""
-    path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"vectors file not found: {path}")
+    """Load per-document vectors from JSONL rows {"id": <unique str>, "vector": [...]}."""
     vectors: dict[str, list[float]] = {}
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                vectors[row["id"]] = [float(x) for x in row["vector"]]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid vector row ({exc})") from exc
+    for where, row in read_jsonl(path, CorpusError, ("id", "vector")):
+        doc_id = row["id"]
+        if not isinstance(doc_id, str):
+            raise CorpusError(f"{where}: 'id' must be a string, got {doc_id!r}")
+        if doc_id in vectors:
+            raise CorpusError(f"{where}: duplicate id {doc_id!r}")
+        try:
+            vectors[doc_id] = [float(x) for x in row["vector"]]
+        except (TypeError, ValueError) as exc:
+            raise CorpusError(f"{where}: invalid vector ({exc})") from exc
     return vectors
 
 

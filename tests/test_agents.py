@@ -376,6 +376,15 @@ class TestPlan:
         result = agents.plan("Big question?", memory_with(["ev"]), forbidden=set())
         assert result.sub_question == "Who directed it?"
 
+    def test_retry_prompt_is_plan_prompt_plus_forbidden_list(self):
+        agents, backend = scripted_agents([ScriptedRule(PLAN_MARKER, "Who is {Sub-question}?")])
+        forbidden = {normalize_question("Who is {Sub-question}?"), "what is {docs}"}
+        agents.plan("Big {question}?", memory_with(["ev {x}"]), forbidden)
+        first, retry = (call.prompt for call in backend.history)
+        assert retry == first + "\nDo not repeat any of these questions: " + "; ".join(
+            sorted(forbidden)
+        )
+
     def test_retry_prompt_also_capped(self):
         agents, _ = scripted_agents(
             [ScriptedRule(PLAN_MARKER, "Who is X?")], max_input_tokens=160
@@ -445,6 +454,26 @@ class TestRoleTemperatures:
         agents.generate("q?", memory)
         temps = {r.role_tag: r.temperature for r in backend.requests}
         assert temps == {"reasoner": 0.0, "summarizer": 0.0, "generator": 0.7}
+
+    @pytest.mark.parametrize(
+        "setting, fragment",
+        [
+            ({"generator_temperature": -1}, "generator_temperature"),
+            ({"generator_temperature": float("nan")}, "generator_temperature"),
+            ({"generator_temperature": float("inf")}, "generator_temperature"),
+            ({"max_input_tokens": 0}, "token caps"),
+            ({"max_output_tokens": 0}, "token caps"),
+        ],
+    )
+    def test_bad_setting_rejected_before_any_call(self, setting, fragment):
+        from respqa.llm import ROLE_TAGS, BackendRouter
+        from respqa.agents import PipelineAgents
+
+        backend = self.CaptureBackend()
+        router = BackendRouter({role: backend for role in ROLE_TAGS})
+        with pytest.raises(ValueError, match=fragment):
+            PipelineAgents(router, **setting)
+        assert backend.requests == []
 
     def test_max_output_tokens_passed_through(self):
         from respqa.llm import ROLE_TAGS, BackendRouter

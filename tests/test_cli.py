@@ -216,6 +216,65 @@ class TestConfigFile:
     def test_missing_config_file(self, capsys):
         assert main(["ask", "q?", "--config", "/does/not/exist.yaml"]) == EXIT_CONFIG
 
+    def test_malformed_yaml(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_text("pipeline: [unclosed\n")
+        assert main(["ask", "q?", "--config", str(path)]) == EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
+
+    def test_template_override_not_utf8(self, tmp_path, index_dir, script_path, capsys):
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        (templates / "judge.txt").write_bytes(b"Judge \xff {Overarching question}\n")
+        argv = ["ask", "q?", "--index-dir", str(index_dir), "--script", str(script_path)]
+        assert main([*argv, "--templates-dir", str(templates)]) == EXIT_CONFIG
+        assert str(templates / "judge.txt") in capsys.readouterr().err
+
+
+class TestUnreadableInput:
+    """Each JSONL input fails with its documented exit code, naming the file and line."""
+
+    FIRST_ROWS = {
+        "corpus": {"id": "d1", "title": "t", "contents": "text"},
+        "dataset": {"id": "e1", "question": "q?", "golden_answers": ["a"]},
+        "script": {"match": "x", "response": "y"},
+        "vectors": {"id": "d1", "vector": [1.0]},
+    }
+    CASES = [("corpus", EXIT_IO), ("dataset", EXIT_IO), ("script", EXIT_CONFIG), ("vectors", EXIT_IO)]
+
+    def run(self, kind, path, tmp_path, index_dir, script_path):
+        runtime = ["--index-dir", str(index_dir), "--script", str(script_path)]
+        if kind == "corpus":
+            return main(["index", str(path), "--out", str(tmp_path / "idx")])
+        if kind == "dataset":
+            return main(["eval", str(path), *runtime, "--out-dir", str(tmp_path / "reports")])
+        if kind == "script":
+            return main(["ask", "q?", "--index-dir", str(index_dir), "--script", str(path)])
+        # The embedding client is built but never called: load_vectors fails first.
+        retriever = {
+            "kind": "embedding",
+            "index_dir": str(index_dir),
+            "endpoint": "http://localhost:9/v1",
+            "vectors": str(path),
+        }
+        config = tmp_path / "config.yaml"
+        config.write_text(json.dumps({"retriever": retriever}))
+        return main(["ask", "q?", "--config", str(config), "--script", str(script_path)])
+
+    @pytest.mark.parametrize("kind, code", CASES)
+    def test_invalid_utf8_line(self, kind, code, tmp_path, index_dir, script_path, capsys):
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_bytes(json.dumps(self.FIRST_ROWS[kind]).encode() + b'\n{"id": "\xff"}\n')
+        assert self.run(kind, path, tmp_path, index_dir, script_path) == code
+        assert f"{path}:2: not UTF-8 JSON ('utf-8' codec can't decode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, code", CASES)
+    def test_directory_as_path(self, kind, code, tmp_path, index_dir, script_path, capsys):
+        path = tmp_path / f"{kind}-dir"
+        path.mkdir()
+        assert self.run(kind, path, tmp_path, index_dir, script_path) == code
+        assert str(path) in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_summary_line_and_files(self, index_dir, script_path, dataset_path, tmp_path, capsys):

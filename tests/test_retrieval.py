@@ -274,6 +274,15 @@ class TestReadCorpus:
         with pytest.raises(CorpusError, match="not found"):
             list(read_corpus(tmp_path / "nope.jsonl"))
 
+    def test_crlf_endings_and_blank_lines(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        row = {"id": "a", "title": "A", "contents": "alpha"}
+        path.write_bytes(b"\r\n" + json.dumps(row).encode() + b"\r\n  \r\n{broken\r\n")
+        with pytest.raises(CorpusError, match=":4: not UTF-8 JSON"):
+            list(read_corpus(path))
+        path.write_bytes(b"\r\n" + json.dumps(row).encode() + b"\r\n")
+        assert list(read_corpus(path)) == [Document("a", "A", "alpha")]
+
 
 class TestEmbeddingRetriever:
     DOCS = [Document("a", "A", "alpha"), Document("b", "B", "beta"), Document("c", "C", "gamma")]
@@ -349,6 +358,16 @@ class TestEmbeddingEndpointClient:
         with pytest.raises(RetrieverError):
             client("hello")
 
+    @pytest.mark.parametrize("payload", [[1, 2], {"data": [{"embedding": None}]}])
+    def test_reply_of_the_wrong_type(self, payload):
+        from respqa.errors import RetrieverError
+        from respqa.retrieval import EmbeddingEndpointClient
+
+        session = self.FakeSession(self.FakeResponse(payload))
+        client = EmbeddingEndpointClient("http://emb.test/v1", model="m", session=session)
+        with pytest.raises(RetrieverError, match="embedding endpoint failed"):
+            client("hello")
+
 
 def test_load_vectors(tmp_path):
     from respqa.retrieval import load_vectors
@@ -362,6 +381,22 @@ def test_load_vectors(tmp_path):
     bad.write_text(json.dumps({"id": "a"}) + "\n")
     with pytest.raises(CorpusError, match=":1:"):
         load_vectors(bad)
+
+
+@pytest.mark.parametrize(
+    "rows, fragment",
+    [
+        ([{"id": "d1", "vector": [3.0]}, {"id": "d1", "vector": [1.0]}], ":2: duplicate id 'd1'"),
+        ([{"id": "d1", "vector": [3.0]}, {"id": 5, "vector": [1.0]}], ":2: 'id' must be a string"),
+    ],
+)
+def test_load_vectors_rejects_bad_ids(tmp_path, rows, fragment):
+    from respqa.retrieval import load_vectors
+
+    path = tmp_path / "vectors.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(CorpusError, match=fragment):
+        load_vectors(path)
 
 
 def test_random_corpora_against_brute_force_smoke():
