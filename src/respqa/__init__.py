@@ -10,6 +10,7 @@ from .agents import (
     Judgement,
     LocalAnswer,
     PipelineAgents,
+    PipelineConfig,
     PlanResult,
     PromptTemplateSet,
     assemble_prompt,
@@ -46,7 +47,6 @@ from .llm import (
 from .memory import MemoryState, normalize_question
 from .pipeline import (
     IterationRecord,
-    PipelineConfig,
     RunTrace,
     run_resp,
     run_standard_rag,

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigurationError, PromptError, PromptTooLargeError
-from .llm import LlmRequest, whitespace_token_estimate
+from .llm import BackendRouter, LlmRequest, whitespace_token_estimate
 from .memory import NO_ANSWER_MARKER, MemoryState, normalize_question
 from .retrieval import RetrievedDocument
 
@@ -231,46 +231,53 @@ def parse_plan_surface(raw: str) -> str:
         text = text[match.end() :].strip()
 
 
+@dataclass
+class PipelineConfig:
+    """Loop parameters, token caps, generator temperature and prompt logging."""
+
+    top_k: int = 5
+    max_iterations: int = 3
+    max_input_tokens: int = 12_000
+    max_output_tokens: int = 200
+    generator_temperature: float = 0.0
+    log_prompts: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("top_k", "max_iterations", "max_input_tokens", "max_output_tokens"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.generator_temperature < math.inf:
+            raise ValueError(
+                "generator_temperature must be finite and >= 0, "
+                f"got {self.generator_temperature}"
+            )
+
+
+@dataclass(frozen=True)
 class PipelineAgents:
-    """Stateless agent frontend: (router, templates, caps) in, parsed results out.
+    """Stateless agent frontend: (router, templates, config) in, parsed results out.
 
     Safe to share across concurrently running questions; each method makes
-    at most two LLM calls (plan retry). The optional ``record`` dict on the
-    summarize, local-answer, judge and plan methods captures the exact
-    prompt(s) sent, for trace logging; the two generate methods return the
-    prompt they sent alongside the answer. Only the generator's temperature
-    is configurable; the reasoner and summarizer always run at 0.0.
+    at most two LLM calls (plan retry). The token caps and the generator
+    temperature come from ``config``; the reasoner and summarizer always run
+    at 0.0. The optional ``record`` dict on the summarize, local-answer,
+    judge and plan methods captures the exact prompt(s) sent, for trace
+    logging; the two generate methods return the prompt they sent alongside
+    the answer.
     """
 
-    def __init__(
-        self,
-        router,
-        templates: PromptTemplateSet | None = None,
-        *,
-        max_input_tokens: int = 12_000,
-        max_output_tokens: int = 200,
-        generator_temperature: float = 0.0,
-    ) -> None:
-        if not 0 <= generator_temperature < math.inf:
-            raise ValueError(
-                f"generator_temperature must be finite and >= 0, got {generator_temperature}"
-            )
-        if max_input_tokens < 1 or max_output_tokens < 1:
-            raise ValueError("token caps must be >= 1")
-        self._router = router
-        self.templates = templates or PromptTemplateSet.load_default()
-        self.max_input_tokens = max_input_tokens
-        self.max_output_tokens = max_output_tokens
-        self._generator_temperature = generator_temperature
+    router: BackendRouter
+    templates: PromptTemplateSet = field(default_factory=PromptTemplateSet.load_default)
+    config: PipelineConfig = field(default_factory=PipelineConfig)
 
     def _complete(self, prompt: str, role_tag: str, temperature: float = 0.0) -> str:
         request = LlmRequest(
             prompt=prompt,
-            max_output_tokens=self.max_output_tokens,
+            max_output_tokens=self.config.max_output_tokens,
             temperature=temperature,
             role_tag=role_tag,
         )
-        return self._router.complete(request).text
+        return self.router.complete(request).text
 
     def _assemble(self, template: str, bindings: dict[str, str], docs=None, doc_slot=SLOT_DOCS) -> str:
         return assemble_prompt(
@@ -278,7 +285,7 @@ class PipelineAgents:
             bindings,
             docs=docs,
             doc_slot=doc_slot,
-            max_input_tokens=self.max_input_tokens,
+            max_input_tokens=self.config.max_input_tokens,
         )
 
     def summarize_global(
@@ -374,7 +381,7 @@ class PipelineAgents:
             self.templates.generate,
             {SLOT_OVERARCHING: overarching_question, SLOT_MEMORY: memory.render_combined()},
         )
-        return self._complete(prompt, "generator", self._generator_temperature).strip(), prompt
+        return self._complete(prompt, "generator", self.config.generator_temperature).strip(), prompt
 
     def generate_standard(
         self, overarching_question: str, docs: list[RetrievedDocument]
@@ -388,4 +395,4 @@ class PipelineAgents:
             docs=render_docs(docs),
             doc_slot=SLOT_MEMORY,
         )
-        return self._complete(prompt, "generator", self._generator_temperature).strip(), prompt
+        return self._complete(prompt, "generator", self.config.generator_temperature).strip(), prompt

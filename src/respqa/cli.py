@@ -117,6 +117,8 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_ask(args: argparse.Namespace) -> int:
+    if not args.question.strip():
+        raise ConfigurationError("question must be non-empty")
     config = load_app_config(args.config, _overrides(args, top_k=args.k))
     runtime = AppRuntime(config)
     trace = runtime.runner(pipeline=args.pipeline)(args.question)

@@ -18,7 +18,7 @@ from urllib.parse import urlsplit
 
 import yaml
 
-from .agents import PipelineAgents, PromptTemplateSet
+from .agents import PipelineAgents, PipelineConfig, PromptTemplateSet
 from .errors import ConfigurationError
 from .llm import (
     ROLE_TAGS,
@@ -29,14 +29,7 @@ from .llm import (
     ScriptedRule,
     load_script,
 )
-from .pipeline import (
-    PIPELINE_RESP,
-    PIPELINE_STANDARD,
-    PipelineConfig,
-    RunTrace,
-    run_resp,
-    run_standard_rag,
-)
+from .pipeline import PIPELINE_RESP, PIPELINE_STANDARD, RunTrace, run_resp, run_standard_rag
 from .retrieval import (
     DEFAULT_B,
     DEFAULT_K1,
@@ -144,20 +137,12 @@ def load_app_config(path: str | Path | None, overrides: CliOverrides | None = No
         _require(templates_dir.is_dir(), f"templates directory not found: {templates_dir}")
 
     index_dir = overrides.index_dir or retriever.get("index_dir")
-    try:
-        parallelism = overrides.parallelism
-        if parallelism is None:
-            parallelism = int(eval_section.get("parallelism", 1))
-        k1 = float(retriever.get("k1", DEFAULT_K1))
-        b = float(retriever.get("b", DEFAULT_B))
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"invalid numeric setting: {exc}") from exc
+    parallelism = overrides.parallelism
+    if parallelism is None:
+        parallelism = _integer(eval_section.get("parallelism", 1), "eval.parallelism")
+    k1 = _number(retriever.get("k1", DEFAULT_K1), "retriever.k1")
+    b = _number(retriever.get("b", DEFAULT_B), "retriever.b")
     _require(parallelism >= 1, f"parallelism must be >= 1, got {parallelism}")
-    temperature = pipeline.generator_temperature
-    _require(
-        0 <= temperature < math.inf,
-        f"pipeline.generator_temperature must be finite and >= 0, got {temperature}",
-    )
     _require(0 <= k1 < math.inf, f"retriever.k1 must be finite and >= 0, got {k1}")
     _require(0 <= b <= 1, f"retriever.b must be between 0 and 1, got {b}")
     if retriever.get("endpoint") is not None:
@@ -185,24 +170,41 @@ def load_app_config(path: str | Path | None, overrides: CliOverrides | None = No
     return config
 
 
-def _load_pipeline(section: dict, overrides: CliOverrides) -> PipelineConfig:
+def _integer(value: object, key: str) -> int:
+    """An integer setting from the file; a bool, a string or a fractional number is an error."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    _require(integral and not isinstance(value, bool), f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value: object, key: str) -> float:
     try:
-        pipeline = PipelineConfig(
-            top_k=int(section.get("top_k", 5)),
-            max_iterations=int(section.get("max_iterations", 3)),
-            max_input_tokens=int(section.get("max_input_tokens", 12_000)),
-            max_output_tokens=int(section.get("max_output_tokens", 200)),
-            generator_temperature=float(section.get("generator_temperature", 0.0)),
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{key} must be a number, got {value!r}") from None
+
+
+def _load_pipeline(section: dict, overrides: CliOverrides) -> PipelineConfig:
+    """The file's pipeline settings over PipelineConfig's defaults, then the flags."""
+    settings: dict = {
+        key: _integer(section[key], f"pipeline.{key}")
+        for key in ("top_k", "max_iterations", "max_input_tokens", "max_output_tokens")
+        if key in section
+    }
+    if "generator_temperature" in section:
+        settings["generator_temperature"] = _number(
+            section["generator_temperature"], "pipeline.generator_temperature"
         )
-        if overrides.top_k is not None:
-            pipeline = replace(pipeline, top_k=overrides.top_k)
-        if overrides.max_iterations is not None:
-            pipeline = replace(pipeline, max_iterations=overrides.max_iterations)
-        if overrides.log_prompts:
-            pipeline = replace(pipeline, log_prompts=True)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"invalid pipeline settings: {exc}") from exc
-    return pipeline
+    if overrides.top_k is not None:
+        settings["top_k"] = overrides.top_k
+    if overrides.max_iterations is not None:
+        settings["max_iterations"] = overrides.max_iterations
+    if overrides.log_prompts:
+        settings["log_prompts"] = True
+    try:
+        return PipelineConfig(**settings)
+    except ValueError as exc:
+        raise ConfigurationError(f"pipeline.{exc}") from exc
 
 
 def _resolve_api_key(api_key_env: str | None) -> str | None:
@@ -350,14 +352,7 @@ class AppRuntime:
         run_fn = run_resp if pipeline == PIPELINE_RESP else run_standard_rag
 
         def run(question: str) -> RunTrace:
-            router = BackendRouter(self.fresh_bindings())
-            agents = PipelineAgents(
-                router,
-                self.templates,
-                max_input_tokens=pipeline_config.max_input_tokens,
-                max_output_tokens=pipeline_config.max_output_tokens,
-                generator_temperature=pipeline_config.generator_temperature,
-            )
+            agents = PipelineAgents(BackendRouter(self.fresh_bindings()), self.templates)
             return run_fn(question, self.retriever, agents, pipeline_config)
 
         return run

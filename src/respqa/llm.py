@@ -32,6 +32,11 @@ _WORD = re.compile(r"\S+")
 # fudge factor. Every cap check in the package uses this one estimate.
 _WORDS_PER_TOKEN = 1.3
 
+# HttpChatBackend: seconds per request, tries per request, first backoff delay.
+HTTP_TIMEOUT_S = 60.0
+HTTP_MAX_ATTEMPTS = 3
+HTTP_BACKOFF_BASE_S = 1.0
+
 
 def whitespace_token_estimate(text: str) -> float:
     """Rough token count: whitespace-separated words times 1.3."""
@@ -188,9 +193,10 @@ class HttpChatBackend(_CompletionBase):
     """Chat-completion wire client with retries and exponential backoff.
 
     Transient failures (connection errors, timeouts, HTTP 429/5xx) are
-    retried up to ``max_attempts`` with delays base * 2**attempt; any other
-    ``requests`` error, HTTP 4xx, a malformed body, or exhaustion surfaces
-    at once as BackendError carrying the role tag.
+    tried up to ``HTTP_MAX_ATTEMPTS`` times with delays
+    ``HTTP_BACKOFF_BASE_S * 2**attempt``; any other ``requests`` error, HTTP
+    4xx, a malformed body, or exhaustion surfaces at once as BackendError
+    carrying the role tag.
     """
 
     def __init__(
@@ -199,9 +205,6 @@ class HttpChatBackend(_CompletionBase):
         model: str,
         api_key: str | None = None,
         backend_id: str | None = None,
-        timeout: float = 60.0,
-        max_attempts: int = 3,
-        backoff_base: float = 1.0,
         sleep: Callable[[float], None] = time.sleep,
         session: requests.Session | None = None,
     ) -> None:
@@ -212,9 +215,6 @@ class HttpChatBackend(_CompletionBase):
         self.model = model
         self.api_key = api_key
         self.backend_id = backend_id or f"http:{model}"
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         self._sleep = sleep
         if session is None:
             import requests  # deferred: offline runs never load the HTTP stack
@@ -235,10 +235,10 @@ class HttpChatBackend(_CompletionBase):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(HTTP_MAX_ATTEMPTS):
             try:
                 response = self._session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
+                    self.endpoint, json=payload, headers=headers, timeout=HTTP_TIMEOUT_S
                 )
                 if response.status_code == 429 or response.status_code >= 500:
                     raise _TransientHttpError(f"HTTP {response.status_code}")
@@ -251,13 +251,13 @@ class HttpChatBackend(_CompletionBase):
                 return self._extract_text(response, request)
             except (_TransientHttpError, requests.ConnectionError, requests.Timeout) as exc:
                 last_error = exc
-                if attempt < self.max_attempts - 1:
-                    delay = self.backoff_base * (2**attempt)
+                if attempt < HTTP_MAX_ATTEMPTS - 1:
+                    delay = HTTP_BACKOFF_BASE_S * (2**attempt)
                     logger.debug(
                         "transient failure from %s (attempt %d/%d): %s; retrying in %.1fs",
                         self.backend_id,
                         attempt + 1,
-                        self.max_attempts,
+                        HTTP_MAX_ATTEMPTS,
                         exc,
                         delay,
                     )
@@ -267,14 +267,16 @@ class HttpChatBackend(_CompletionBase):
                     f"{self.backend_id}: request failed: {exc}", role_tag=request.role_tag
                 ) from exc
         raise BackendError(
-            f"{self.backend_id}: request failed after {self.max_attempts} attempts: {last_error}",
+            f"{self.backend_id}: request failed after {HTTP_MAX_ATTEMPTS} attempts: {last_error}",
             role_tag=request.role_tag,
         )
 
     def _extract_text(self, response: requests.Response, request: LlmRequest) -> str:
         try:
-            payload = response.json()
-            return str(payload["choices"][0]["message"]["content"])
+            content = response.json()["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"message content is {type(content).__name__}, not a string")
+            return content
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(
                 f"{self.backend_id}: malformed completion response: {exc}",

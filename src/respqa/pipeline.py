@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .agents import NO_INFO_SENTINEL, Judgement, LocalAnswer, PipelineAgents, PlanResult
+from .agents import (
+    NO_INFO_SENTINEL,
+    Judgement,
+    LocalAnswer,
+    PipelineAgents,
+    PipelineConfig,
+    PlanResult,
+)
 from .errors import BackendError, PipelineError
 from .evaluation import evaluate
 from .llm import whitespace_token_estimate
@@ -34,26 +41,6 @@ STOP_SINGLE_ROUND = "single_round"  # baseline pipeline only
 
 PIPELINE_RESP = "resp"
 PIPELINE_STANDARD = "standard"
-
-
-@dataclass
-class PipelineConfig:
-    """Loop parameters, generator temperature and prompt logging."""
-
-    top_k: int = 5
-    max_iterations: int = 3
-    max_input_tokens: int = 12_000
-    max_output_tokens: int = 200
-    generator_temperature: float = 0.0
-    log_prompts: bool = False
-
-    def __post_init__(self) -> None:
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.max_input_tokens < 1 or self.max_output_tokens < 1:
-            raise ValueError("token caps must be >= 1")
 
 
 @dataclass
@@ -106,10 +93,12 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
     Every round, the newest global summary is pushed before anything reads
     memory; the judge then decides whether to generate or plan. The loop
     ends on a sufficient judgement, on the iteration cap (generation happens
-    anyway), or when planning cannot produce a novel sub-question.
+    anyway), or when planning cannot produce a novel sub-question. The caps
+    and the generator temperature are ``config``'s, whatever ``agents`` holds.
     """
     if not question.strip():
         raise ValueError("question must be non-empty")
+    agents = replace(agents, config=config)
     memory = MemoryState()
     iterations: list[IterationRecord] = []
     anomalies: list[str] = []
@@ -206,6 +195,7 @@ def run_standard_rag(
     """One retrieval, one generation from the raw documents; no memory."""
     if not question.strip():
         raise ValueError("question must be non-empty")
+    agents = replace(agents, config=config)
     hits = retriever.retrieve(question, config.top_k)
     try:
         answer, prompt = agents.generate_standard(question, hits)

@@ -39,6 +39,9 @@ INDEX_FORMAT_VERSION = 2
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
+# Seconds EmbeddingEndpointClient waits for one embeddings request.
+EMBEDDING_TIMEOUT_S = 30.0
+
 _MANIFEST_FILE = "manifest.json"
 _DOCUMENTS_FILE = "documents.json"
 _TERMS_FILE = "terms.json"
@@ -425,7 +428,6 @@ class EmbeddingEndpointClient:
         endpoint: str,
         model: str,
         api_key: str | None = None,
-        timeout: float = 30.0,
         session: requests.Session | None = None,
     ) -> None:
         endpoint = endpoint.rstrip("/")
@@ -434,7 +436,6 @@ class EmbeddingEndpointClient:
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
-        self.timeout = timeout
         if session is None:
             import requests  # deferred: offline runs never load the HTTP stack
 
@@ -452,7 +453,7 @@ class EmbeddingEndpointClient:
                 self.endpoint,
                 json={"model": self.model, "input": [text]},
                 headers=headers,
-                timeout=self.timeout,
+                timeout=EMBEDDING_TIMEOUT_S,
             )
             response.raise_for_status()
             payload = response.json()

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 
-from respqa.agents import PipelineAgents, PromptTemplateSet
-from respqa.llm import ROLE_TAGS, BackendRouter, ScriptedBackend, ScriptedRule
+from respqa.agents import PipelineAgents, PipelineConfig, PromptTemplateSet
+from respqa.llm import ROLE_TAGS, BackendRouter, LlmResponse, ScriptedBackend, ScriptedRule
 from respqa.retrieval import Document, tokenize
 
 GOLDEN_EVIDENCE = (
@@ -113,12 +113,34 @@ def repetitive_rules() -> list[ScriptedRule]:
 
 
 def scripted_agents(
-    rules: list[ScriptedRule], **agent_kwargs
+    rules: list[ScriptedRule], **config_kwargs
 ) -> tuple[PipelineAgents, ScriptedBackend]:
-    """One scripted conversation bound to all three roles."""
+    """One scripted conversation bound to all three roles; ``config_kwargs``
+    are PipelineConfig settings for calling the agent methods directly."""
     backend = ScriptedBackend(rules)
     router = BackendRouter({role: backend for role in ROLE_TAGS})
-    return PipelineAgents(router, PromptTemplateSet.load_default(), **agent_kwargs), backend
+    config = PipelineConfig(**config_kwargs)
+    return PipelineAgents(router, PromptTemplateSet.load_default(), config), backend
+
+
+class CaptureBackend:
+    """Answers every request with one fixed reply and keeps the requests."""
+
+    backend_id = "capture"
+
+    def __init__(self, reply: str = "No") -> None:
+        self.reply = reply
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return LlmResponse(text=self.reply, backend_id=self.backend_id, latency=0.0)
+
+
+def capture_router(reply: str = "No") -> tuple[BackendRouter, CaptureBackend]:
+    """One CaptureBackend bound to all three roles."""
+    backend = CaptureBackend(reply)
+    return BackendRouter({role: backend for role in ROLE_TAGS}), backend
 
 
 def bm25_brute_force(

@@ -166,6 +166,11 @@ class TestFlagErrors:
         assert named in capsys.readouterr().err
         assert not list(tmp_path.glob("eval_*")) and not (tmp_path / "sweep.csv").exists()
 
+    def test_blank_question(self, index_dir, script_path, capsys):
+        argv = ["ask", "   ", "--index-dir", str(index_dir), "--script", str(script_path)]
+        assert main(argv) == EXIT_CONFIG
+        assert "configuration error: question must be non-empty" in capsys.readouterr().err
+
     def test_non_http_endpoint_flag(self, index_dir, capsys):
         argv = ["ask", "q?", "--index-dir", str(index_dir), "--llm-endpoint", "localhost:9/v1"]
         assert main(argv) == EXIT_CONFIG

@@ -207,6 +207,29 @@ class TestValidation:
         assert getattr(owner, key) == value
 
     @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("pipeline", "top_k", 2.7),
+            ("pipeline", "max_iterations", True),
+            ("pipeline", "max_input_tokens", 150.5),
+            ("pipeline", "max_output_tokens", False),
+            ("pipeline", "top_k", "5"),
+            ("eval", "parallelism", 1.5),
+            ("eval", "parallelism", True),
+        ],
+    )
+    def test_integer_setting_must_be_an_integer(self, tmp_path, script_path, section, key, value):
+        path = write_yaml(
+            tmp_path,
+            {
+                section: {key: value},
+                "backends": {"mock": {"kind": "scripted", "script": str(script_path)}},
+            },
+        )
+        with pytest.raises(ConfigurationError, match=f"{section}.{key} must be an integer"):
+            load_app_config(path)
+
+    @pytest.mark.parametrize(
         "data, named",
         [
             ({"backends": {"main": {"kind": "http", "endpoint": "localhost:9/v1"}}}, "'main'"),

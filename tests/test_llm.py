@@ -262,9 +262,13 @@ class TestHttpChatBackend:
         assert sleeps == []
 
     def test_malformed_body(self):
-        backend, _, _ = self.make([FakeResponse(200, {"unexpected": True})])
-        with pytest.raises(BackendError, match="malformed"):
-            backend.complete(req("ping"))
+        for body in ({"unexpected": True}, completion(None), completion(["hello"])):
+            backend, session, sleeps = self.make([FakeResponse(200, body)])
+            with pytest.raises(BackendError, match="malformed") as excinfo:
+                backend.complete(req("ping", role="summarizer"))
+            assert excinfo.value.role_tag == "summarizer"
+            assert len(session.calls) == 1
+            assert sleeps == []
 
     def test_output_cap_applied(self):
         long_text = " ".join(f"t{i}" for i in range(400))

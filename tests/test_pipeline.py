@@ -39,6 +39,7 @@ from helpers import (
     REPETITIVE_SUBQ_1,
     REPETITIVE_SUBQ_2,
     SUMMARIZER_MARKER,
+    capture_router,
     film_corpus,
     offtopic_corpus,
     overplanning_rules,
@@ -239,10 +240,13 @@ class TestPipelineConfig:
             {"max_iterations": 0},
             {"max_input_tokens": 0},
             {"max_output_tokens": 0},
+            {"generator_temperature": -1},
+            {"generator_temperature": float("nan")},
+            {"generator_temperature": float("inf")},
         ],
     )
     def test_invalid_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             PipelineConfig(**kwargs)
 
     def test_defaults_match_protocol(self):
@@ -251,6 +255,24 @@ class TestPipelineConfig:
         assert config.max_iterations == 3
         assert config.max_input_tokens == 12_000
         assert config.max_output_tokens == 200
+        assert config.generator_temperature == 0.0
+
+
+@pytest.mark.parametrize("run", [run_resp, run_standard_rag])
+def test_run_obeys_its_config_over_the_agents(run):
+    """The config passed to the run sets the caps and the generator
+    temperature, not the agents' own default config."""
+    docs = [
+        Document(f"d{i}", f"Note {i}", "twisted fortune " + " ".join(f"w{i}x{j}" for j in range(30)))
+        for i in range(5)
+    ]
+    router, backend = capture_router("Yes")
+    config = PipelineConfig(max_input_tokens=150, max_output_tokens=50, generator_temperature=0.7)
+    run("Which twisted fortune?", BM25Index.build(docs), PipelineAgents(router), config)
+    assert all(whitespace_token_estimate(r.prompt) <= 150 for r in backend.requests)
+    assert {r.max_output_tokens for r in backend.requests} == {50}
+    generator = [r.temperature for r in backend.requests if r.role_tag == "generator"]
+    assert generator == [0.7]
 
 
 def test_stop_reason_sufficient_iff_last_judgement_sufficient():

@@ -1,0 +1,94 @@
+"""Property tests: the reply parsers are total, and the input cap holds for any cap."""
+
+import math
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from respqa.agents import (
+    SLOT_DOCS,
+    assemble_prompt,
+    parse_judgement,
+    parse_local_answer,
+    parse_plan_surface,
+)
+from respqa.errors import PromptTooLargeError
+from respqa.llm import whitespace_token_estimate
+from respqa.memory import NO_ANSWER_MARKER
+
+# Replies near the parsers' prefixes are where a parse could go wrong.
+replies = st.one_of(
+    st.text(),
+    st.builds(
+        "".join,
+        st.lists(
+            st.sampled_from(["Yes", "no", " ", "\n", ":", ",", "Thought:", "QUESTION :", "x", "{"]),
+            max_size=12,
+        ),
+    ),
+)
+
+_PLAN_PREFIX = re.compile(r"(?:thought|question)\s*:", re.IGNORECASE)
+
+
+@given(replies)
+def test_judgement_parse_is_total(raw):
+    judgement = parse_judgement(raw)
+    assert judgement.raw_text == raw
+    assert not (judgement.sufficient and judgement.anomaly)
+
+
+@given(replies)
+def test_unanswered_local_answer_carries_the_marker(raw):
+    local = parse_local_answer(raw)
+    assert local.raw_text == raw
+    if not local.answered:
+        assert local.answer == NO_ANSWER_MARKER
+    assert not (local.answered and local.anomaly)
+
+
+@given(replies)
+def test_plan_surface_keeps_no_leading_prefix(raw):
+    surface = parse_plan_surface(raw)
+    assert surface == surface.strip()
+    assert not _PLAN_PREFIX.match(surface)
+
+
+TEMPLATE = "Question: {q}\nReference:\n{docs}\nAnswer:"
+words = st.text(alphabet="ab{}", min_size=1, max_size=3)
+documents = st.lists(st.builds(" ".join, st.lists(words, max_size=12)), max_size=8)
+
+
+# A cap equal to a prompt's estimate needs a word count divisible by ten;
+# the extra examples make that case come up.
+@settings(max_examples=400)
+@given(
+    question=st.builds(" ".join, st.lists(words, min_size=1, max_size=8)),
+    docs=documents,
+    data=st.data(),
+)
+def test_assembled_prompt_fits_the_cap_with_a_ranked_prefix(question, docs, data):
+    bindings = {"q": question}
+
+    def with_first(count: int) -> str:
+        return assemble_prompt(TEMPLATE, bindings, docs=docs[:count], doc_slot=SLOT_DOCS)
+
+    # Any cap, or one within two tokens of the size of some prefix, where an
+    # off-by-one in the fit test would show.
+    anchor = whitespace_token_estimate(with_first(data.draw(st.integers(0, len(docs)))))
+    near = st.integers(-2, 2).map(lambda delta: max(1, math.ceil(anchor) + delta))
+    cap = data.draw(st.one_of(st.integers(min_value=1, max_value=120), near))
+    try:
+        prompt = assemble_prompt(TEMPLATE, bindings, docs=docs, max_input_tokens=cap)
+    except PromptTooLargeError as exc:
+        floor = 1 if docs else 0
+        assert whitespace_token_estimate(with_first(floor)) > cap
+        assert exc.cap == cap
+        return
+    assert whitespace_token_estimate(prompt) <= cap
+    kept = [n for n in range(len(docs) + 1) if with_first(n) == prompt]
+    assert kept, "the prompt is not the template over a prefix of the ranked docs"
+    # The prefix is the longest one that fits: one more document would not.
+    if kept[-1] < len(docs):
+        assert whitespace_token_estimate(with_first(kept[-1] + 1)) > cap
