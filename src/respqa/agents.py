@@ -243,9 +243,12 @@ class PipelineConfig:
     log_prompts: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("top_k", "max_iterations", "max_input_tokens", "max_output_tokens"):
+        for name in ("top_k", "max_iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("max_input_tokens", "max_output_tokens"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"token caps must be >= 1, got {name}={getattr(self, name)}")
         if not 0 <= self.generator_temperature < math.inf:
             raise ValueError(
                 "generator_temperature must be finite and >= 0, "

@@ -442,6 +442,22 @@ class TestRoleTemperatures:
         temps = {r.role_tag: r.temperature for r in backend.requests}
         assert temps == {"reasoner": 0.0, "summarizer": 0.0, "generator": 0.7}
 
+    @pytest.mark.parametrize(
+        "setting, fragment",
+        [
+            ({"generator_temperature": -1}, "generator_temperature"),
+            ({"generator_temperature": float("nan")}, "generator_temperature"),
+            ({"generator_temperature": float("inf")}, "generator_temperature"),
+            ({"max_input_tokens": 0}, "token caps"),
+            ({"max_output_tokens": 0}, "token caps"),
+        ],
+    )
+    def test_bad_setting_rejected_before_any_call(self, setting, fragment):
+        router, backend = capture_router()
+        with pytest.raises(ValueError, match=fragment):
+            PipelineAgents(router, config=PipelineConfig(**setting))
+        assert backend.requests == []
+
     def test_max_output_tokens_passed_through(self):
         router, backend = capture_router()
         agents = PipelineAgents(router, config=PipelineConfig(max_output_tokens=77))
