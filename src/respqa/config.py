@@ -103,10 +103,19 @@ def _require_http_url(url: object, owner: str) -> None:
     )
 
 
-def _section(data: dict, key: str) -> dict:
+def _section(data: dict, key: str, known: tuple[str, ...] | None) -> dict:
+    """The mapping under ``key``; with ``known``, a key outside it is an error."""
     value = data.get(key) or {}
     _require(isinstance(value, dict), f"config section {key!r} must be a mapping")
+    if known is not None:
+        _check_keys(value, known, f"{key}.")
     return value
+
+
+def _check_keys(mapping: dict, known: tuple[str, ...], prefix: str = "") -> None:
+    """Refuse a key the loader does not read, so that a misspelt setting is not lost."""
+    unknown = [f"{prefix}{key}" for key in mapping if key not in known]
+    _require(not unknown, f"unknown config key(s): {', '.join(unknown)}")
 
 
 def load_app_config(path: str | Path | None, overrides: CliOverrides | None = None) -> AppConfig:
@@ -123,12 +132,17 @@ def load_app_config(path: str | Path | None, overrides: CliOverrides | None = No
             loaded = {}
         _require(isinstance(loaded, dict), "config file must contain a mapping at top level")
         data = loaded
+    _check_keys(data, ("pipeline", "retriever", "backends", "roles", "eval", "templates_dir"))
 
-    pipeline = _load_pipeline(_section(data, "pipeline"), overrides)
-    retriever = _section(data, "retriever")
-    eval_section = _section(data, "eval")
+    pipeline = _load_pipeline(_section(data, "pipeline", _PIPELINE_KEYS), overrides)
+    retriever = _section(
+        data,
+        "retriever",
+        ("kind", "index_dir", "k1", "b", "endpoint", "model", "api_key_env", "vectors"),
+    )
+    eval_section = _section(data, "eval", ("parallelism",))
 
-    backends = _load_backends(_section(data, "backends"), overrides)
+    backends = _load_backends(_section(data, "backends", known=None), overrides)
     roles = _load_roles(data.get("roles"), backends, overrides)
 
     templates_dir = overrides.templates_dir or data.get("templates_dir")
@@ -178,23 +192,38 @@ def _integer(value: object, key: str) -> int:
 
 
 def _number(value: object, key: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{key} must be a number, got {value!r}") from None
+    """A float setting from the file; a bool is an error. A string that parses is
+    accepted, because YAML reads an exponent without a dot (``1e-3``) as a string."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigurationError(f"{key} must be a number, got {value!r}")
+
+
+_INTEGER_PIPELINE_KEYS = ("top_k", "max_iterations", "max_input_tokens", "max_output_tokens")
+_PIPELINE_KEYS = (*_INTEGER_PIPELINE_KEYS, "generator_temperature", "log_prompts")
 
 
 def _load_pipeline(section: dict, overrides: CliOverrides) -> PipelineConfig:
     """The file's pipeline settings over PipelineConfig's defaults, then the flags."""
     settings: dict = {
         key: _integer(section[key], f"pipeline.{key}")
-        for key in ("top_k", "max_iterations", "max_input_tokens", "max_output_tokens")
+        for key in _INTEGER_PIPELINE_KEYS
         if key in section
     }
     if "generator_temperature" in section:
         settings["generator_temperature"] = _number(
             section["generator_temperature"], "pipeline.generator_temperature"
         )
+    if "log_prompts" in section:
+        log_prompts = section["log_prompts"]
+        _require(
+            isinstance(log_prompts, bool),
+            f"pipeline.log_prompts must be true or false, got {log_prompts!r}",
+        )
+        settings["log_prompts"] = log_prompts
     if overrides.top_k is not None:
         settings["top_k"] = overrides.top_k
     if overrides.max_iterations is not None:
@@ -211,12 +240,20 @@ def _resolve_api_key(api_key_env: str | None) -> str | None:
     return os.environ.get(api_key_env or ENV_API_KEY) or None
 
 
+# The keys a backend of each kind may set.
+_BACKEND_KEYS = {
+    "http": ("kind", "endpoint", "model", "api_key_env"),
+    "scripted": ("kind", "script"),
+}
+
+
 def _load_backends(section: dict, overrides: CliOverrides) -> dict[str, BackendSpec]:
     backends: dict[str, BackendSpec] = {}
     for name, raw in section.items():
         _require(isinstance(raw, dict), f"backend {name!r} must be a mapping")
         kind = raw.get("kind", "http")
         _require(kind in ("http", "scripted"), f"backend {name!r}: unknown kind {kind!r}")
+        _check_keys(raw, _BACKEND_KEYS[kind], f"backends.{name}.")
         if kind == "scripted":
             script = raw.get("script")
             _require(bool(script), f"backend {name!r}: scripted backends need a 'script' path")

@@ -3,8 +3,9 @@
 The corpus is JSONL with keys ``id``, ``title``, ``contents`` (one document
 per line). The index lives in a directory: a JSON manifest tagged with a
 format version, the documents and the vocabulary as JSON, and the postings as
-little-endian int32 arrays. A rebuilt or reopened index returns
-byte-identical rankings.
+little-endian unsigned arrays, each in the narrowest of 1, 2 or 4 bytes that
+holds its largest value. A rebuilt or reopened index returns byte-identical
+rankings.
 
 An alternative dense retriever (cosine over externally computed vectors) is
 provided behind the same ``retrieve(query, k)`` surface.
@@ -23,7 +24,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Protocol
 
 import numpy as np
 
@@ -34,7 +35,7 @@ if TYPE_CHECKING:
     import requests
 
 INDEX_FORMAT_TAG = "respqa-bm25"
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -47,7 +48,10 @@ _DOCUMENTS_FILE = "documents.json"
 _TERMS_FILE = "terms.json"
 _POSTINGS_FILE = "postings.bin"
 _DATA_FILES = (_DOCUMENTS_FILE, _TERMS_FILE, _POSTINGS_FILE)
-_INT32 = np.dtype("<i4")
+# postings.bin holds these arrays back to back; the manifest records the dtype
+# of each, the narrowest of _POSTING_DTYPES that holds its largest value.
+_POSTING_ARRAYS = ("doc_lengths", "offsets", "doc_indices", "term_freqs")
+_POSTING_DTYPES = ("|u1", "<u2", "<u4")
 
 
 class _PunctuationTable(dict):
@@ -84,8 +88,7 @@ def tokenize(text: str) -> list[str]:
     return strip_punctuation(text).lower().split()
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """A corpus unit: unique id, title, and plain-text passage."""
 
     doc_id: str
@@ -137,8 +140,9 @@ def read_corpus(path: str | Path) -> Iterator[Document]:
 class BM25Index:
     """Inverted index with BM25 ranking (k1/b configurable, Lucene-style IDF).
 
-    Postings are flat int32 arrays (document index and term frequency)
-    grouped by term through per-term offsets. Each posting's BM25 gain is
+    Postings are flat integer arrays (document index and term frequency)
+    grouped by term through per-term offsets; a saved index stores each array
+    in the narrowest unsigned dtype that holds it. Each posting's BM25 gain is
     computed once, at build and at open, so a query only adds gains into a
     score vector. Immutable after build; concurrent retrieval is safe.
     Scores are always non-negative because the IDF uses
@@ -161,7 +165,8 @@ class BM25Index:
         self._doc_lengths = doc_lengths
         self._term_ids = dict(zip(terms, range(len(terms))))
         self._offsets = offsets
-        self._doc_indices = doc_indices
+        # Fancy indexing casts any other index dtype to intp on every call.
+        self._doc_indices = doc_indices.astype(np.intp)
         self._term_freqs = term_freqs
         self._avgdl = int(doc_lengths.sum()) / len(documents) if documents else 0.0
         self.k1 = k1
@@ -236,18 +241,26 @@ class BM25Index:
     def _posting_weights(self) -> np.ndarray:
         """BM25 gain of every posting.
 
-        The IDF uses ``math.log`` and the gain keeps the scalar formula's
-        operation order, so each weight, and each query's sum of weights in
-        query-term order, equals the scalar computation bit for bit.
+        The IDF uses ``math.log``, once per distinct document frequency, and
+        the gain keeps the scalar formula's operation order, so each weight,
+        and each query's sum of weights in query-term order, equals the
+        scalar computation bit for bit.
         """
         n = len(self._documents)
         df = np.diff(self._offsets)
-        idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df.tolist()])
+        distinct_df, df_rank = np.unique(df, return_inverse=True)
+        idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in distinct_df.tolist()])
         avgdl = self._avgdl or 1.0
         norm = 1.0 - self.b + self.b * self._doc_lengths / avgdl
         tf = self._term_freqs
-        norm = norm[self._doc_indices]
-        return np.repeat(idf, df) * (tf * (self.k1 + 1.0)) / (tf + self.k1 * norm)
+        # idf * (tf * (k1 + 1)) / (tf + k1 * norm), in place. Swapping the two
+        # operands of a * or a + leaves an IEEE result unchanged.
+        gains = tf * (self.k1 + 1.0)
+        gains *= np.repeat(idf[df_rank], df)
+        denominators = (self.k1 * norm)[self._doc_indices]
+        denominators += tf
+        gains /= denominators
+        return gains
 
     def retrieve(self, query: str, k: int) -> list[RetrievedDocument]:
         """Top-k documents by BM25 score over the tokenized query.
@@ -281,14 +294,14 @@ class BM25Index:
             (target / _MANIFEST_FILE).is_file() or (target.is_dir() and not any(target.iterdir()))
         ):
             raise CorpusError(f"refusing to replace {target}: not empty and not an index directory")
+        postings = (self._doc_lengths, self._offsets, self._doc_indices, self._term_freqs)
+        dtypes = [np.min_scalar_type(part.max(initial=0)).newbyteorder("<") for part in postings]
         payloads = {
-            _DOCUMENTS_FILE: json.dumps(
-                [[doc.doc_id, doc.title, doc.text] for doc in self._documents], ensure_ascii=False
-            ).encode("utf-8"),
+            # A Document is a tuple, so each one is written as a JSON array.
+            _DOCUMENTS_FILE: json.dumps(self._documents, ensure_ascii=False).encode("utf-8"),
             _TERMS_FILE: json.dumps(list(self._term_ids), ensure_ascii=False).encode("utf-8"),
             _POSTINGS_FILE: b"".join(
-                part.astype(_INT32).tobytes()
-                for part in (self._doc_lengths, self._offsets, self._doc_indices, self._term_freqs)
+                part.astype(dtype).tobytes() for part, dtype in zip(postings, dtypes)
             ),
         }
         manifest = {
@@ -298,6 +311,7 @@ class BM25Index:
             "num_terms": len(self._term_ids),
             "num_postings": len(self._doc_indices),
             "avg_doc_length": self._avgdl,
+            "postings_dtypes": dict(zip(_POSTING_ARRAYS, (dtype.str for dtype in dtypes))),
             "files": {
                 name: {"bytes": len(data), "crc32": zlib.crc32(data)}
                 for name, data in payloads.items()
@@ -329,8 +343,9 @@ class BM25Index:
         """Open a persisted index.
 
         Validates the format tag and version, each data file's size and
-        CRC-32 against the manifest, and the manifest's counts. Any missing,
-        truncated or malformed file raises CorpusError.
+        CRC-32 against the manifest, the manifest's counts, and the postings
+        dtypes and byte lengths. Any missing, truncated or malformed file
+        raises CorpusError.
         """
         index_dir = Path(index_dir)
         manifest_path = index_dir / _MANIFEST_FILE
@@ -354,19 +369,17 @@ class BM25Index:
             files = manifest["files"]
             data = {name: _read_checked(index_dir / name, files[name]) for name in _DATA_FILES}
             n, t, p = (int(manifest[key]) for key in ("num_documents", "num_terms", "num_postings"))
-            documents = [
-                Document(doc_id=doc_id, title=title, text=text)
-                for doc_id, title, text in json.loads(data[_DOCUMENTS_FILE])
-            ]
+            documents = list(map(Document._make, json.loads(data[_DOCUMENTS_FILE])))
             terms = json.loads(data[_TERMS_FILE])
-            arrays = np.frombuffer(data[_POSTINGS_FILE], dtype=_INT32)
-            if (len(documents), len(terms), arrays.size) != (n, t, n + t + 1 + 2 * p):
-                raise ValueError("document, term or posting counts disagree with the manifest")
+            if (len(documents), len(terms)) != (n, t):
+                raise ValueError("document or term counts disagree with the manifest")
+            lengths, offsets, doc_indices, term_freqs = _posting_arrays(
+                data[_POSTINGS_FILE], manifest.get("postings_dtypes"), (n, t + 1, p, p)
+            )
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CorpusError(
                 f"corrupt index in {index_dir}: {exc}; rebuild it with `respqa index`"
             ) from exc
-        lengths, offsets, doc_indices, term_freqs = np.split(arrays, [n, n + t + 1, n + t + 1 + p])
         return cls(documents, lengths, terms, offsets, doc_indices, term_freqs, k1=k1, b=b)
 
 
@@ -384,6 +397,33 @@ def _read_checked(path: Path, expected: dict) -> bytes:
     if len(data) != expected["bytes"] or zlib.crc32(data) != expected["crc32"]:
         raise ValueError(f"{path.name} does not match the manifest (truncated or modified)")
     return data
+
+
+def _posting_arrays(data: bytes, dtypes: object, counts: tuple[int, ...]) -> list[np.ndarray]:
+    """Views of the postings arrays stored back to back in ``data``.
+
+    Raises ValueError unless the manifest gives each array one of
+    ``_POSTING_DTYPES`` and the arrays' byte lengths add up to ``len(data)``.
+    """
+    if not isinstance(dtypes, dict):
+        raise ValueError(f"the manifest's postings_dtypes must be a mapping, got {dtypes!r}")
+    for name in _POSTING_ARRAYS:
+        if dtypes.get(name) not in _POSTING_DTYPES:
+            raise ValueError(
+                f"postings array {name!r} has dtype {dtypes.get(name)!r}, "
+                f"not one of {', '.join(_POSTING_DTYPES)}"
+            )
+    sizes = [count * np.dtype(dtypes[n]).itemsize for n, count in zip(_POSTING_ARRAYS, counts)]
+    if sum(sizes) != len(data):
+        raise ValueError(
+            f"{_POSTINGS_FILE} holds {len(data)} bytes, but the manifest's posting counts "
+            f"and dtypes add up to {sum(sizes)}"
+        )
+    starts = np.cumsum([0, *sizes[:-1]]).tolist()
+    return [
+        np.frombuffer(data, dtype=dtypes[name], count=count, offset=start)
+        for name, count, start in zip(_POSTING_ARRAYS, counts, starts)
+    ]
 
 
 def _id_ranks(documents: list[Document]) -> np.ndarray:
@@ -463,7 +503,11 @@ class EmbeddingEndpointClient:
 
 
 def load_vectors(path: str | Path) -> dict[str, list[float]]:
-    """Load per-document vectors from JSONL rows {"id": <unique str>, "vector": [...]}."""
+    """Load per-document vectors from JSONL rows {"id": <unique str>, "vector": [...]}.
+
+    Each vector must be a JSON array of finite numbers; a bad row raises
+    CorpusError naming its line.
+    """
     vectors: dict[str, list[float]] = {}
     for where, row in read_jsonl(path, CorpusError, ("id", "vector")):
         doc_id = row["id"]
@@ -471,10 +515,18 @@ def load_vectors(path: str | Path) -> dict[str, list[float]]:
             raise CorpusError(f"{where}: 'id' must be a string, got {doc_id!r}")
         if doc_id in vectors:
             raise CorpusError(f"{where}: duplicate id {doc_id!r}")
+        raw = row["vector"]
+        if not isinstance(raw, list):
+            raise CorpusError(f"{where}: 'vector' must be a JSON array, got {type(raw).__name__}")
         try:
-            vectors[doc_id] = [float(x) for x in row["vector"]]
+            vector = [float(x) for x in raw]
         except (TypeError, ValueError) as exc:
             raise CorpusError(f"{where}: invalid vector ({exc})") from exc
+        # The sum is NaN or infinite when a component is, and costs less than
+        # testing each one; finite components whose sum overflows pass the second test.
+        if not math.isfinite(sum(vector)) and not all(map(math.isfinite, vector)):
+            raise CorpusError(f"{where}: vector has a non-finite component")
+        vectors[doc_id] = vector
     return vectors
 
 

@@ -218,6 +218,25 @@ class TestConfigFile:
         assert captured.out == ""
         assert "generator_temperature" in captured.err
 
+    def test_unknown_key(self, tmp_path, index_dir, script_path, capsys):
+        config_path = self.write_config(
+            tmp_path, index_dir, script_path, pipeline={"log_prompts": True, "max_iteration": 1}
+        )
+        assert main(["ask", OVERPLANNING_QUESTION, "--config", str(config_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown config key(s): pipeline.max_iteration" in captured.err
+
+    def test_log_prompts_from_the_file(self, tmp_path, index_dir, script_path):
+        config_path = self.write_config(
+            tmp_path, index_dir, script_path, pipeline={"log_prompts": True}
+        )
+        trace_path = tmp_path / "trace.json"
+        argv = ["ask", OVERPLANNING_QUESTION, "--config", str(config_path)]
+        assert main([*argv, "--trace", str(trace_path)]) == EXIT_OK
+        iterations = json.loads(trace_path.read_text())["iterations"]
+        assert iterations and all(record["prompts"] for record in iterations)
+
     def test_missing_config_file(self, capsys):
         assert main(["ask", "q?", "--config", "/does/not/exist.yaml"]) == EXIT_CONFIG
 
@@ -272,6 +291,21 @@ class TestUnreadableInput:
         path.write_bytes(json.dumps(self.FIRST_ROWS[kind]).encode() + b'\n{"id": "\xff"}\n')
         assert self.run(kind, path, tmp_path, index_dir, script_path) == code
         assert f"{path}:2: not UTF-8 JSON ('utf-8' codec can't decode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "vector, fragment",
+        [
+            ("123", "'vector' must be a JSON array"),
+            ([1.0, float("inf")], "vector has a non-finite component"),
+        ],
+    )
+    def test_bad_vector_is_io_error(
+        self, vector, fragment, tmp_path, index_dir, script_path, capsys
+    ):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text(json.dumps({"id": "d1", "vector": vector}) + "\n")
+        assert self.run("vectors", path, tmp_path, index_dir, script_path) == EXIT_IO
+        assert f"{path}:1: {fragment}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, code", CASES)
     def test_directory_as_path(self, kind, code, tmp_path, index_dir, script_path, capsys):
@@ -439,6 +473,26 @@ class TestDamagedIndex:
         assert self.ask(index_dir, script_path) == EXIT_IO
         err = capsys.readouterr().err
         assert "version 1" in err and "respqa index" in err
+
+    @pytest.mark.parametrize(
+        "edit, fragment",
+        [
+            (lambda data: data.update(format_version=2), "version 2"),
+            (lambda data: data.pop("postings_dtypes"), "postings_dtypes"),
+            (lambda data: data["postings_dtypes"].update(term_freqs="<f8"), "'<f8'"),
+        ],
+        ids=["version-2", "no-dtypes", "unknown-dtype"],
+    )
+    def test_manifest_this_version_cannot_read_is_io_error_naming_the_fix(
+        self, index_dir, script_path, capsys, edit, fragment
+    ):
+        manifest = index_dir / "manifest.json"
+        data = json.loads(manifest.read_text())
+        edit(data)
+        manifest.write_text(json.dumps(data))
+        assert self.ask(index_dir, script_path) == EXIT_IO
+        err = capsys.readouterr().err
+        assert fragment in err and "rebuild" in err and "respqa index" in err
 
     def test_reindex_replaces_the_index(self, corpus_path, index_dir, script_path, capsys):
         (index_dir / "postings.bin").write_bytes(b"")

@@ -79,6 +79,22 @@ class TestPrecedence:
         assert config.pipeline.top_k == 2
         assert config.pipeline.max_iterations == 1
 
+    @pytest.mark.parametrize(
+        "in_file, flag, expected",
+        [(None, False, False), (True, False, True), (False, False, False), (False, True, True)],
+    )
+    def test_log_prompts_from_file_and_flag(self, tmp_path, script_path, in_file, flag, expected):
+        pipeline = {} if in_file is None else {"log_prompts": in_file}
+        path = write_yaml(
+            tmp_path,
+            {
+                "pipeline": pipeline,
+                "backends": {"mock": {"kind": "scripted", "script": str(script_path)}},
+            },
+        )
+        config = load_app_config(path, CliOverrides(log_prompts=flag))
+        assert config.pipeline.log_prompts is expected
+
     def test_no_backend_at_all_is_startup_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENV_ENDPOINT, raising=False)
         path = write_yaml(tmp_path, {"pipeline": {"top_k": 7}})
@@ -172,6 +188,9 @@ class TestValidation:
             ("retriever", "k1", float("nan")),
             ("retriever", "b", -0.1),
             ("retriever", "b", 3),
+            ("pipeline", "generator_temperature", True),
+            ("retriever", "k1", True),
+            ("retriever", "b", False),
         ],
     )
     def test_out_of_range_numeric_setting(self, tmp_path, script_path, section, key, value):
@@ -227,6 +246,42 @@ class TestValidation:
             },
         )
         with pytest.raises(ConfigurationError, match=f"{section}.{key} must be an integer"):
+            load_app_config(path)
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            ({"pipeline": {"log_prompts": True, "max_iteration": 1}}, "pipeline.max_iteration"),
+            ({"retriever": {"kind": "bm25", "vector": "v.jsonl"}}, "retriever.vector"),
+            ({"eval": {"parallelism": 2, "workers": 4}}, "eval.workers"),
+            ({"pipelines": {"top_k": 3}}, "pipelines"),
+            (
+                {"backends": {"mock": {"kind": "scripted", "script": "s", "model": "m"}}},
+                "backends.mock.model",
+            ),
+            (
+                {"backends": {"main": {"endpoint": "http://x/v1", "script": "s"}}},
+                "backends.main.script",
+            ),
+        ],
+    )
+    def test_unknown_key_is_named(self, tmp_path, script_path, data, named):
+        for spec in data.get("backends", {}).values():
+            if "script" in spec:
+                spec["script"] = str(script_path)
+        data.setdefault("backends", {"mock": {"kind": "scripted", "script": str(script_path)}})
+        with pytest.raises(ConfigurationError, match=f"unknown config key\\(s\\): {named}$"):
+            load_app_config(write_yaml(tmp_path, data))
+
+    def test_log_prompts_must_be_a_bool(self, tmp_path, script_path):
+        path = write_yaml(
+            tmp_path,
+            {
+                "pipeline": {"log_prompts": "yes please"},
+                "backends": {"mock": {"kind": "scripted", "script": str(script_path)}},
+            },
+        )
+        with pytest.raises(ConfigurationError, match="pipeline.log_prompts must be true or false"):
             load_app_config(path)
 
     @pytest.mark.parametrize(

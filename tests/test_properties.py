@@ -1,7 +1,9 @@
-"""Property tests: the reply parsers are total, and the input cap holds for any cap."""
+"""Property tests: the reply parsers are total, the input cap holds for any cap,
+and a saved index ranks like the one it was saved from."""
 
 import math
 import re
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from respqa.agents import (
 from respqa.errors import PromptTooLargeError
 from respqa.llm import whitespace_token_estimate
 from respqa.memory import NO_ANSWER_MARKER
+from respqa.retrieval import BM25Index, Document
 
 # Replies near the parsers' prefixes are where a parse could go wrong.
 replies = st.one_of(
@@ -92,3 +95,25 @@ def test_assembled_prompt_fits_the_cap_with_a_ranked_prefix(question, docs, data
     # The prefix is the longest one that fits: one more document would not.
     if kept[-1] < len(docs):
         assert whitespace_token_estimate(with_first(kept[-1] + 1)) > cap
+
+
+# Few distinct words make repeated terms, shared document frequencies and tied scores common.
+index_words = st.sampled_from(["ab", "cd", "ef", "gh", "Ab!", "x"])
+index_texts = st.builds(" ".join, st.lists(index_words, min_size=1, max_size=40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(index_texts, min_size=1, max_size=12),
+    queries=st.lists(st.builds(" ".join, st.lists(index_words, max_size=4)), min_size=1, max_size=4),
+    k=st.integers(1, 12),
+)
+def test_reopened_index_ranks_like_the_fresh_build(texts, queries, k):
+    docs = [Document(f"d{i:02d}", "", text) for i, text in enumerate(texts)]
+    fresh = BM25Index.build(docs)
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh.save(f"{tmp}/idx")
+        reopened = BM25Index.open(f"{tmp}/idx")
+    for query in queries:
+        want = [(hit.doc_id, hit.score) for hit in fresh.retrieve(query, k)]
+        assert [(hit.doc_id, hit.score) for hit in reopened.retrieve(query, k)] == want

@@ -226,6 +226,64 @@ class TestPersistence:
         with pytest.raises(CorpusError, match=r"version 1 .*rebuild the index with `respqa index`"):
             BM25Index.open(tmp_path)
 
+    @pytest.mark.parametrize(
+        "edit, fragment",
+        [
+            (lambda dtypes: dtypes.update(term_freqs="<i4"), "'term_freqs' has dtype '<i4'"),
+            (lambda dtypes: dtypes.update(offsets="<u8"), "'offsets' has dtype '<u8'"),
+            (lambda dtypes: dtypes.pop("doc_indices"), "'doc_indices' has dtype None"),
+            (lambda dtypes: dtypes.clear(), "'doc_lengths' has dtype None"),
+            (lambda dtypes: dtypes.update(doc_lengths="<u2"), "postings.bin holds .* add up to"),
+            (None, "postings_dtypes must be a mapping, got None"),
+        ],
+        ids=["signed", "eight-byte", "one-missing", "all-missing", "lengths-disagree", "no-dtypes"],
+    )
+    def test_open_rejects_bad_postings_dtypes(self, tmp_path, edit, fragment):
+        BM25Index.build(TEN_DOCS).save(tmp_path / "idx")
+        manifest = tmp_path / "idx" / "manifest.json"
+        data = json.loads(manifest.read_text())
+        if edit is None:
+            del data["postings_dtypes"]
+        else:
+            edit(data["postings_dtypes"])
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(CorpusError, match=f"{fragment}.*rebuild it with `respqa index`"):
+            BM25Index.open(tmp_path / "idx")
+
+    @pytest.mark.parametrize(
+        "docs, dtypes",
+        [
+            (
+                [doc(0, "cat " * 255), doc(1, "cat dog"), doc(2, "dog bird")],
+                {"doc_lengths": "|u1", "offsets": "|u1", "doc_indices": "|u1", "term_freqs": "|u1"},
+            ),
+            (
+                [doc(0, "cat " * 256), doc(1, "cat dog"), doc(2, "dog bird")],
+                {"doc_lengths": "<u2", "offsets": "|u1", "doc_indices": "|u1", "term_freqs": "<u2"},
+            ),
+            (
+                [doc(0, "cat " * 65_536 + "dog"), doc(1, "cat dog"), doc(2, "dog bird")],
+                {"doc_lengths": "<u4", "offsets": "|u1", "doc_indices": "|u1", "term_freqs": "<u4"},
+            ),
+            (
+                [doc(i, f"cat w{i} w{i % 7} w{i % 11}") for i in range(300)],
+                {"doc_lengths": "|u1", "offsets": "<u2", "doc_indices": "<u2", "term_freqs": "|u1"},
+            ),
+        ],
+        ids=["tf-255", "tf-256", "tf-65536", "300-docs"],
+    )
+    def test_round_trip_at_the_dtype_edges(self, tmp_path, docs, dtypes):
+        index = BM25Index.build(docs)
+        index.save(tmp_path / "idx")
+        manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
+        assert manifest["postings_dtypes"] == dtypes
+        reopened = BM25Index.open(tmp_path / "idx")
+        for query in ["cat", "dog", "cat dog bird", "w3 w5 cat", "w299"]:
+            fresh = [(h.doc_id, h.score) for h in index.retrieve(query, 10)]
+            assert [(h.doc_id, h.score) for h in reopened.retrieve(query, 10)] == fresh
+            assert fresh == bm25_brute_force(docs, query, 10)
+        assert reopened.stats == index.stats
+
     def test_open_rejects_wrong_format_tag(self, tmp_path):
         index = BM25Index.build(TEN_DOCS[:2])
         index.save(tmp_path / "idx")
@@ -377,6 +435,9 @@ def test_load_vectors(tmp_path):
         json.dumps({"id": "a", "vector": [1, 2]}) + "\n" + json.dumps({"id": "b", "vector": [3]}) + "\n"
     )
     assert load_vectors(path) == {"a": [1.0, 2.0], "b": [3.0]}
+    # Finite components are accepted even when their sum overflows.
+    path.write_text(json.dumps({"id": "a", "vector": [1.7e308, 1.7e308]}) + "\n")
+    assert load_vectors(path) == {"a": [1.7e308, 1.7e308]}
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps({"id": "a"}) + "\n")
     with pytest.raises(CorpusError, match=":1:"):
@@ -388,6 +449,13 @@ def test_load_vectors(tmp_path):
     [
         ([{"id": "d1", "vector": [3.0]}, {"id": "d1", "vector": [1.0]}], ":2: duplicate id 'd1'"),
         ([{"id": "d1", "vector": [3.0]}, {"id": 5, "vector": [1.0]}], ":2: 'id' must be a string"),
+        ([{"id": "d1", "vector": "123"}], ":1: 'vector' must be a JSON array, got str"),
+        ([{"id": "d1", "vector": 7}], ":1: 'vector' must be a JSON array, got int"),
+        (
+            [{"id": "d1", "vector": [1.0]}, {"id": "d2", "vector": [float("nan")]}],
+            ":2: vector has a non-finite",
+        ),
+        ([{"id": "d1", "vector": [1.0, float("-inf")]}], ":1: vector has a non-finite"),
     ],
 )
 def test_load_vectors_rejects_bad_ids(tmp_path, rows, fragment):
