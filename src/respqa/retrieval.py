@@ -1,11 +1,15 @@
 """Corpus ingestion, a persistent BM25 inverted index, and top-k retrieval.
 
 The corpus is JSONL with keys ``id``, ``title``, ``contents`` (one document
-per line). The index lives in a directory: a JSON manifest tagged with a
-format version, the documents and the vocabulary as JSON, and the postings as
-little-endian unsigned arrays, each in the narrowest of 1, 2 or 4 bytes that
-holds its largest value. A rebuilt or reopened index returns byte-identical
-rankings.
+per line). The index lives in a directory (format v4): a JSON manifest tagged
+with a format version; ``documents.txt``, every document's id, title and text
+concatenated as UTF-8; ``terms.txt``, the vocabulary joined by newlines; and
+``postings.bin``, little-endian unsigned arrays, each in the narrowest of 1, 2
+or 4 bytes that holds its largest value: the postings, the byte offsets of
+the document fields and each document's rank in doc-id order. Opening an
+index parses no document: it keeps ``documents.txt`` as bytes and decodes a
+document only when a query returns it. A rebuilt or reopened index returns
+byte-identical rankings.
 
 An alternative dense retriever (cosine over externally computed vectors) is
 provided behind the same ``retrieve(query, k)`` surface.
@@ -24,7 +28,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -35,7 +39,7 @@ if TYPE_CHECKING:
     import requests
 
 INDEX_FORMAT_TAG = "respqa-bm25"
-INDEX_FORMAT_VERSION = 3
+INDEX_FORMAT_VERSION = 4
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -44,13 +48,13 @@ DEFAULT_B = 0.75
 EMBEDDING_TIMEOUT_S = 30.0
 
 _MANIFEST_FILE = "manifest.json"
-_DOCUMENTS_FILE = "documents.json"
-_TERMS_FILE = "terms.json"
+_DOCUMENTS_FILE = "documents.txt"
+_TERMS_FILE = "terms.txt"
 _POSTINGS_FILE = "postings.bin"
 _DATA_FILES = (_DOCUMENTS_FILE, _TERMS_FILE, _POSTINGS_FILE)
 # postings.bin holds these arrays back to back; the manifest records the dtype
 # of each, the narrowest of _POSTING_DTYPES that holds its largest value.
-_POSTING_ARRAYS = ("doc_lengths", "offsets", "doc_indices", "term_freqs")
+_POSTING_ARRAYS = ("doc_lengths", "offsets", "doc_indices", "term_freqs", "doc_fields", "id_ranks")
 _POSTING_DTYPES = ("|u1", "<u2", "<u4")
 
 
@@ -125,16 +129,68 @@ def read_corpus(path: str | Path) -> Iterator[Document]:
 
     Each line must be an object with non-empty string values for ``id``,
     ``title`` may be empty, and ``contents`` must be non-empty after
-    trimming. Malformed lines raise CorpusError naming the line number.
+    trimming. No field may hold a lone surrogate (a JSON ``\\ud800``
+    escape), which UTF-8 cannot encode. Malformed lines raise CorpusError
+    naming the line number.
     """
-    for where, row in read_jsonl(path, CorpusError, ("id", "title", "contents")):
+    keys = ("id", "title", "contents")
+    for where, row in read_jsonl(path, CorpusError, keys):
         doc_id = row["id"]
         if not isinstance(doc_id, str) or not doc_id:
             raise CorpusError(f"{where}: 'id' must be a non-empty string")
         text = row["contents"]
         if not isinstance(text, str) or not text.strip():
             raise CorpusError(f"{where}: 'contents' must be non-empty")
-        yield Document(doc_id=doc_id, title=str(row["title"]), text=text)
+        doc = Document(doc_id=doc_id, title=str(row["title"]), text=text)
+        try:
+            for key, field in zip(keys, doc):
+                field.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CorpusError(
+                f"{where}: {key!r} holds a lone surrogate {exc.object[exc.start]!r}, "
+                "which UTF-8 cannot encode"
+            ) from None
+        yield doc
+
+
+class _DocumentStore:
+    """The documents' fields as UTF-8 bytes, back to back, cut at 3n + 1 byte offsets.
+
+    Document i's id, title and text lie between offsets 3i and 3i + 3.
+    ``store[i]`` decodes that ``Document`` when asked, so opening an index
+    parses no document.
+    """
+
+    def __init__(self, data: bytes, bounds: np.ndarray) -> None:
+        self.data = data
+        self.bounds = bounds
+
+    def __getitem__(self, i: int) -> Document:
+        start, title, text, end = self.bounds[3 * i : 3 * i + 4].tolist()
+        data = self.data
+        return Document(
+            data[start:title].decode(), data[title:text].decode(), data[text:end].decode()
+        )
+
+    def documents(self) -> list[Document]:
+        """Every document, in corpus order."""
+        bounds = self.bounds.tolist()
+        fields = [self.data[start:end].decode() for start, end in zip(bounds, bounds[1:])]
+        return list(map(Document._make, zip(fields[0::3], fields[1::3], fields[2::3])))
+
+    def check(self) -> None:
+        """Raise ValueError unless the offsets cut the data into whole UTF-8 fields."""
+        data, bounds = self.data, self.bounds
+        if bounds[0] != 0 or bounds[-1] != len(data) or (bounds[1:] < bounds[:-1]).any():
+            raise ValueError(
+                f"the document field offsets decrease or do not span {_DOCUMENTS_FILE}"
+            )
+        if not data.isascii():
+            data.decode("utf-8")
+            # No field may start on a UTF-8 continuation byte (0b10xxxxxx).
+            starts = bounds[bounds < len(data)]
+            if (np.frombuffer(data, dtype=np.uint8)[starts] & 0xC0 == 0x80).any():
+                raise ValueError("a document field offset falls inside a UTF-8 character")
 
 
 class BM25Index:
@@ -144,7 +200,8 @@ class BM25Index:
     grouped by term through per-term offsets; a saved index stores each array
     in the narrowest unsigned dtype that holds it. Each posting's BM25 gain is
     computed once, at build and at open, so a query only adds gains into a
-    score vector. Immutable after build; concurrent retrieval is safe.
+    score vector. The documents sit in a ``_DocumentStore`` and are built
+    only for the hits. Immutable after build; concurrent retrieval is safe.
     Scores are always non-negative because the IDF uses
     log(1 + (N - df + 0.5) / (df + 0.5)). Ties are broken by ascending doc_id
     so rankings are deterministic.
@@ -152,39 +209,41 @@ class BM25Index:
 
     def __init__(
         self,
-        documents: list[Document],
+        store: _DocumentStore,
+        id_ranks: np.ndarray,
         doc_lengths: np.ndarray,
-        terms: list[str],
+        term_ids: dict[str, int],
         offsets: np.ndarray,
         doc_indices: np.ndarray,
         term_freqs: np.ndarray,
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
     ) -> None:
-        self._documents = documents
+        self._store = store
+        self._id_ranks = id_ranks
         self._doc_lengths = doc_lengths
-        self._term_ids = dict(zip(terms, range(len(terms))))
+        self._term_ids = term_ids
         self._offsets = offsets
         # Fancy indexing casts any other index dtype to intp on every call.
         self._doc_indices = doc_indices.astype(np.intp)
         self._term_freqs = term_freqs
-        self._avgdl = int(doc_lengths.sum()) / len(documents) if documents else 0.0
+        n = len(doc_lengths)
+        self._avgdl = int(doc_lengths.sum()) / n if n else 0.0
         self.k1 = k1
         self.b = b
         self._weights = self._posting_weights()
-        self._id_ranks = _id_ranks(documents)
 
     @property
     def stats(self) -> IndexStats:
         return IndexStats(
-            num_documents=len(self._documents),
+            num_documents=len(self._doc_lengths),
             num_terms=len(self._term_ids),
             avg_doc_length=self._avgdl,
         )
 
     @property
     def documents(self) -> list[Document]:
-        return list(self._documents)
+        return self._store.documents()
 
     @classmethod
     def build(
@@ -198,8 +257,9 @@ class BM25Index:
         Raises CorpusError for duplicate doc_ids, empty passages, or an
         empty stream.
         """
-        docs: list[Document] = []
-        seen_ids: set[str] = set()
+        data = bytearray()  # every document's id, title and text as UTF-8, back to back
+        field_ends = array("q")
+        doc_ids: dict[str, None] = {}  # an ordered set
         vocabulary = _Vocabulary()
         lengths = array("i")
         distinct_terms = array("i")
@@ -207,30 +267,39 @@ class BM25Index:
         term_ids = array("i")
         term_freqs = array("i")
         for doc in documents:
-            if doc.doc_id in seen_ids:
+            if doc.doc_id in doc_ids:
                 raise CorpusError(f"duplicate doc_id in corpus: {doc.doc_id!r}")
             if not doc.text.strip():
                 raise CorpusError(f"document {doc.doc_id!r} has empty text")
-            seen_ids.add(doc.doc_id)
-            docs.append(doc)
+            doc_ids[doc.doc_id] = None
+            try:
+                for field in doc:
+                    data += field.encode("utf-8")
+                    field_ends.append(len(data))
+            except UnicodeEncodeError as exc:
+                raise CorpusError(f"document {doc.doc_id!r} is not UTF-8 text: {exc}") from None
             tokens = tokenize(doc.text)
             counts = Counter(tokens)
             lengths.append(len(tokens))
             distinct_terms.append(len(counts))
             term_ids.extend(map(vocabulary.__getitem__, counts))
             term_freqs.extend(counts.values())
-        if not docs:
+        if not doc_ids:
             raise CorpusError("corpus is empty: at least one document is required")
+        store = _DocumentStore(bytes(data), np.array([0, *field_ends], dtype=np.int64))
+        del data  # the store holds a copy
+        id_ranks = _id_ranks(list(doc_ids))
         term_of_pair = np.array(term_ids, dtype=np.int32)
         # A stable sort groups pairs by term and keeps document order within a term.
         order = np.argsort(term_of_pair, kind="stable")
-        doc_of_pair = np.repeat(np.arange(len(docs), dtype=np.int32), distinct_terms)
+        doc_of_pair = np.repeat(np.arange(len(lengths), dtype=np.int32), distinct_terms)
         offsets = np.zeros(len(vocabulary) + 1, dtype=np.int64)
         np.cumsum(np.bincount(term_of_pair, minlength=len(vocabulary)), out=offsets[1:])
         return cls(
-            docs,
+            store,
+            id_ranks,
             np.array(lengths, dtype=np.int32),
-            list(vocabulary),
+            dict(vocabulary),
             offsets,
             doc_of_pair[order],
             np.array(term_freqs, dtype=np.int32)[order],
@@ -246,7 +315,7 @@ class BM25Index:
         and each query's sum of weights in query-term order, equals the
         scalar computation bit for bit.
         """
-        n = len(self._documents)
+        n = len(self._doc_lengths)
         df = np.diff(self._offsets)
         distinct_df, df_rank = np.unique(df, return_inverse=True)
         idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in distinct_df.tolist()])
@@ -271,7 +340,7 @@ class BM25Index:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        scores = np.zeros(len(self._documents))
+        scores = np.zeros(len(self._doc_lengths))
         for term in tokenize(query):
             term_id = self._term_ids.get(term)
             if term_id is None:
@@ -279,7 +348,7 @@ class BM25Index:
             start, end = self._offsets[term_id], self._offsets[term_id + 1]
             # A term lists each document once, so this fancy-indexed add is exact.
             scores[self._doc_indices[start:end]] += self._weights[start:end]
-        return _ranked_hits(self._documents, self._id_ranks, scores, k)
+        return _ranked_hits(self._store, self._id_ranks, scores, k)
 
     def save(self, index_dir: str | Path) -> None:
         """Persist to a directory (manifest, documents, vocabulary, postings).
@@ -294,20 +363,27 @@ class BM25Index:
             (target / _MANIFEST_FILE).is_file() or (target.is_dir() and not any(target.iterdir()))
         ):
             raise CorpusError(f"refusing to replace {target}: not empty and not an index directory")
-        postings = (self._doc_lengths, self._offsets, self._doc_indices, self._term_freqs)
-        dtypes = [np.min_scalar_type(part.max(initial=0)).newbyteorder("<") for part in postings]
+        arrays = (
+            self._doc_lengths,
+            self._offsets,
+            self._doc_indices,
+            self._term_freqs,
+            self._store.bounds,
+            self._id_ranks,
+        )
+        dtypes = [np.min_scalar_type(part.max(initial=0)).newbyteorder("<") for part in arrays]
         payloads = {
-            # A Document is a tuple, so each one is written as a JSON array.
-            _DOCUMENTS_FILE: json.dumps(self._documents, ensure_ascii=False).encode("utf-8"),
-            _TERMS_FILE: json.dumps(list(self._term_ids), ensure_ascii=False).encode("utf-8"),
+            _DOCUMENTS_FILE: self._store.data,
+            # tokenize splits on whitespace, so no term holds a newline.
+            _TERMS_FILE: "\n".join(self._term_ids).encode("utf-8"),
             _POSTINGS_FILE: b"".join(
-                part.astype(dtype).tobytes() for part, dtype in zip(postings, dtypes)
+                part.astype(dtype).tobytes() for part, dtype in zip(arrays, dtypes)
             ),
         }
         manifest = {
             "format_tag": INDEX_FORMAT_TAG,
             "format_version": INDEX_FORMAT_VERSION,
-            "num_documents": len(self._documents),
+            "num_documents": len(self._doc_lengths),
             "num_terms": len(self._term_ids),
             "num_postings": len(self._doc_indices),
             "avg_doc_length": self._avgdl,
@@ -343,9 +419,10 @@ class BM25Index:
         """Open a persisted index.
 
         Validates the format tag and version, each data file's size and
-        CRC-32 against the manifest, the manifest's counts, and the postings
-        dtypes and byte lengths. Any missing, truncated or malformed file
-        raises CorpusError.
+        CRC-32 against the manifest, the manifest's counts, the postings
+        dtypes and byte lengths, the document field offsets, the doc-id ranks
+        and the vocabulary. Any missing, truncated or malformed file raises
+        CorpusError.
         """
         index_dir = Path(index_dir)
         manifest_path = index_dir / _MANIFEST_FILE
@@ -369,18 +446,29 @@ class BM25Index:
             files = manifest["files"]
             data = {name: _read_checked(index_dir / name, files[name]) for name in _DATA_FILES}
             n, t, p = (int(manifest[key]) for key in ("num_documents", "num_terms", "num_postings"))
-            documents = list(map(Document._make, json.loads(data[_DOCUMENTS_FILE])))
-            terms = json.loads(data[_TERMS_FILE])
-            if (len(documents), len(terms)) != (n, t):
-                raise ValueError("document or term counts disagree with the manifest")
-            lengths, offsets, doc_indices, term_freqs = _posting_arrays(
-                data[_POSTINGS_FILE], manifest.get("postings_dtypes"), (n, t + 1, p, p)
+            lengths, offsets, doc_indices, term_freqs, bounds, id_ranks = _posting_arrays(
+                data[_POSTINGS_FILE],
+                manifest.get("postings_dtypes"),
+                (n, t + 1, p, p, 3 * n + 1, n),
             )
+            store = _DocumentStore(data[_DOCUMENTS_FILE], bounds)
+            store.check()
+            if not np.array_equal(np.sort(id_ranks), np.arange(n)):
+                raise ValueError("id_ranks is not a permutation of the documents")
+            vocabulary = data[_TERMS_FILE].decode("utf-8")
+            terms = vocabulary.split("\n") if vocabulary else []
+            if len(terms) != t:
+                raise ValueError("term counts disagree with the manifest")
+            term_ids = dict(zip(terms, range(t)))
+            if len(term_ids) != t:
+                raise ValueError(f"{_TERMS_FILE} lists a term more than once")
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CorpusError(
                 f"corrupt index in {index_dir}: {exc}; rebuild it with `respqa index`"
             ) from exc
-        return cls(documents, lengths, terms, offsets, doc_indices, term_freqs, k1=k1, b=b)
+        return cls(
+            store, id_ranks, lengths, term_ids, offsets, doc_indices, term_freqs, k1=k1, b=b
+        )
 
 
 class _Vocabulary(dict):
@@ -426,16 +514,19 @@ def _posting_arrays(data: bytes, dtypes: object, counts: tuple[int, ...]) -> lis
     ]
 
 
-def _id_ranks(documents: list[Document]) -> np.ndarray:
+def _id_ranks(doc_ids: Sequence[str]) -> np.ndarray:
     """Each document's position in ascending doc_id order: the tie-break key."""
-    order = sorted(range(len(documents)), key=lambda i: documents[i].doc_id)
-    ranks = np.empty(len(documents), dtype=np.int64)
-    ranks[order] = np.arange(len(documents))
+    order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+    ranks = np.empty(len(doc_ids), dtype=np.int64)
+    ranks[order] = np.arange(len(doc_ids))
     return ranks
 
 
 def _ranked_hits(
-    documents: list[Document], id_ranks: np.ndarray, scores: np.ndarray, k: int
+    documents: Sequence[Document] | _DocumentStore,
+    id_ranks: np.ndarray,
+    scores: np.ndarray,
+    k: int,
 ) -> list[RetrievedDocument]:
     """Hits for the k highest positive scores, ties by ascending doc_id."""
     candidates = np.flatnonzero(scores > 0.0)
@@ -502,11 +593,18 @@ class EmbeddingEndpointClient:
             raise RetrieverError(f"embedding endpoint failed: {exc}") from exc
 
 
+# The exact types json.loads gives a JSON number. Types are compared exactly,
+# so a bool, an int subclass that float() would take, is refused.
+_FLOAT = frozenset((float,))
+_JSON_NUMBERS = frozenset((int, float))
+
+
 def load_vectors(path: str | Path) -> dict[str, list[float]]:
     """Load per-document vectors from JSONL rows {"id": <unique str>, "vector": [...]}.
 
-    Each vector must be a JSON array of finite numbers; a bad row raises
-    CorpusError naming its line.
+    Each vector must be a JSON array of finite numbers (not strings or
+    booleans, which ``float`` would take); a bad row raises CorpusError
+    naming its line.
     """
     vectors: dict[str, list[float]] = {}
     for where, row in read_jsonl(path, CorpusError, ("id", "vector")):
@@ -518,10 +616,17 @@ def load_vectors(path: str | Path) -> dict[str, list[float]]:
         raw = row["vector"]
         if not isinstance(raw, list):
             raise CorpusError(f"{where}: 'vector' must be a JSON array, got {type(raw).__name__}")
-        try:
-            vector = [float(x) for x in raw]
-        except (TypeError, ValueError) as exc:
-            raise CorpusError(f"{where}: invalid vector ({exc})") from exc
+        # A row of JSON floats is kept as parsed: float() would return each one unchanged.
+        if _FLOAT.issuperset(map(type, raw)):
+            vector = raw
+        elif _JSON_NUMBERS.issuperset(map(type, raw)):
+            try:
+                vector = list(map(float, raw))
+            except OverflowError as exc:  # an integer beyond the float range
+                raise CorpusError(f"{where}: vector has a component out of range ({exc})") from None
+        else:
+            bad = next(x for x in raw if type(x) not in _JSON_NUMBERS)
+            raise CorpusError(f"{where}: vector component {bad!r} is not a number")
         # The sum is NaN or infinite when a component is, and costs less than
         # testing each one; finite components whose sum overflows pass the second test.
         if not math.isfinite(sum(vector)) and not all(map(math.isfinite, vector)):
@@ -554,7 +659,7 @@ class EmbeddingRetriever:
         except ValueError as exc:
             raise CorpusError(f"document vectors must all have one length: {exc}") from exc
         self._units = _unit_rows(matrix)
-        self._id_ranks = _id_ranks(self._documents)
+        self._id_ranks = _id_ranks([doc.doc_id for doc in self._documents])
         self._embed = embed
 
     def retrieve(self, query: str, k: int) -> list[RetrievedDocument]:

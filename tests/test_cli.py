@@ -69,6 +69,14 @@ class TestIndexCommand:
         assert main(["index", str(path), "--out", str(tmp_path / "idx")]) == EXIT_IO
         assert "dup-doc" in capsys.readouterr().err
 
+    def test_lone_surrogate_is_io_error_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "corpus.jsonl"
+        row = {"id": "d1", "title": "t", "contents": "half \ud800 pair"}
+        path.write_text(json.dumps(row) + "\n")
+        assert main(["index", str(path), "--out", str(tmp_path / "idx")]) == EXIT_IO
+        assert f"{path}:1: 'contents' holds a lone surrogate" in capsys.readouterr().err
+        assert not (tmp_path / "idx").exists()
+
 
 class TestAskCommand:
     def test_prints_answer(self, index_dir, script_path, capsys):
@@ -297,6 +305,8 @@ class TestUnreadableInput:
         [
             ("123", "'vector' must be a JSON array"),
             ([1.0, float("inf")], "vector has a non-finite component"),
+            (["1.5", True], "vector component '1.5' is not a number"),
+            ([1.0, 10**400], "vector has a component out of range"),
         ],
     )
     def test_bad_vector_is_io_error(
@@ -480,8 +490,9 @@ class TestDamagedIndex:
             (lambda data: data.update(format_version=2), "version 2"),
             (lambda data: data.pop("postings_dtypes"), "postings_dtypes"),
             (lambda data: data["postings_dtypes"].update(term_freqs="<f8"), "'<f8'"),
+            (lambda data: data.update(format_version=3), "version 3"),
         ],
-        ids=["version-2", "no-dtypes", "unknown-dtype"],
+        ids=["version-2", "no-dtypes", "unknown-dtype", "version-3"],
     )
     def test_manifest_this_version_cannot_read_is_io_error_naming_the_fix(
         self, index_dir, script_path, capsys, edit, fragment

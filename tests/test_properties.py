@@ -1,5 +1,5 @@
 """Property tests: the reply parsers are total, the input cap holds for any cap,
-and a saved index ranks like the one it was saved from."""
+and a saved index keeps its documents and ranks like the one it was saved from."""
 
 import math
 import re
@@ -114,6 +114,42 @@ def test_reopened_index_ranks_like_the_fresh_build(texts, queries, k):
     with tempfile.TemporaryDirectory() as tmp:
         fresh.save(f"{tmp}/idx")
         reopened = BM25Index.open(f"{tmp}/idx")
+    for query in queries:
+        want = [(hit.doc_id, hit.score) for hit in fresh.retrieve(query, k)]
+        assert [(hit.doc_id, hit.score) for hit in reopened.retrieve(query, k)] == want
+
+
+# Words from one-, two-, three- and four-byte UTF-8, astral-plane letters and emoji included.
+unicode_words = st.sampled_from(
+    ["ab", "Ab!", "caf\u00e9", "\u6771\u4eac", "\U0001d518\U0001d52b", "\U0001f600", "x\u00ad"]
+)
+unicode_texts = st.builds(
+    lambda words, tail: " ".join(words) + tail,
+    st.lists(unicode_words, min_size=1, max_size=30),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fields=st.lists(
+        st.tuples(st.text(min_size=1, max_size=8), st.text(max_size=12), unicode_texts),
+        min_size=1,
+        max_size=10,
+        unique_by=lambda row: row[0],
+    ),
+    queries=st.lists(
+        st.builds(" ".join, st.lists(unicode_words, max_size=4)), min_size=1, max_size=4
+    ),
+    k=st.integers(1, 12),
+)
+def test_saved_index_keeps_unicode_documents_and_rankings(fields, queries, k):
+    docs = [Document(*row) for row in fields]
+    fresh = BM25Index.build(docs)
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh.save(f"{tmp}/idx")
+        reopened = BM25Index.open(f"{tmp}/idx")
+    assert reopened.documents == fresh.documents == docs
     for query in queries:
         want = [(hit.doc_id, hit.score) for hit in fresh.retrieve(query, k)]
         assert [(hit.doc_id, hit.score) for hit in reopened.retrieve(query, k)] == want

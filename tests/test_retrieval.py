@@ -1,6 +1,8 @@
 import json
 import random
+import zlib
 
+import numpy as np
 import pytest
 
 from respqa.errors import CorpusError, RetrieverError
@@ -94,6 +96,10 @@ class TestBuildIndex:
         with pytest.raises(CorpusError, match="d0"):
             BM25Index.build([doc(0, "   ")])
 
+    def test_lone_surrogate(self):
+        with pytest.raises(CorpusError, match="'d0' is not UTF-8 text"):
+            BM25Index.build([doc(0, "half a pair \ud800 here")])
+
 
 class TestRetrieve:
     def test_unique_match(self):
@@ -149,6 +155,54 @@ class TestRetrieve:
         assert all(score > 0 for score in scores)
 
 
+def rewrite_index_file(index_dir, name, data):
+    """Replace one index file and record its new size and CRC-32 in the manifest."""
+    (index_dir / name).write_bytes(data)
+    manifest_path = index_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["files"][name] = {"bytes": len(data), "crc32": zlib.crc32(data)}
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def edit_postings_array(index_dir, name, edit):
+    """Apply ``edit`` to one array of postings.bin, keeping its dtype and the CRC-32 right."""
+    manifest = json.loads((index_dir / "manifest.json").read_text())
+    n, t, p = (manifest[key] for key in ("num_documents", "num_terms", "num_postings"))
+    counts = {"doc_lengths": n, "offsets": t + 1, "doc_indices": p, "term_freqs": p,
+              "doc_fields": 3 * n + 1, "id_ranks": n}
+    data = (index_dir / "postings.bin").read_bytes()
+    arrays, start = {}, 0
+    for key, count in counts.items():
+        dtype = np.dtype(manifest["postings_dtypes"][key])
+        arrays[key] = np.frombuffer(data, dtype=dtype, count=count, offset=start).copy()
+        start += count * dtype.itemsize
+    edit(arrays[name])
+    rewrite_index_file(index_dir, "postings.bin", b"".join(a.tobytes() for a in arrays.values()))
+
+
+def swap_second_and_third(bounds):
+    bounds[[1, 2]] = bounds[[2, 1]]
+
+
+def shorten_the_last(bounds):
+    bounds[-1] -= 1
+
+
+def step_back_into_the_title(bounds):
+    # The first title ends in a two-byte character; the text now starts inside it.
+    bounds[2] -= 1
+
+
+def repeat_the_first(ranks):
+    ranks[1] = ranks[0]
+
+
+def duplicate_the_first_term(index_dir):
+    terms = (index_dir / "terms.txt").read_text(encoding="utf-8").split("\n")
+    terms[1] = terms[0]
+    rewrite_index_file(index_dir, "terms.txt", "\n".join(terms).encode("utf-8"))
+
+
 class TestPersistence:
     def test_round_trip_identical_results(self, tmp_path):
         index = BM25Index.build(TEN_DOCS)
@@ -194,8 +248,8 @@ class TestPersistence:
         "name, damage",
         [
             ("postings.bin", lambda data: data[:-3]),
-            ("documents.json", lambda data: data.replace(b"cat", b"cot", 1)),
-            ("terms.json", None),
+            ("documents.txt", lambda data: data.replace(b"cat", b"cot", 1)),
+            ("terms.txt", None),
             ("manifest.json", lambda data: data[: len(data) // 2]),
         ],
         ids=["truncated-postings", "modified-documents", "missing-terms", "truncated-manifest"],
@@ -255,19 +309,23 @@ class TestPersistence:
         [
             (
                 [doc(0, "cat " * 255), doc(1, "cat dog"), doc(2, "dog bird")],
-                {"doc_lengths": "|u1", "offsets": "|u1", "doc_indices": "|u1", "term_freqs": "|u1"},
+                {"doc_lengths": "|u1", "offsets": "|u1", "doc_indices": "|u1", "term_freqs": "|u1",
+                 "doc_fields": "<u2", "id_ranks": "|u1"},
             ),
             (
                 [doc(0, "cat " * 256), doc(1, "cat dog"), doc(2, "dog bird")],
-                {"doc_lengths": "<u2", "offsets": "|u1", "doc_indices": "|u1", "term_freqs": "<u2"},
+                {"doc_lengths": "<u2", "offsets": "|u1", "doc_indices": "|u1", "term_freqs": "<u2",
+                 "doc_fields": "<u2", "id_ranks": "|u1"},
             ),
             (
                 [doc(0, "cat " * 65_536 + "dog"), doc(1, "cat dog"), doc(2, "dog bird")],
-                {"doc_lengths": "<u4", "offsets": "|u1", "doc_indices": "|u1", "term_freqs": "<u4"},
+                {"doc_lengths": "<u4", "offsets": "|u1", "doc_indices": "|u1", "term_freqs": "<u4",
+                 "doc_fields": "<u4", "id_ranks": "|u1"},
             ),
             (
                 [doc(i, f"cat w{i} w{i % 7} w{i % 11}") for i in range(300)],
-                {"doc_lengths": "|u1", "offsets": "<u2", "doc_indices": "<u2", "term_freqs": "|u1"},
+                {"doc_lengths": "|u1", "offsets": "<u2", "doc_indices": "<u2", "term_freqs": "|u1",
+                 "doc_fields": "<u2", "id_ranks": "<u2"},
             ),
         ],
         ids=["tf-255", "tf-256", "tf-65536", "300-docs"],
@@ -283,6 +341,40 @@ class TestPersistence:
             assert [(h.doc_id, h.score) for h in reopened.retrieve(query, 10)] == fresh
             assert fresh == bm25_brute_force(docs, query, 10)
         assert reopened.stats == index.stats
+
+    @pytest.mark.parametrize(
+        "docs, damage, fragment",
+        [
+            (
+                TEN_DOCS,
+                lambda idx: edit_postings_array(idx, "doc_fields", swap_second_and_third),
+                "field offsets decrease",
+            ),
+            (
+                TEN_DOCS,
+                lambda idx: edit_postings_array(idx, "doc_fields", shorten_the_last),
+                "field offsets decrease or do not span documents.txt",
+            ),
+            (
+                [Document("d0", "Caf\u00e9", "cr\u00e8me br\u00fbl\u00e9e"), doc(1, "cat")],
+                lambda idx: edit_postings_array(idx, "doc_fields", step_back_into_the_title),
+                "offset falls inside a UTF-8 character",
+            ),
+            (
+                TEN_DOCS,
+                lambda idx: edit_postings_array(idx, "id_ranks", repeat_the_first),
+                "id_ranks is not a permutation",
+            ),
+            (TEN_DOCS, duplicate_the_first_term, "terms.txt lists a term more than once"),
+        ],
+        ids=["fields-decrease", "fields-end-short", "field-inside-a-character",
+             "ranks-not-a-permutation", "duplicate-term"],
+    )
+    def test_open_rejects_files_that_disagree(self, tmp_path, docs, damage, fragment):
+        BM25Index.build(docs).save(tmp_path / "idx")
+        damage(tmp_path / "idx")
+        with pytest.raises(CorpusError, match=f"{fragment}.*rebuild it with `respqa index`"):
+            BM25Index.open(tmp_path / "idx")
 
     def test_open_rejects_wrong_format_tag(self, tmp_path):
         index = BM25Index.build(TEN_DOCS[:2])
@@ -331,6 +423,15 @@ class TestReadCorpus:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError, match="not found"):
             list(read_corpus(tmp_path / "nope.jsonl"))
+
+    @pytest.mark.parametrize("key", ["id", "title", "contents"])
+    def test_lone_surrogate_names_line(self, tmp_path, key):
+        row = {"id": "a", "title": "t", "contents": "text"}
+        row[key] += "\ud800"
+        first = {"id": "z", "title": "", "contents": "x"}
+        path = self.write(tmp_path, [json.dumps(first), json.dumps(row)])
+        with pytest.raises(CorpusError, match=f":2: '{key}' holds a lone surrogate"):
+            list(read_corpus(path))
 
     def test_crlf_endings_and_blank_lines(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -434,7 +535,9 @@ def test_load_vectors(tmp_path):
     path.write_text(
         json.dumps({"id": "a", "vector": [1, 2]}) + "\n" + json.dumps({"id": "b", "vector": [3]}) + "\n"
     )
-    assert load_vectors(path) == {"a": [1.0, 2.0], "b": [3.0]}
+    loaded = load_vectors(path)
+    assert loaded == {"a": [1.0, 2.0], "b": [3.0]}
+    assert {type(x) for vector in loaded.values() for x in vector} == {float}
     # Finite components are accepted even when their sum overflows.
     path.write_text(json.dumps({"id": "a", "vector": [1.7e308, 1.7e308]}) + "\n")
     assert load_vectors(path) == {"a": [1.7e308, 1.7e308]}
@@ -456,6 +559,10 @@ def test_load_vectors(tmp_path):
             ":2: vector has a non-finite",
         ),
         ([{"id": "d1", "vector": [1.0, float("-inf")]}], ":1: vector has a non-finite"),
+        ([{"id": "d1", "vector": ["1.5", 2.0]}], ":1: vector component '1.5' is not a number"),
+        ([{"id": "d1", "vector": [1.5, True]}], ":1: vector component True is not a number"),
+        ([{"id": "d1", "vector": [None]}], ":1: vector component None is not a number"),
+        ([{"id": "d1", "vector": [1, 10**400]}], ":1: vector has a component out of range"),
     ],
 )
 def test_load_vectors_rejects_bad_ids(tmp_path, rows, fragment):
