@@ -4,12 +4,11 @@ The corpus is JSONL with keys ``id``, ``title``, ``contents`` (one document
 per line). The index lives in a directory (format v4): a JSON manifest tagged
 with a format version; ``documents.txt``, every document's id, title and text
 concatenated as UTF-8; ``terms.txt``, the vocabulary joined by newlines; and
-``postings.bin``, little-endian unsigned arrays, each in the narrowest of 1, 2
-or 4 bytes that holds its largest value: the postings, the byte offsets of
-the document fields and each document's rank in doc-id order. Opening an
-index parses no document: it keeps ``documents.txt`` as bytes and decodes a
-document only when a query returns it. A rebuilt or reopened index returns
-byte-identical rankings.
+``postings.bin``, little-endian unsigned arrays, each in the narrowest of 1, 2,
+4 or 8 bytes that holds its largest value: the postings and the byte offsets
+of the document fields. Opening an index parses no document: it keeps
+``documents.txt`` as bytes and decodes a document only when a query returns
+it. A rebuilt or reopened index returns byte-identical rankings.
 
 An alternative dense retriever (cosine over externally computed vectors) is
 provided behind the same ``retrieve(query, k)`` surface.
@@ -54,8 +53,8 @@ _POSTINGS_FILE = "postings.bin"
 _DATA_FILES = (_DOCUMENTS_FILE, _TERMS_FILE, _POSTINGS_FILE)
 # postings.bin holds these arrays back to back; the manifest records the dtype
 # of each, the narrowest of _POSTING_DTYPES that holds its largest value.
-_POSTING_ARRAYS = ("doc_lengths", "offsets", "doc_indices", "term_freqs", "doc_fields", "id_ranks")
-_POSTING_DTYPES = ("|u1", "<u2", "<u4")
+_POSTING_ARRAYS = ("doc_lengths", "offsets", "doc_indices", "term_freqs", "doc_fields")
+_POSTING_DTYPES = ("|u1", "<u2", "<u4", "<u8")
 
 
 class _PunctuationTable(dict):
@@ -142,14 +141,16 @@ def read_corpus(path: str | Path) -> Iterator[Document]:
         if not isinstance(text, str) or not text.strip():
             raise CorpusError(f"{where}: 'contents' must be non-empty")
         doc = Document(doc_id=doc_id, title=str(row["title"]), text=text)
-        try:
-            for key, field in zip(keys, doc):
+        for key, field in zip(keys, doc):
+            if field.isascii():  # no surrogate; CPython reads this from a flag
+                continue
+            try:
                 field.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise CorpusError(
-                f"{where}: {key!r} holds a lone surrogate {exc.object[exc.start]!r}, "
-                "which UTF-8 cannot encode"
-            ) from None
+            except UnicodeEncodeError as exc:
+                raise CorpusError(
+                    f"{where}: {key!r} holds a lone surrogate {exc.object[exc.start]!r}, "
+                    "which UTF-8 cannot encode"
+                ) from None
         yield doc
 
 
@@ -178,6 +179,15 @@ class _DocumentStore:
         fields = [self.data[start:end].decode() for start, end in zip(bounds, bounds[1:])]
         return list(map(Document._make, zip(fields[0::3], fields[1::3], fields[2::3])))
 
+    def id_ranks(self) -> np.ndarray:
+        """Each document's position in ascending doc_id order: the tie-break key.
+
+        UTF-8 bytes sort in code-point order, as ``str`` does, so the ids are
+        sorted undecoded.
+        """
+        data, bounds = self.data, self.bounds.tolist()
+        return _id_ranks([data[start:end] for start, end in zip(bounds[0::3], bounds[1::3])])
+
     def check(self) -> None:
         """Raise ValueError unless the offsets cut the data into whole UTF-8 fields."""
         data, bounds = self.data, self.bounds
@@ -185,12 +195,11 @@ class _DocumentStore:
             raise ValueError(
                 f"the document field offsets decrease or do not span {_DOCUMENTS_FILE}"
             )
-        if not data.isascii():
-            data.decode("utf-8")
-            # No field may start on a UTF-8 continuation byte (0b10xxxxxx).
-            starts = bounds[bounds < len(data)]
-            if (np.frombuffer(data, dtype=np.uint8)[starts] & 0xC0 == 0x80).any():
-                raise ValueError("a document field offset falls inside a UTF-8 character")
+        data.decode("utf-8")
+        # No field may start on a UTF-8 continuation byte (0b10xxxxxx).
+        starts = bounds[bounds < len(data)]
+        if (np.frombuffer(data, dtype=np.uint8)[starts] & 0xC0 == 0x80).any():
+            raise ValueError("a document field offset falls inside a UTF-8 character")
 
 
 class BM25Index:
@@ -210,7 +219,6 @@ class BM25Index:
     def __init__(
         self,
         store: _DocumentStore,
-        id_ranks: np.ndarray,
         doc_lengths: np.ndarray,
         term_ids: dict[str, int],
         offsets: np.ndarray,
@@ -220,7 +228,7 @@ class BM25Index:
         b: float = DEFAULT_B,
     ) -> None:
         self._store = store
-        self._id_ranks = id_ranks
+        self._id_ranks = store.id_ranks()
         self._doc_lengths = doc_lengths
         self._term_ids = term_ids
         self._offsets = offsets
@@ -259,7 +267,7 @@ class BM25Index:
         """
         data = bytearray()  # every document's id, title and text as UTF-8, back to back
         field_ends = array("q")
-        doc_ids: dict[str, None] = {}  # an ordered set
+        doc_ids: set[str] = set()
         vocabulary = _Vocabulary()
         lengths = array("i")
         distinct_terms = array("i")
@@ -271,7 +279,7 @@ class BM25Index:
                 raise CorpusError(f"duplicate doc_id in corpus: {doc.doc_id!r}")
             if not doc.text.strip():
                 raise CorpusError(f"document {doc.doc_id!r} has empty text")
-            doc_ids[doc.doc_id] = None
+            doc_ids.add(doc.doc_id)
             try:
                 for field in doc:
                     data += field.encode("utf-8")
@@ -288,7 +296,6 @@ class BM25Index:
             raise CorpusError("corpus is empty: at least one document is required")
         store = _DocumentStore(bytes(data), np.array([0, *field_ends], dtype=np.int64))
         del data  # the store holds a copy
-        id_ranks = _id_ranks(list(doc_ids))
         term_of_pair = np.array(term_ids, dtype=np.int32)
         # A stable sort groups pairs by term and keeps document order within a term.
         order = np.argsort(term_of_pair, kind="stable")
@@ -297,7 +304,6 @@ class BM25Index:
         np.cumsum(np.bincount(term_of_pair, minlength=len(vocabulary)), out=offsets[1:])
         return cls(
             store,
-            id_ranks,
             np.array(lengths, dtype=np.int32),
             dict(vocabulary),
             offsets,
@@ -369,7 +375,6 @@ class BM25Index:
             self._doc_indices,
             self._term_freqs,
             self._store.bounds,
-            self._id_ranks,
         )
         dtypes = [np.min_scalar_type(part.max(initial=0)).newbyteorder("<") for part in arrays]
         payloads = {
@@ -446,15 +451,13 @@ class BM25Index:
             files = manifest["files"]
             data = {name: _read_checked(index_dir / name, files[name]) for name in _DATA_FILES}
             n, t, p = (int(manifest[key]) for key in ("num_documents", "num_terms", "num_postings"))
-            lengths, offsets, doc_indices, term_freqs, bounds, id_ranks = _posting_arrays(
+            lengths, offsets, doc_indices, term_freqs, bounds = _posting_arrays(
                 data[_POSTINGS_FILE],
                 manifest.get("postings_dtypes"),
-                (n, t + 1, p, p, 3 * n + 1, n),
+                (n, t + 1, p, p, 3 * n + 1),
             )
             store = _DocumentStore(data[_DOCUMENTS_FILE], bounds)
             store.check()
-            if not np.array_equal(np.sort(id_ranks), np.arange(n)):
-                raise ValueError("id_ranks is not a permutation of the documents")
             vocabulary = data[_TERMS_FILE].decode("utf-8")
             terms = vocabulary.split("\n") if vocabulary else []
             if len(terms) != t:
@@ -466,9 +469,7 @@ class BM25Index:
             raise CorpusError(
                 f"corrupt index in {index_dir}: {exc}; rebuild it with `respqa index`"
             ) from exc
-        return cls(
-            store, id_ranks, lengths, term_ids, offsets, doc_indices, term_freqs, k1=k1, b=b
-        )
+        return cls(store, lengths, term_ids, offsets, doc_indices, term_freqs, k1=k1, b=b)
 
 
 class _Vocabulary(dict):
@@ -514,7 +515,7 @@ def _posting_arrays(data: bytes, dtypes: object, counts: tuple[int, ...]) -> lis
     ]
 
 
-def _id_ranks(doc_ids: Sequence[str]) -> np.ndarray:
+def _id_ranks(doc_ids: Sequence[str] | Sequence[bytes]) -> np.ndarray:
     """Each document's position in ascending doc_id order: the tie-break key."""
     order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
     ranks = np.empty(len(doc_ids), dtype=np.int64)

@@ -20,6 +20,8 @@ from respqa.llm import whitespace_token_estimate
 from respqa.memory import NO_ANSWER_MARKER
 from respqa.retrieval import BM25Index, Document
 
+from helpers import bm25_brute_force
+
 # Replies near the parsers' prefixes are where a parse could go wrong.
 replies = st.one_of(
     st.text(),
@@ -153,3 +155,5 @@ def test_saved_index_keeps_unicode_documents_and_rankings(fields, queries, k):
     for query in queries:
         want = [(hit.doc_id, hit.score) for hit in fresh.retrieve(query, k)]
         assert [(hit.doc_id, hit.score) for hit in reopened.retrieve(query, k)] == want
+        # Ties fall in str order of the doc ids, which the index sorts as UTF-8 bytes.
+        assert want == bm25_brute_force(docs, query, k)

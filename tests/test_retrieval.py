@@ -10,6 +10,8 @@ from respqa.retrieval import (
     BM25Index,
     Document,
     EmbeddingRetriever,
+    _posting_arrays,
+    _POSTING_ARRAYS,
     read_corpus,
     tokenize,
 )
@@ -169,7 +171,7 @@ def edit_postings_array(index_dir, name, edit):
     manifest = json.loads((index_dir / "manifest.json").read_text())
     n, t, p = (manifest[key] for key in ("num_documents", "num_terms", "num_postings"))
     counts = {"doc_lengths": n, "offsets": t + 1, "doc_indices": p, "term_freqs": p,
-              "doc_fields": 3 * n + 1, "id_ranks": n}
+              "doc_fields": 3 * n + 1}
     data = (index_dir / "postings.bin").read_bytes()
     arrays, start = {}, 0
     for key, count in counts.items():
@@ -193,8 +195,9 @@ def step_back_into_the_title(bounds):
     bounds[2] -= 1
 
 
-def repeat_the_first(ranks):
-    ranks[1] = ranks[0]
+def break_the_utf8(index_dir):
+    data = (index_dir / "documents.txt").read_bytes()
+    rewrite_index_file(index_dir, "documents.txt", data.replace(b"cat", b"c\xfft", 1))
 
 
 def duplicate_the_first_term(index_dir):
@@ -284,7 +287,7 @@ class TestPersistence:
         "edit, fragment",
         [
             (lambda dtypes: dtypes.update(term_freqs="<i4"), "'term_freqs' has dtype '<i4'"),
-            (lambda dtypes: dtypes.update(offsets="<u8"), "'offsets' has dtype '<u8'"),
+            (lambda dtypes: dtypes.update(offsets=">u8"), "'offsets' has dtype '>u8'"),
             (lambda dtypes: dtypes.pop("doc_indices"), "'doc_indices' has dtype None"),
             (lambda dtypes: dtypes.clear(), "'doc_lengths' has dtype None"),
             (lambda dtypes: dtypes.update(doc_lengths="<u2"), "postings.bin holds .* add up to"),
@@ -310,22 +313,22 @@ class TestPersistence:
             (
                 [doc(0, "cat " * 255), doc(1, "cat dog"), doc(2, "dog bird")],
                 {"doc_lengths": "|u1", "offsets": "|u1", "doc_indices": "|u1", "term_freqs": "|u1",
-                 "doc_fields": "<u2", "id_ranks": "|u1"},
+                 "doc_fields": "<u2"},
             ),
             (
                 [doc(0, "cat " * 256), doc(1, "cat dog"), doc(2, "dog bird")],
                 {"doc_lengths": "<u2", "offsets": "|u1", "doc_indices": "|u1", "term_freqs": "<u2",
-                 "doc_fields": "<u2", "id_ranks": "|u1"},
+                 "doc_fields": "<u2"},
             ),
             (
                 [doc(0, "cat " * 65_536 + "dog"), doc(1, "cat dog"), doc(2, "dog bird")],
                 {"doc_lengths": "<u4", "offsets": "|u1", "doc_indices": "|u1", "term_freqs": "<u4",
-                 "doc_fields": "<u4", "id_ranks": "|u1"},
+                 "doc_fields": "<u4"},
             ),
             (
                 [doc(i, f"cat w{i} w{i % 7} w{i % 11}") for i in range(300)],
                 {"doc_lengths": "|u1", "offsets": "<u2", "doc_indices": "<u2", "term_freqs": "|u1",
-                 "doc_fields": "<u2", "id_ranks": "<u2"},
+                 "doc_fields": "<u2"},
             ),
         ],
         ids=["tf-255", "tf-256", "tf-65536", "300-docs"],
@@ -360,21 +363,42 @@ class TestPersistence:
                 lambda idx: edit_postings_array(idx, "doc_fields", step_back_into_the_title),
                 "offset falls inside a UTF-8 character",
             ),
-            (
-                TEN_DOCS,
-                lambda idx: edit_postings_array(idx, "id_ranks", repeat_the_first),
-                "id_ranks is not a permutation",
-            ),
+            (TEN_DOCS, break_the_utf8, "can't decode byte 0xff"),
             (TEN_DOCS, duplicate_the_first_term, "terms.txt lists a term more than once"),
         ],
-        ids=["fields-decrease", "fields-end-short", "field-inside-a-character",
-             "ranks-not-a-permutation", "duplicate-term"],
+        ids=["fields-decrease", "fields-end-short", "field-inside-a-character", "invalid-utf8",
+             "duplicate-term"],
     )
     def test_open_rejects_files_that_disagree(self, tmp_path, docs, damage, fragment):
         BM25Index.build(docs).save(tmp_path / "idx")
         damage(tmp_path / "idx")
         with pytest.raises(CorpusError, match=f"{fragment}.*rebuild it with `respqa index`"):
             BM25Index.open(tmp_path / "idx")
+
+    def test_eight_byte_arrays_round_trip(self):
+        # A corpus of 4 GiB or more of UTF-8 needs eight-byte field offsets.
+        arrays = [
+            np.array([3], dtype="|u1"),
+            np.array([0, 1], dtype="<u2"),
+            np.array([0], dtype="<u4"),
+            np.array([3], dtype="|u1"),
+            np.array([0, 2, 7, 2**32 + 5], dtype="<u8"),
+        ]
+        dtypes = dict(zip(_POSTING_ARRAYS, (a.dtype.str for a in arrays)))
+        assert dtypes["doc_fields"] == np.min_scalar_type(2**32).newbyteorder("<").str
+        data = b"".join(a.tobytes() for a in arrays)
+        read = _posting_arrays(data, dtypes, tuple(map(len, arrays)))
+        for got, want in zip(read, arrays, strict=True):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_reopened_ties_follow_doc_id_code_points(self, tmp_path):
+        # UTF-16 would put U+10000 before U+FF61; code-point order puts it after.
+        ids = ["\U00010000", "\uff61", "\u00e9", "z", "Z"]
+        docs = [Document(doc_id, "", "same words") for doc_id in ids]
+        BM25Index.build(docs).save(tmp_path / "idx")
+        hits = BM25Index.open(tmp_path / "idx").retrieve("same", 5)
+        assert [hit.doc_id for hit in hits] == sorted(ids)
 
     def test_open_rejects_wrong_format_tag(self, tmp_path):
         index = BM25Index.build(TEN_DOCS[:2])
