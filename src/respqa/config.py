@@ -415,4 +415,7 @@ def _build_retriever(config: AppConfig) -> Retriever:
         model=config.embedding_model or "default",
         api_key=config.embedding_api_key,
     )
-    return EmbeddingRetriever(index.documents, load_vectors(config.vectors_path), client)
+    # The BM25 index is needed only for its documents: let it go before the vectors load.
+    documents = index.documents
+    del index
+    return EmbeddingRetriever(documents, load_vectors(config.vectors_path), client)

@@ -27,7 +27,16 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Protocol,
+    Sequence,
+)
 
 import numpy as np
 
@@ -158,20 +167,22 @@ class _DocumentStore:
     """The documents' fields as UTF-8 bytes, back to back, cut at 3n + 1 byte offsets.
 
     Document i's id, title and text lie between offsets 3i and 3i + 3.
-    ``store[i]`` decodes that ``Document`` when asked, so opening an index
-    parses no document.
+    ``take`` decodes documents only when asked, so opening an index parses
+    no document.
     """
 
     def __init__(self, data: bytes, bounds: np.ndarray) -> None:
         self.data = data
         self.bounds = bounds
 
-    def __getitem__(self, i: int) -> Document:
-        start, title, text, end = self.bounds[3 * i : 3 * i + 4].tolist()
+    def take(self, indices: np.ndarray) -> list[Document]:
+        """The documents at ``indices``, in that order; one gather reads all their offsets."""
         data = self.data
-        return Document(
-            data[start:title].decode(), data[title:text].decode(), data[text:end].decode()
-        )
+        cuts = self.bounds[3 * indices[:, np.newaxis] + np.arange(4)].tolist()
+        return [
+            Document(data[start:title].decode(), data[title:text].decode(), data[text:end].decode())
+            for start, title, text, end in cuts
+        ]
 
     def documents(self) -> list[Document]:
         """Every document, in corpus order."""
@@ -354,7 +365,7 @@ class BM25Index:
             start, end = self._offsets[term_id], self._offsets[term_id + 1]
             # A term lists each document once, so this fancy-indexed add is exact.
             scores[self._doc_indices[start:end]] += self._weights[start:end]
-        return _ranked_hits(self._store, self._id_ranks, scores, k)
+        return _ranked_hits(self._store.take, self._id_ranks, scores, k)
 
     def save(self, index_dir: str | Path) -> None:
         """Persist to a directory (manifest, documents, vocabulary, postings).
@@ -425,9 +436,9 @@ class BM25Index:
 
         Validates the format tag and version, each data file's size and
         CRC-32 against the manifest, the manifest's counts, the postings
-        dtypes and byte lengths, the document field offsets, the doc-id ranks
-        and the vocabulary. Any missing, truncated or malformed file raises
-        CorpusError.
+        dtypes and byte lengths, the postings' document indices and term
+        offsets, the document field offsets and the vocabulary. Any missing,
+        truncated or malformed file raises CorpusError.
         """
         index_dir = Path(index_dir)
         manifest_path = index_dir / _MANIFEST_FILE
@@ -456,6 +467,10 @@ class BM25Index:
                 manifest.get("postings_dtypes"),
                 (n, t + 1, p, p, 3 * n + 1),
             )
+            if p and doc_indices.max() >= n:
+                raise ValueError(f"a posting's document index is not below {n} documents")
+            if offsets[0] != 0 or offsets[-1] != p or (offsets[1:] < offsets[:-1]).any():
+                raise ValueError(f"the term offsets decrease or do not span the {p} postings")
             store = _DocumentStore(data[_DOCUMENTS_FILE], bounds)
             store.check()
             vocabulary = data[_TERMS_FILE].decode("utf-8")
@@ -524,28 +539,26 @@ def _id_ranks(doc_ids: Sequence[str] | Sequence[bytes]) -> np.ndarray:
 
 
 def _ranked_hits(
-    documents: Sequence[Document] | _DocumentStore,
+    take: Callable[[np.ndarray], Iterable[Document]],
     id_ranks: np.ndarray,
     scores: np.ndarray,
     k: int,
 ) -> list[RetrievedDocument]:
-    """Hits for the k highest positive scores, ties by ascending doc_id."""
+    """Hits for the k highest positive scores, ties by ascending doc_id.
+
+    ``take`` gives the documents at an array of document indices, in order.
+    """
     candidates = np.flatnonzero(scores > 0.0)
     if len(candidates) > k:
         kth = np.partition(scores[candidates], len(candidates) - k)[len(candidates) - k]
         # Keep every candidate tied with the k-th score; the sort settles them.
         candidates = candidates[scores[candidates] >= kth]
     order = np.lexsort((id_ranks[candidates], -scores[candidates]))
-    hits = []
-    for rank, idx in enumerate(candidates[order[:k]].tolist(), start=1):
-        doc = documents[idx]
-        score = float(scores[idx])
-        hits.append(
-            RetrievedDocument(
-                doc_id=doc.doc_id, title=doc.title, text=doc.text, score=score, rank=rank
-            )
-        )
-    return hits
+    top = candidates[order[:k]]
+    return [
+        RetrievedDocument(doc_id=doc.doc_id, title=doc.title, text=doc.text, score=score, rank=rank)
+        for rank, (doc, score) in enumerate(zip(take(top), scores[top].tolist()), start=1)
+    ]
 
 
 class EmbeddingEndpointClient:
@@ -596,18 +609,18 @@ class EmbeddingEndpointClient:
 
 # The exact types json.loads gives a JSON number. Types are compared exactly,
 # so a bool, an int subclass that float() would take, is refused.
-_FLOAT = frozenset((float,))
 _JSON_NUMBERS = frozenset((int, float))
 
 
-def load_vectors(path: str | Path) -> dict[str, list[float]]:
+def load_vectors(path: str | Path) -> dict[str, np.ndarray]:
     """Load per-document vectors from JSONL rows {"id": <unique str>, "vector": [...]}.
 
     Each vector must be a JSON array of finite numbers (not strings or
     booleans, which ``float`` would take); a bad row raises CorpusError
-    naming its line.
+    naming its line. Each row is held as a float64 array, 8 B per component,
+    as soon as it has passed these checks; rows may differ in length.
     """
-    vectors: dict[str, list[float]] = {}
+    vectors: dict[str, np.ndarray] = {}
     for where, row in read_jsonl(path, CorpusError, ("id", "vector")):
         doc_id = row["id"]
         if not isinstance(doc_id, str):
@@ -617,20 +630,15 @@ def load_vectors(path: str | Path) -> dict[str, list[float]]:
         raw = row["vector"]
         if not isinstance(raw, list):
             raise CorpusError(f"{where}: 'vector' must be a JSON array, got {type(raw).__name__}")
-        # A row of JSON floats is kept as parsed: float() would return each one unchanged.
-        if _FLOAT.issuperset(map(type, raw)):
-            vector = raw
-        elif _JSON_NUMBERS.issuperset(map(type, raw)):
-            try:
-                vector = list(map(float, raw))
-            except OverflowError as exc:  # an integer beyond the float range
-                raise CorpusError(f"{where}: vector has a component out of range ({exc})") from None
-        else:
+        if not _JSON_NUMBERS.issuperset(map(type, raw)):
             bad = next(x for x in raw if type(x) not in _JSON_NUMBERS)
             raise CorpusError(f"{where}: vector component {bad!r} is not a number")
-        # The sum is NaN or infinite when a component is, and costs less than
-        # testing each one; finite components whose sum overflows pass the second test.
-        if not math.isfinite(sum(vector)) and not all(map(math.isfinite, vector)):
+        try:
+            # Converts each component as float() does, so each value is unchanged.
+            vector = np.array(raw, dtype=np.float64)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise CorpusError(f"{where}: vector has a component out of range ({exc})") from None
+        if not np.isfinite(vector).all():
             raise CorpusError(f"{where}: vector has a non-finite component")
         vectors[doc_id] = vector
     return vectors
@@ -640,16 +648,20 @@ class EmbeddingRetriever:
     """Exact cosine-similarity retrieval over precomputed document vectors.
 
     The pluggable dense alternative to BM25: query vectors come from an
-    external embedding callable, document vectors are supplied up front and
-    kept as one matrix of unit rows. Cosine scores are clamped at zero: only
-    documents with a positive cosine are returned.
+    external embedding callable, document vectors are supplied up front as
+    any mapping of doc_id to a sequence of numbers (``load_vectors`` gives
+    float64 arrays). The documents' rows are stacked, in document order, into
+    one n x d float64 matrix (8 B per component), which is scaled to unit rows
+    in place and is all that is kept; vectors of ids outside the corpus are
+    ignored. Cosine scores are clamped at zero: only documents with a positive
+    cosine are returned.
     """
 
     def __init__(
         self,
         documents: list[Document],
-        vectors: dict[str, list[float]],
-        embed: Callable[[str], list[float]],
+        vectors: Mapping[str, Sequence[float]],
+        embed: Callable[[str], Sequence[float]],
     ) -> None:
         missing = [doc.doc_id for doc in documents if doc.doc_id not in vectors]
         if missing:
@@ -666,7 +678,8 @@ class EmbeddingRetriever:
     def retrieve(self, query: str, k: int) -> list[RetrievedDocument]:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        query_unit = _unit_rows(np.asarray(self._embed(query), dtype=np.float64))
+        # A copy: _unit_rows scales in place, and the caller may keep the vector.
+        query_unit = _unit_rows(np.array(self._embed(query), dtype=np.float64))
         if query_unit.shape != self._units.shape[1:]:
             raise RetrieverError(
                 f"query vector has shape {query_unit.shape}, "
@@ -675,10 +688,19 @@ class EmbeddingRetriever:
         # einsum, not BLAS gemv: gemv may round identical rows differently by
         # their position, which would break the doc-id tie-break.
         scores = np.einsum("ij,j->i", self._units, query_unit)
-        return _ranked_hits(self._documents, self._id_ranks, scores, k)
+        return _ranked_hits(
+            lambda top: map(self._documents.__getitem__, top.tolist()), self._id_ranks, scores, k
+        )
 
 
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:
-    """Scale each vector along the last axis to unit length; zero vectors stay zero."""
+    """Scale each vector along the last axis to unit length, in place, and return it.
+
+    A vector whose norm is not positive (all zeros, or components so small
+    that their squares underflow) becomes all zeros.
+    """
     norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
-    return np.divide(vectors, norms, out=np.zeros_like(vectors), where=norms > 0.0)
+    positive = norms > 0.0
+    np.divide(vectors, norms, out=vectors, where=positive)
+    np.copyto(vectors, 0.0, where=~positive)
+    return vectors

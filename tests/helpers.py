@@ -7,7 +7,11 @@ code paths they check.
 
 from __future__ import annotations
 
+import json
 import math
+import zlib
+
+import numpy as np
 
 from respqa.agents import PipelineAgents, PipelineConfig, PromptTemplateSet
 from respqa.llm import ROLE_TAGS, BackendRouter, LlmResponse, ScriptedBackend, ScriptedRule
@@ -216,3 +220,36 @@ def f1_brute_force(prediction_tokens: list[str], gold_tokens: list[str]) -> floa
     precision = overlap / len(pred)
     recall = overlap / len(gold)
     return 2 * precision * recall / (precision + recall)
+
+
+def rewrite_index_file(index_dir, name, data):
+    """Replace one index file and record its new size and CRC-32 in the manifest."""
+    (index_dir / name).write_bytes(data)
+    manifest_path = index_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["files"][name] = {"bytes": len(data), "crc32": zlib.crc32(data)}
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def edit_postings_array(index_dir, name, edit):
+    """Apply ``edit`` to one array of postings.bin, keeping its dtype and the CRC-32 right."""
+    manifest = json.loads((index_dir / "manifest.json").read_text())
+    n, t, p = (manifest[key] for key in ("num_documents", "num_terms", "num_postings"))
+    counts = {"doc_lengths": n, "offsets": t + 1, "doc_indices": p, "term_freqs": p,
+              "doc_fields": 3 * n + 1}
+    data = (index_dir / "postings.bin").read_bytes()
+    arrays, start = {}, 0
+    for key, count in counts.items():
+        dtype = np.dtype(manifest["postings_dtypes"][key])
+        arrays[key] = np.frombuffer(data, dtype=dtype, count=count, offset=start).copy()
+        start += count * dtype.itemsize
+    edit(arrays[name])
+    rewrite_index_file(index_dir, "postings.bin", b"".join(a.tobytes() for a in arrays.values()))
+
+
+def swap_second_and_third(bounds):
+    bounds[[1, 2]] = bounds[[2, 1]]
+
+
+def point_past_the_documents(doc_indices):
+    doc_indices[0] = np.iinfo(doc_indices.dtype).max

@@ -5,7 +5,14 @@ import pytest
 
 from respqa.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
-from helpers import OVERPLANNING_QUESTION, film_corpus, overplanning_rules
+from helpers import (
+    OVERPLANNING_QUESTION,
+    edit_postings_array,
+    film_corpus,
+    overplanning_rules,
+    point_past_the_documents,
+    swap_second_and_third,
+)
 
 
 @pytest.fixture
@@ -504,6 +511,22 @@ class TestDamagedIndex:
         assert self.ask(index_dir, script_path) == EXIT_IO
         err = capsys.readouterr().err
         assert fragment in err and "rebuild" in err and "respqa index" in err
+
+    @pytest.mark.parametrize(
+        "name, edit, fragment",
+        [
+            ("doc_indices", point_past_the_documents, "document index"),
+            ("offsets", swap_second_and_third, "term offsets"),
+        ],
+        ids=["doc-index-past-the-end", "offsets-decrease"],
+    )
+    def test_postings_that_disagree_are_io_error(
+        self, index_dir, script_path, capsys, name, edit, fragment
+    ):
+        edit_postings_array(index_dir, name, edit)
+        assert self.ask(index_dir, script_path) == EXIT_IO
+        err = capsys.readouterr().err
+        assert fragment in err and "respqa index" in err
 
     def test_reindex_replaces_the_index(self, corpus_path, index_dir, script_path, capsys):
         (index_dir / "postings.bin").write_bytes(b"")

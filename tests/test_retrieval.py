@@ -1,6 +1,6 @@
 import json
 import random
-import zlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +16,14 @@ from respqa.retrieval import (
     tokenize,
 )
 
-from helpers import bm25_brute_force, cosine_brute_force
+from helpers import (
+    bm25_brute_force,
+    cosine_brute_force,
+    edit_postings_array,
+    point_past_the_documents,
+    rewrite_index_file,
+    swap_second_and_third,
+)
 
 
 def doc(i: int, text: str) -> Document:
@@ -157,37 +164,12 @@ class TestRetrieve:
         assert all(score > 0 for score in scores)
 
 
-def rewrite_index_file(index_dir, name, data):
-    """Replace one index file and record its new size and CRC-32 in the manifest."""
-    (index_dir / name).write_bytes(data)
-    manifest_path = index_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["files"][name] = {"bytes": len(data), "crc32": zlib.crc32(data)}
-    manifest_path.write_text(json.dumps(manifest))
-
-
-def edit_postings_array(index_dir, name, edit):
-    """Apply ``edit`` to one array of postings.bin, keeping its dtype and the CRC-32 right."""
-    manifest = json.loads((index_dir / "manifest.json").read_text())
-    n, t, p = (manifest[key] for key in ("num_documents", "num_terms", "num_postings"))
-    counts = {"doc_lengths": n, "offsets": t + 1, "doc_indices": p, "term_freqs": p,
-              "doc_fields": 3 * n + 1}
-    data = (index_dir / "postings.bin").read_bytes()
-    arrays, start = {}, 0
-    for key, count in counts.items():
-        dtype = np.dtype(manifest["postings_dtypes"][key])
-        arrays[key] = np.frombuffer(data, dtype=dtype, count=count, offset=start).copy()
-        start += count * dtype.itemsize
-    edit(arrays[name])
-    rewrite_index_file(index_dir, "postings.bin", b"".join(a.tobytes() for a in arrays.values()))
-
-
-def swap_second_and_third(bounds):
-    bounds[[1, 2]] = bounds[[2, 1]]
-
-
 def shorten_the_last(bounds):
     bounds[-1] -= 1
+
+
+def start_after_zero(offsets):
+    offsets[0] = 1
 
 
 def step_back_into_the_title(bounds):
@@ -365,9 +347,30 @@ class TestPersistence:
             ),
             (TEN_DOCS, break_the_utf8, "can't decode byte 0xff"),
             (TEN_DOCS, duplicate_the_first_term, "terms.txt lists a term more than once"),
+            (
+                TEN_DOCS,
+                lambda idx: edit_postings_array(idx, "doc_indices", point_past_the_documents),
+                "a posting's document index is not below 10 documents",
+            ),
+            (
+                TEN_DOCS,
+                lambda idx: edit_postings_array(idx, "offsets", swap_second_and_third),
+                "term offsets decrease",
+            ),
+            (
+                TEN_DOCS,
+                lambda idx: edit_postings_array(idx, "offsets", start_after_zero),
+                "term offsets decrease or do not span",
+            ),
+            (
+                TEN_DOCS,
+                lambda idx: edit_postings_array(idx, "offsets", shorten_the_last),
+                r"term offsets decrease or do not span the \d+ postings",
+            ),
         ],
         ids=["fields-decrease", "fields-end-short", "field-inside-a-character", "invalid-utf8",
-             "duplicate-term"],
+             "duplicate-term", "doc-index-past-the-end", "offsets-decrease", "offsets-start-late",
+             "offsets-end-short"],
     )
     def test_open_rejects_files_that_disagree(self, tmp_path, docs, damage, fragment):
         BM25Index.build(docs).save(tmp_path / "idx")
@@ -560,11 +563,13 @@ def test_load_vectors(tmp_path):
         json.dumps({"id": "a", "vector": [1, 2]}) + "\n" + json.dumps({"id": "b", "vector": [3]}) + "\n"
     )
     loaded = load_vectors(path)
-    assert loaded == {"a": [1.0, 2.0], "b": [3.0]}
-    assert {type(x) for vector in loaded.values() for x in vector} == {float}
+    assert {doc_id: v.tolist() for doc_id, v in loaded.items()} == {"a": [1.0, 2.0], "b": [3.0]}
+    assert {v.dtype for v in loaded.values()} == {np.dtype(np.float64)}
     # Finite components are accepted even when their sum overflows.
     path.write_text(json.dumps({"id": "a", "vector": [1.7e308, 1.7e308]}) + "\n")
-    assert load_vectors(path) == {"a": [1.7e308, 1.7e308]}
+    assert {doc_id: v.tolist() for doc_id, v in load_vectors(path).items()} == {
+        "a": [1.7e308, 1.7e308]
+    }
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps({"id": "a"}) + "\n")
     with pytest.raises(CorpusError, match=":1:"):
@@ -677,3 +682,63 @@ def test_dense_all_negative_cosines_return_nothing():
     vectors = {"d0": [1.0, 2.0], "d1": [3.0, 0.5], "d2": [0.0, 0.0]}
     retriever = EmbeddingRetriever(docs, vectors, embed=lambda _: [-1.0, -1.0])
     assert retriever.retrieve("q", 3) == []
+
+
+def test_load_vectors_holds_eight_bytes_a_component(tmp_path):
+    from respqa.retrieval import load_vectors
+
+    rng = random.Random(500)
+    path = tmp_path / "vectors.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps({"id": f"d{i}", "vector": [rng.uniform(-1.0, 1.0) for _ in range(64)]}) + "\n"
+            for i in range(500)
+        )
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        vectors = load_vectors(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(vectors) == 500
+    # 8 B per component is 256 kB; a Python float in a list costs 32 B.
+    assert held < 2 * 500 * 64 * 8
+
+
+def test_dense_from_a_vectors_file_equals_brute_force_cosine(tmp_path):
+    from respqa.retrieval import load_vectors
+
+    rng = random.Random(1e-200)
+    dim = 16
+    raw = {f"d{i:02d}": [rng.uniform(-1.0, 1.0) for _ in range(dim)] for i in range(30)}
+    raw["d30"] = [0.0] * dim
+    raw["d31"] = [1e-200] * dim  # the squares underflow: norm 0
+    raw["d32"] = [-1e-200, 1e-200] * (dim // 2)
+    raw["d33"] = list(raw["d05"])  # an exact tie with d05
+    rows = [{"id": doc_id, "vector": vector} for doc_id, vector in raw.items()]
+    rows.append({"id": "not-in-corpus", "vector": [1.0, 2.0, 3.0]})  # another length
+    path = tmp_path / "vectors.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    docs = [Document(doc_id, "t", "x") for doc_id in raw]
+    vectors = load_vectors(path)
+    # The unit rows equal the former out-of-place formula bit for bit; the
+    # zero-norm rows come out as +0.0.
+    matrix = np.array(list(raw.values()))
+    norms = np.linalg.norm(matrix, axis=-1, keepdims=True)
+    expected_units = np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms > 0.0)
+    queries = [[rng.uniform(-1.0, 1.0) for _ in range(dim)] for _ in range(10)] + [raw["d05"]]
+    for query in queries:
+        retriever = EmbeddingRetriever(docs, vectors, embed=lambda _: query)
+        assert retriever._units.tobytes() == expected_units.tobytes()
+        for k in (1, 5, len(docs)):
+            expected = cosine_brute_force(docs, raw, query, k)
+            hits = retriever.retrieve("q", k)
+            assert [h.doc_id for h in hits] == [doc_id for doc_id, _ in expected]
+            for hit, (_, score) in zip(hits, expected):
+                assert hit.score == pytest.approx(score, rel=1e-12)
+        hit_ids = {h.doc_id for h in retriever.retrieve("q", len(docs))}
+        assert hit_ids.isdisjoint({"d30", "d31", "d32"})
+    with pytest.raises(CorpusError, match="one length"):
+        EmbeddingRetriever([*docs, Document("not-in-corpus", "t", "x")], vectors, lambda _: query)
