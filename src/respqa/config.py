@@ -358,6 +358,7 @@ class AppRuntime:
                     model=spec.model,
                     api_key=spec.api_key,
                     backend_id=name,
+                    pool_size=config.parallelism,
                 )
             else:
                 assert spec.script is not None
@@ -414,6 +415,7 @@ def _build_retriever(config: AppConfig) -> Retriever:
         endpoint=config.embedding_endpoint,
         model=config.embedding_model or "default",
         api_key=config.embedding_api_key,
+        pool_size=config.parallelism,
     )
     # The BM25 index is needed only for its documents: let it go before the vectors load.
     documents = index.documents

@@ -36,6 +36,8 @@ _WORDS_PER_TOKEN = 1.3
 HTTP_TIMEOUT_S = 60.0
 HTTP_MAX_ATTEMPTS = 3
 HTTP_BACKOFF_BASE_S = 1.0
+# Pooled connections per host when the caller gives no pool size: requests' default.
+HTTP_POOL_SIZE = 10
 
 
 def whitespace_token_estimate(text: str) -> float:
@@ -196,7 +198,8 @@ class HttpChatBackend(_CompletionBase):
     tried up to ``HTTP_MAX_ATTEMPTS`` times with delays
     ``HTTP_BACKOFF_BASE_S * 2**attempt``; any other ``requests`` error, HTTP
     4xx, a malformed body, or exhaustion surfaces at once as BackendError
-    carrying the role tag.
+    carrying the role tag. Without a ``session`` it opens one whose connection
+    pool keeps ``pool_size`` connections, one per concurrent run.
     """
 
     def __init__(
@@ -207,6 +210,7 @@ class HttpChatBackend(_CompletionBase):
         backend_id: str | None = None,
         sleep: Callable[[float], None] = time.sleep,
         session: requests.Session | None = None,
+        pool_size: int = HTTP_POOL_SIZE,
     ) -> None:
         endpoint = endpoint.rstrip("/")
         if not endpoint.endswith("/chat/completions"):
@@ -216,11 +220,7 @@ class HttpChatBackend(_CompletionBase):
         self.api_key = api_key
         self.backend_id = backend_id or f"http:{model}"
         self._sleep = sleep
-        if session is None:
-            import requests  # deferred: offline runs never load the HTTP stack
-
-            session = requests.Session()
-        self._session = session
+        self._session = session if session is not None else pooled_session(pool_size)
 
     def _generate(self, request: LlmRequest) -> str:
         import requests
@@ -286,6 +286,22 @@ class HttpChatBackend(_CompletionBase):
 
 class _TransientHttpError(Exception):
     pass
+
+
+def pooled_session(pool_size: int) -> requests.Session:
+    """A ``requests`` session that keeps up to ``pool_size`` connections per host.
+
+    With fewer than one per thread, urllib3 drops the surplus connections
+    after each request and logs "Connection pool is full".
+    """
+    import requests  # deferred: offline runs never load the HTTP stack
+    from requests.adapters import HTTPAdapter
+
+    session = requests.Session()
+    adapter = HTTPAdapter(pool_maxsize=pool_size)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return session
 
 
 class BackendRouter:

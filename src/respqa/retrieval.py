@@ -41,7 +41,8 @@ from typing import (
 import numpy as np
 
 from .errors import CorpusError, RetrieverError
-from .jsonl import read_jsonl
+from .jsonl import jsonl_lines, parse_row, read_jsonl
+from .llm import HTTP_POOL_SIZE, pooled_session
 
 if TYPE_CHECKING:
     import requests
@@ -565,7 +566,9 @@ class EmbeddingEndpointClient:
     """Minimal client for an external embeddings endpoint.
 
     POSTs ``{"model": ..., "input": [text]}`` and expects the de-facto
-    ``{"data": [{"embedding": [...]}]}`` response shape.
+    ``{"data": [{"embedding": [...]}]}`` response shape, the embedding an
+    array of JSON numbers. Without a ``session`` it opens one whose
+    connection pool keeps ``pool_size`` connections, one per concurrent run.
     """
 
     def __init__(
@@ -574,6 +577,7 @@ class EmbeddingEndpointClient:
         model: str,
         api_key: str | None = None,
         session: requests.Session | None = None,
+        pool_size: int = HTTP_POOL_SIZE,
     ) -> None:
         endpoint = endpoint.rstrip("/")
         if not endpoint.endswith("/embeddings"):
@@ -581,11 +585,7 @@ class EmbeddingEndpointClient:
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
-        if session is None:
-            import requests  # deferred: offline runs never load the HTTP stack
-
-            session = requests.Session()
-        self._session = session
+        self._session = session if session is not None else pooled_session(pool_size)
 
     def __call__(self, text: str) -> list[float]:
         import requests
@@ -601,15 +601,32 @@ class EmbeddingEndpointClient:
                 timeout=EMBEDDING_TIMEOUT_S,
             )
             response.raise_for_status()
-            payload = response.json()
-            return [float(x) for x in payload["data"][0]["embedding"]]
-        except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
+            embedding = response.json()["data"][0]["embedding"]
+            if not isinstance(embedding, list):
+                raise TypeError(f"embedding is {type(embedding).__name__}, not an array")
+            _check_numbers(embedding, "embedding")
+            return [float(x) for x in embedding]
+        except (
+            requests.RequestException, KeyError, IndexError, TypeError, ValueError, OverflowError
+        ) as exc:
             raise RetrieverError(f"embedding endpoint failed: {exc}") from exc
 
 
-# The exact types json.loads gives a JSON number. Types are compared exactly,
-# so a bool, an int subclass that float() would take, is refused.
+# The exact types json.loads and orjson give a JSON number. Types are compared
+# exactly, so a bool, an int subclass that float() would take, is refused.
 _JSON_NUMBERS = frozenset((int, float))
+_VECTOR_KEYS = ("id", "vector")
+_VECTOR_KEY_SET = frozenset(_VECTOR_KEYS)
+
+
+def _check_numbers(values: list, name: str) -> None:
+    """Raise ValueError unless every item of ``values`` is a JSON number.
+
+    A string or a boolean, which ``float`` would take, is refused.
+    """
+    if not _JSON_NUMBERS.issuperset(map(type, values)):
+        bad = next(x for x in values if type(x) not in _JSON_NUMBERS)
+        raise ValueError(f"{name} component {bad!r} is not a number")
 
 
 def load_vectors(path: str | Path) -> dict[str, np.ndarray]:
@@ -619,29 +636,55 @@ def load_vectors(path: str | Path) -> dict[str, np.ndarray]:
     booleans, which ``float`` would take); a bad row raises CorpusError
     naming its line. Each row is held as a float64 array, 8 B per component,
     as soon as it has passed these checks; rows may differ in length.
+
+    Each line is parsed first with orjson, which is faster than
+    ``json.loads``. A line orjson refuses (NaN, Infinity, a number beyond the
+    float range, a lone surrogate, a BOM, a blank line), a row with keys
+    other than ``id`` and ``vector``, and a row that fails a check are parsed
+    again with ``json.loads``, and that parse decides: orjson reads an
+    integer beyond 64 bits as a float and takes nesting of any depth. So
+    every row accepted and every message are the ones ``json.loads`` gives.
     """
+    import orjson  # deferred: BM25-only runs never load it
+
     vectors: dict[str, np.ndarray] = {}
-    for where, row in read_jsonl(path, CorpusError, ("id", "vector")):
-        doc_id = row["id"]
-        if not isinstance(doc_id, str):
-            raise CorpusError(f"{where}: 'id' must be a string, got {doc_id!r}")
-        if doc_id in vectors:
-            raise CorpusError(f"{where}: duplicate id {doc_id!r}")
-        raw = row["vector"]
-        if not isinstance(raw, list):
-            raise CorpusError(f"{where}: 'vector' must be a JSON array, got {type(raw).__name__}")
-        if not _JSON_NUMBERS.issuperset(map(type, raw)):
-            bad = next(x for x in raw if type(x) not in _JSON_NUMBERS)
-            raise CorpusError(f"{where}: vector component {bad!r} is not a number")
+    for where, line in jsonl_lines(path, CorpusError):
         try:
-            # Converts each component as float() does, so each value is unchanged.
-            vector = np.array(raw, dtype=np.float64)
-        except OverflowError as exc:  # an integer beyond the float range
-            raise CorpusError(f"{where}: vector has a component out of range ({exc})") from None
-        if not np.isfinite(vector).all():
-            raise CorpusError(f"{where}: vector has a non-finite component")
-        vectors[doc_id] = vector
+            row = orjson.loads(line)
+            if type(row) is dict and row.keys() == _VECTOR_KEY_SET:
+                vectors[row["id"]] = _checked_vector(where, row, vectors)
+                continue
+        except (orjson.JSONDecodeError, CorpusError, RecursionError):
+            # RecursionError: the repr, for a message, of a value nested
+            # deeper than json.loads reaches; the stdlib parse refuses it.
+            pass
+        row = parse_row(where, line, CorpusError, _VECTOR_KEYS)
+        if row is not None:
+            vectors[row["id"]] = _checked_vector(where, row, vectors)
     return vectors
+
+
+def _checked_vector(where: str, row: dict, vectors: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The row's vector as float64, or CorpusError naming the line and what is wrong."""
+    doc_id = row["id"]
+    if not isinstance(doc_id, str):
+        raise CorpusError(f"{where}: 'id' must be a string, got {doc_id!r}")
+    if doc_id in vectors:
+        raise CorpusError(f"{where}: duplicate id {doc_id!r}")
+    raw = row["vector"]
+    if not isinstance(raw, list):
+        raise CorpusError(f"{where}: 'vector' must be a JSON array, got {type(raw).__name__}")
+    try:
+        _check_numbers(raw, "vector")
+        # Converts each component as float() does, so each value is unchanged.
+        vector = np.fromiter(raw, dtype=np.float64, count=len(raw))
+    except ValueError as exc:
+        raise CorpusError(f"{where}: {exc}") from None
+    except OverflowError as exc:  # an integer beyond the float range
+        raise CorpusError(f"{where}: vector has a component out of range ({exc})") from None
+    if not np.isfinite(vector).all():
+        raise CorpusError(f"{where}: vector has a non-finite component")
+    return vector
 
 
 class EmbeddingRetriever:
@@ -679,12 +722,15 @@ class EmbeddingRetriever:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         # A copy: _unit_rows scales in place, and the caller may keep the vector.
-        query_unit = _unit_rows(np.array(self._embed(query), dtype=np.float64))
-        if query_unit.shape != self._units.shape[1:]:
+        query_vector = np.array(self._embed(query), dtype=np.float64)
+        if query_vector.shape != self._units.shape[1:]:
             raise RetrieverError(
-                f"query vector has shape {query_unit.shape}, "
+                f"query vector has shape {query_vector.shape}, "
                 f"document vectors {self._units.shape[1:]}"
             )
+        if not np.isfinite(query_vector).all():
+            raise RetrieverError("query vector has a non-finite component")
+        query_unit = _unit_rows(query_vector)
         # einsum, not BLAS gemv: gemv may round identical rows differently by
         # their position, which would break the doc-id tie-break.
         scores = np.einsum("ij,j->i", self._units, query_unit)

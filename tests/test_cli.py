@@ -307,6 +307,16 @@ class TestUnreadableInput:
         assert self.run(kind, path, tmp_path, index_dir, script_path) == code
         assert f"{path}:2: not UTF-8 JSON ('utf-8' codec can't decode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, code", CASES)
+    def test_deeply_nested_line(self, kind, code, tmp_path, index_dir, script_path, capsys):
+        path = tmp_path / f"{kind}.jsonl"
+        deep = b"[" * 100_000 + b"]" * 100_000
+        path.write_bytes(
+            json.dumps(self.FIRST_ROWS[kind]).encode() + b'\n{"id": "a", "contents": ' + deep + b"}\n"
+        )
+        assert self.run(kind, path, tmp_path, index_dir, script_path) == code
+        assert f"{path}:2: JSON nested too deeply to parse" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "vector, fragment",
         [

@@ -339,6 +339,34 @@ class TestAppRuntime:
         assert isinstance(first["reasoner"], HttpChatBackend)
         assert first["reasoner"] is second["reasoner"]
 
+    def test_connection_pools_follow_parallelism(self, tmp_path, index_dir, monkeypatch):
+        # Fewer pooled connections than workers makes urllib3 drop connections
+        # and log "Connection pool is full".
+        vectors = tmp_path / "vectors.jsonl"
+        vectors.write_text(
+            "".join(
+                json.dumps({"id": doc.doc_id, "vector": [1.0, float(i)]}) + "\n"
+                for i, doc in enumerate(film_corpus())
+            )
+        )
+        retriever = {
+            "kind": "embedding",
+            "index_dir": str(index_dir),
+            "endpoint": "http://emb.example/v1",
+            "vectors": str(vectors),
+        }
+        monkeypatch.setenv(ENV_ENDPOINT, "http://env.example/v1")
+        path = write_yaml(tmp_path, {"retriever": retriever, "eval": {"parallelism": 16}})
+        runtime = AppRuntime(load_app_config(path))
+        sessions = {
+            "http://env.example/v1/chat/completions": runtime.fresh_bindings()["reasoner"]._session,
+            "http://emb.example/v1/embeddings": runtime.retriever._embed._session,
+        }
+        for url, session in sessions.items():
+            for scheme_url in (url, url.replace("http:", "https:")):
+                pool = session.get_adapter(scheme_url).poolmanager.connection_pool_kw
+                assert pool["maxsize"] == 16
+
     def test_runner_rejects_unknown_pipeline(self, tmp_path, script_path, index_dir):
         runtime = AppRuntime(self.make_config(tmp_path, script_path, index_dir))
         with pytest.raises(ConfigurationError, match="pipeline"):

@@ -1,10 +1,15 @@
 """Property tests: the reply parsers are total, the input cap holds for any cap,
-and a saved index keeps its documents and ranks like the one it was saved from."""
+a saved index keeps its documents and ranks like the one it was saved from, and
+the vectors file parses to the rows json.loads gives."""
 
+import json
 import math
 import re
 import tempfile
+from pathlib import Path
 
+import numpy as np
+import orjson
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,10 +20,10 @@ from respqa.agents import (
     parse_local_answer,
     parse_plan_surface,
 )
-from respqa.errors import PromptTooLargeError
+from respqa.errors import CorpusError, PromptTooLargeError
 from respqa.llm import whitespace_token_estimate
 from respqa.memory import NO_ANSWER_MARKER
-from respqa.retrieval import BM25Index, Document
+from respqa.retrieval import BM25Index, Document, load_vectors
 
 from helpers import bm25_brute_force
 
@@ -157,3 +162,52 @@ def test_saved_index_keeps_unicode_documents_and_rankings(fields, queries, k):
         assert [(hit.doc_id, hit.score) for hit in reopened.retrieve(query, k)] == want
         # Ties fall in str order of the doc ids, which the index sorts as UTF-8 bytes.
         assert want == bm25_brute_force(docs, query, k)
+
+
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
+# JSON number literals: doubles in their shortest round-trip form (subnormals and
+# -0.0 come up) and with more digits than a double holds, integers past 64 bits and
+# around the float range's end, and free-form literals whose long mantissas and
+# exponents round, overflow or underflow.
+number_literals = st.one_of(
+    finite_doubles.map(repr),
+    finite_doubles.map(lambda x: f"{x:.25e}"),
+    st.integers().map(str),
+    st.integers(-(2**70), 2**70).map(str),
+    st.integers(2**1023, 2**1025).map(lambda n: str(n if n % 2 else -n)),
+    st.from_regex(r"-?(0|[1-9][0-9]{0,30})(\.[0-9]{1,30})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+)
+
+
+def stdlib_vector(line: bytes) -> bytes | str:
+    """The row json.loads gives, as float64 bytes, or the message refusing it."""
+    values = json.loads(line.decode("utf-8"))["vector"]
+    try:
+        vector = np.array(values, dtype=np.float64)  # float() per component
+    except OverflowError as exc:
+        return f"vector has a component out of range ({exc})"
+    if not np.isfinite(vector).all():
+        return "vector has a non-finite component"
+    return vector.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(number_literals, min_size=1, max_size=8))
+def test_vectors_parse_to_the_rows_json_loads_gives(literals):
+    line = ('{"id": "a", "vector": [' + ", ".join(literals) + "]}\n").encode()
+    expected = stdlib_vector(line)
+    try:
+        fast = orjson.loads(line)["vector"]
+    except orjson.JSONDecodeError:
+        pass  # load_vectors leaves the line to json.loads
+    else:
+        # orjson accepts only rows that json.loads accepts, with the same doubles.
+        assert np.array(fast, dtype=np.float64).tobytes() == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vectors.jsonl"
+        path.write_bytes(line)
+        try:
+            got = load_vectors(path)["a"].tobytes()
+        except CorpusError as exc:
+            got = str(exc).removeprefix(f"{path}:1: ")
+    assert got == expected

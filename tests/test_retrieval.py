@@ -492,6 +492,12 @@ class TestEmbeddingRetriever:
         with pytest.raises(CorpusError, match="c"):
             EmbeddingRetriever(self.DOCS, {"a": [1.0], "b": [1.0]}, embed=lambda q: [1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_query_vector(self, bad):
+        retriever = EmbeddingRetriever(self.DOCS, self.VECTORS, embed=lambda q: [1.0, bad])
+        with pytest.raises(RetrieverError, match="query vector has a non-finite component"):
+            retriever.retrieve("anything", 3)
+
     def test_vector_lengths_must_agree(self):
         with pytest.raises(CorpusError, match="one length"):
             EmbeddingRetriever(self.DOCS, {"a": [1.0], "b": [1.0, 0.0], "c": [0.0]}, lambda q: [1.0])
@@ -534,6 +540,25 @@ class TestEmbeddingEndpointClient:
         assert call["url"] == "http://emb.test/v1/embeddings"
         assert call["json"] == {"model": "embed-model", "input": ["hello"]}
         assert call["headers"]["Authorization"] == "Bearer key"
+
+    @pytest.mark.parametrize(
+        "embedding, fragment",
+        [
+            (["1.5", 2.0], "embedding component '1.5' is not a number"),
+            ([1.5, True], "embedding component True is not a number"),
+            ([1.5, None], "embedding component None is not a number"),
+            ("12", "embedding is str, not an array"),
+            ([1, 10**400], "too large"),
+        ],
+        ids=["string", "bool", "null", "a-string-not-an-array", "integer-past-the-float-range"],
+    )
+    def test_components_must_be_json_numbers(self, embedding, fragment):
+        from respqa.retrieval import EmbeddingEndpointClient
+
+        session = self.FakeSession(self.FakeResponse({"data": [{"embedding": embedding}]}))
+        client = EmbeddingEndpointClient("http://emb.test/v1", model="m", session=session)
+        with pytest.raises(RetrieverError, match=f"embedding endpoint failed: .*{fragment}"):
+            client("hello")
 
     def test_malformed_payload(self):
         from respqa.errors import RetrieverError
@@ -601,6 +626,127 @@ def test_load_vectors_rejects_bad_ids(tmp_path, rows, fragment):
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
     with pytest.raises(CorpusError, match=fragment):
         load_vectors(path)
+
+
+# Lines that orjson refuses or reads otherwise than json.loads, each with the
+# rows, or the message after the path, that the json.loads parse gives.
+STDLIB_PARSE_CASES = {
+    "nan": (b'{"id": "a", "vector": [NaN]}\n', ":1: vector has a non-finite component"),
+    "infinity": (
+        b'{"id": "a", "vector": [1.0, -Infinity]}\n',
+        ":1: vector has a non-finite component",
+    ),
+    "1e400": (b'{"id": "a", "vector": [1e400]}\n', ":1: vector has a non-finite component"),
+    "integer-past-the-float-range": (
+        b'{"id": "a", "vector": [1' + b"0" * 400 + b"]}\n",
+        ":1: vector has a component out of range (int too large to convert to float)",
+    ),
+    "lone-surrogate-escape": (b'{"id": "\\ud800", "vector": [1.0]}\n', {"\ud800": [1.0]}),
+    "surrogate-bytes": (
+        b'{"id": "\xed\xa0\x80", "vector": [1.0]}\n',
+        ":1: not UTF-8 JSON ('utf-8' codec can't decode byte 0xed in position 8: "
+        "invalid continuation byte)",
+    ),
+    "bom": (
+        b'\xef\xbb\xbf{"id": "a", "vector": [1.0]}\n',
+        ":1: not UTF-8 JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0))",
+    ),
+    "blank-lines": (
+        b'\n{"id": "a", "vector": [1.0]}\n   \n\t\r\n{"id": "b", "vector": [2]}\n\n',
+        {"a": [1.0], "b": [2.0]},
+    ),
+    "blank-lines-then-a-duplicate": (
+        b'{"id": "a", "vector": [1]}\n \n{"id": "a", "vector": [2]}\n',
+        ":3: duplicate id 'a'",
+    ),
+    "crlf": (
+        b'{"id": "a", "vector": [1.0]}\r\n{"id": "b", "vector": [-0.0, 5e-324]}\r\n',
+        {"a": [1.0], "b": [-0.0, 5e-324]},
+    ),
+    "integer-id-past-64-bits": (
+        b'{"id": 18446744073709551616, "vector": [1.0]}\n',
+        ":1: 'id' must be a string, got 18446744073709551616",
+    ),
+    "integer-vector-past-64-bits": (
+        b'{"id": "a", "vector": 18446744073709551616}\n',
+        ":1: 'vector' must be a JSON array, got int",
+    ),
+    "nested-integer-past-64-bits": (
+        b'{"id": "a", "vector": [[18446744073709551616]]}\n',
+        ":1: vector component [18446744073709551616] is not a number",
+    ),
+    "components-past-64-bits": (
+        b'{"id": "a", "vector": [18446744073709551616, -9223372036854775809]}\n',
+        {"a": [18446744073709551616.0, -9223372036854775809.0]},
+    ),
+    "duplicate-key": (b'{"id": "a", "vector": [1], "vector": [2]}\n', {"a": [2.0]}),
+    "another-key": (b'{"id": "a", "vector": [1], "title": "x"}\n', {"a": [1.0]}),
+}
+
+
+@pytest.mark.parametrize(
+    "content, expected", STDLIB_PARSE_CASES.values(), ids=STDLIB_PARSE_CASES.keys()
+)
+def test_load_vectors_keeps_the_stdlib_parse(tmp_path, content, expected):
+    from respqa.retrieval import load_vectors
+
+    path = tmp_path / "vectors.jsonl"
+    path.write_bytes(content)
+    if isinstance(expected, str):
+        with pytest.raises(CorpusError) as caught:
+            load_vectors(path)
+        assert str(caught.value) == f"{path}{expected}"
+    else:
+        loaded = load_vectors(path)
+        assert {doc_id: v.tobytes() for doc_id, v in loaded.items()} == {
+            doc_id: np.array(v, dtype=np.float64).tobytes() for doc_id, v in expected.items()
+        }
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b'{"id": "a", "vector": ' + b"[" * 100_000 + b"]" * 100_000 + b"}\n",
+        b'{"id": ' + b"[" * 100_000 + b"]" * 100_000 + b', "vector": [1.0]}\n',
+        b'{"id": "a", "vector": [1.0], "x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}\n",
+    ],
+    ids=["vector", "id", "another-key"],
+)
+def test_load_vectors_refuses_deep_nesting(tmp_path, line):
+    # orjson parses these lines; json.loads runs out of recursion depth.
+    from respqa.retrieval import load_vectors
+
+    path = tmp_path / "vectors.jsonl"
+    path.write_bytes(b'{"id": "b", "vector": [1.0]}\n' + line)
+    with pytest.raises(CorpusError, match=r":2: JSON nested too deeply to parse$"):
+        load_vectors(path)
+
+
+def test_bm25_runs_do_not_import_orjson(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import respqa
+
+    path = tmp_path / "vectors.jsonl"
+    path.write_text(json.dumps({"id": "d0", "vector": [1.0]}) + "\n")
+    src = os.path.dirname(os.path.dirname(respqa.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, respqa.cli\n"
+        "from respqa.retrieval import BM25Index, Document, load_vectors\n"
+        "BM25Index.build([Document('d0', 't', 'cat')]).retrieve('cat', 1)\n"
+        "print('orjson' in sys.modules)\n"
+        f"load_vectors({str(path)!r})\n"
+        "print('orjson' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
 
 
 def test_random_corpora_against_brute_force_smoke():
