@@ -28,7 +28,15 @@ SLOT_DOCS = "docs"
 DONE_MARKER = "[DONE]"
 NO_INFO_SENTINEL = "No relevant information found."
 
-_TEMPLATE_NAMES = ("judge", "plan", "global_evidence", "local_pathway", "generate")
+# The slots each template's agent binds. A template may leave a slot out;
+# one outside its set is refused when the templates load.
+_TEMPLATE_SLOTS = {
+    "judge": (SLOT_OVERARCHING, SLOT_MEMORY),
+    "plan": (SLOT_OVERARCHING, SLOT_MEMORY),
+    "global_evidence": (SLOT_OVERARCHING, SLOT_DOCS),
+    "local_pathway": (SLOT_SUB_QUESTION, SLOT_MEMORY),
+    "generate": (SLOT_OVERARCHING, SLOT_MEMORY),
+}
 _SLOT = re.compile(r"\{([^{}]+)\}")
 _YES_PREFIX = re.compile(r"^yes\b", re.IGNORECASE)
 _NO_PREFIX = re.compile(r"^no\b", re.IGNORECASE)
@@ -48,11 +56,10 @@ class PromptTemplateSet:
 
     @classmethod
     def load_default(cls) -> "PromptTemplateSet":
-        texts = {}
         base = resources.files("respqa").joinpath("templates")
-        for name in _TEMPLATE_NAMES:
-            texts[name] = _strip_final_newline(base.joinpath(f"{name}.txt").read_text("utf-8"))
-        return cls(**texts)
+        return cls(
+            **{name: _read_template(base.joinpath(f"{name}.txt"), name) for name in _TEMPLATE_SLOTS}
+        )
 
     @classmethod
     def load_dir(cls, directory: str | Path) -> "PromptTemplateSet":
@@ -60,10 +67,10 @@ class PromptTemplateSet:
         directory = Path(directory)
         defaults = cls.load_default()
         texts = {}
-        for name in _TEMPLATE_NAMES:
+        for name in _TEMPLATE_SLOTS:
             path = directory / f"{name}.txt"
             try:
-                texts[name] = _strip_final_newline(path.read_text("utf-8"))
+                texts[name] = _read_template(path, name)
             except FileNotFoundError:
                 texts[name] = getattr(defaults, name)
             except (OSError, UnicodeDecodeError) as exc:
@@ -71,7 +78,19 @@ class PromptTemplateSet:
         return cls(**texts)
 
 
-def _strip_final_newline(text: str) -> str:
+def _read_template(path, name: str) -> str:
+    """The template's text without its final newline.
+
+    ConfigurationError, naming the file and the slot, if the text uses a
+    slot that the agent filling template ``name`` does not bind.
+    """
+    text = path.read_text("utf-8")
+    unknown = sorted(referenced_slots(text).difference(_TEMPLATE_SLOTS[name]))
+    if unknown:
+        allowed = ", ".join(f"{{{slot}}}" for slot in _TEMPLATE_SLOTS[name])
+        raise ConfigurationError(
+            f"template {path}: unknown slot {{{unknown[0]}}} (allowed: {allowed})"
+        )
     return text[:-1] if text.endswith("\n") else text
 
 
@@ -258,100 +277,82 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PipelineAgents:
-    """Stateless agent frontend: (router, templates, config) in, parsed results out.
+    """Agent frontend: (router, templates, config) in, parsed results out.
 
-    Safe to share across concurrently running questions; each method makes
-    at most two LLM calls (plan retry). The token caps and the generator
-    temperature come from ``config``; the reasoner and summarizer always run
-    at 0.0. The optional ``record`` dict on the summarize, local-answer,
-    judge and plan methods captures the exact prompt(s) sent, for trace
-    logging; the two generate methods return the prompt they sent alongside
-    the answer.
+    Each method makes at most two LLM calls (plan retry). Every call
+    assembles its prompt under the input cap, appends ``(key, prompt)`` to
+    ``prompt_log`` if there is one, and goes through the router. The token
+    caps and the generator temperature come from ``config``; the reasoner and
+    summarizer always run at 0.0. Agents without a log are safe to share
+    across threads; a run gives its own copy a fresh log.
     """
 
     router: BackendRouter
     templates: PromptTemplateSet = field(default_factory=PromptTemplateSet.load_default)
     config: PipelineConfig = field(default_factory=PipelineConfig)
+    prompt_log: list[tuple[str, str]] | None = field(default=None, compare=False)
 
-    def _complete(self, prompt: str, role_tag: str, temperature: float = 0.0) -> str:
-        request = LlmRequest(
-            prompt=prompt,
-            max_output_tokens=self.config.max_output_tokens,
-            temperature=temperature,
-            role_tag=role_tag,
-        )
-        return self.router.complete(request).text
-
-    def _assemble(self, template: str, bindings: dict[str, str], docs=None, doc_slot=SLOT_DOCS) -> str:
-        return assemble_prompt(
+    def _call(
+        self, key: str, role_tag: str, template: str, bindings: dict[str, str],
+        docs: list[str] | None = None, doc_slot: str = SLOT_DOCS,
+    ) -> str:
+        prompt = assemble_prompt(
             template,
             bindings,
             docs=docs,
             doc_slot=doc_slot,
             max_input_tokens=self.config.max_input_tokens,
         )
+        if self.prompt_log is not None:
+            self.prompt_log.append((key, prompt))
+        request = LlmRequest(
+            prompt=prompt,
+            max_output_tokens=self.config.max_output_tokens,
+            temperature=self.config.generator_temperature if role_tag == "generator" else 0.0,
+            role_tag=role_tag,
+        )
+        return self.router.complete(request).text
 
-    def summarize_global(
-        self,
-        docs: list[RetrievedDocument],
-        overarching_question: str,
-        record: dict[str, str] | None = None,
-    ) -> str:
+    def summarize_global(self, docs: list[RetrievedDocument], overarching_question: str) -> str:
         """Summary of support for the overarching question found in ``docs``."""
         if not docs:
             raise ValueError("summarize_global requires at least one retrieved document")
-        prompt = self._assemble(
+        raw = self._call(
+            "global_summary",
+            "summarizer",
             self.templates.global_evidence,
             {SLOT_OVERARCHING: overarching_question},
             docs=render_docs(docs),
         )
-        if record is not None:
-            record["global_summary"] = prompt
-        return parse_global_summary(self._complete(prompt, "summarizer"))
+        return parse_global_summary(raw)
 
-    def answer_local(
-        self,
-        sub_question: str,
-        memory: MemoryState,
-        record: dict[str, str] | None = None,
-    ) -> LocalAnswer:
+    def answer_local(self, sub_question: str, memory: MemoryState) -> LocalAnswer:
         """Answer the current sub-question from the combined memory queues.
 
         The caller must have pushed this round's global summary first; the
         retrieved content reaches this prompt only through memory.
         """
-        prompt = self._assemble(
+        raw = self._call(
+            "local_answer",
+            "summarizer",
             self.templates.local_pathway,
             {SLOT_SUB_QUESTION: sub_question, SLOT_MEMORY: memory.render_combined()},
         )
-        if record is not None:
-            record["local_answer"] = prompt
-        return parse_local_answer(self._complete(prompt, "summarizer"))
+        return parse_local_answer(raw)
 
-    def judge(
-        self,
-        overarching_question: str,
-        memory: MemoryState,
-        record: dict[str, str] | None = None,
-    ) -> Judgement:
+    def judge(self, overarching_question: str, memory: MemoryState) -> Judgement:
         """Is the accumulated memory sufficient to answer the question?"""
         if not memory.global_evidence:
             raise ValueError("judge requires at least one global evidence entry")
-        prompt = self._assemble(
+        raw = self._call(
+            "judge",
+            "reasoner",
             self.templates.judge,
             {SLOT_OVERARCHING: overarching_question, SLOT_MEMORY: memory.render_combined()},
         )
-        if record is not None:
-            record["judge"] = prompt
-        return parse_judgement(self._complete(prompt, "reasoner"))
+        return parse_judgement(raw)
 
-    def plan(
-        self,
-        overarching_question: str,
-        memory: MemoryState,
-        forbidden: set[str],
-        record: dict[str, str] | None = None,
-    ) -> PlanResult:
+    def plan(self, overarching_question: str, memory: MemoryState, forbidden: set[str]) -> PlanResult:
         """Next sub-question, guaranteed not to normalize into ``forbidden``
         unless forced_termination is set.
 
@@ -359,43 +360,40 @@ class PipelineAgents:
         forbidden list spelled out; a second duplicate forces termination.
         """
         bindings = {SLOT_OVERARCHING: overarching_question, SLOT_MEMORY: memory.render_combined()}
-        prompt = self._assemble(self.templates.plan, bindings)
-        if record is not None:
-            record["plan"] = prompt
-        question = parse_plan_surface(self._complete(prompt, "reasoner"))
+        question = parse_plan_surface(self._call("plan", "reasoner", self.templates.plan, bindings))
         normalized = normalize_question(question)
         if normalized and normalized not in forbidden:
             return PlanResult(sub_question=question, attempts=1, forced_termination=False)
 
-        retry_prompt = self._assemble(
+        raw = self._call(
+            "plan_retry",
+            "reasoner",
             self.templates.plan + "\nDo not repeat any of these questions: {Forbidden questions}",
             {**bindings, "Forbidden questions": "; ".join(sorted(forbidden))},
         )
-        if record is not None:
-            record["plan_retry"] = retry_prompt
-        question = parse_plan_surface(self._complete(retry_prompt, "reasoner"))
+        question = parse_plan_surface(raw)
         normalized = normalize_question(question)
         forced = not normalized or normalized in forbidden
         return PlanResult(sub_question=question, attempts=2, forced_termination=forced)
 
-    def generate(self, overarching_question: str, memory: MemoryState) -> tuple[str, str]:
-        """Final answer from the memory queues, trimmed, and the prompt sent."""
-        prompt = self._assemble(
+    def generate(self, overarching_question: str, memory: MemoryState) -> str:
+        """Final answer from the memory queues, trimmed."""
+        return self._call(
+            "generate",
+            "generator",
             self.templates.generate,
             {SLOT_OVERARCHING: overarching_question, SLOT_MEMORY: memory.render_combined()},
-        )
-        return self._complete(prompt, "generator", self.config.generator_temperature).strip(), prompt
+        ).strip()
 
-    def generate_standard(
-        self, overarching_question: str, docs: list[RetrievedDocument]
-    ) -> tuple[str, str]:
-        """Single-shot baseline: trimmed answer from the raw documents, and the prompt sent."""
+    def generate_standard(self, overarching_question: str, docs: list[RetrievedDocument]) -> str:
+        """Single-shot baseline: trimmed answer from the raw documents."""
         # The reference slot of the generation template carries raw documents
         # here, so it is doc-wise truncatable, unlike memory content.
-        prompt = self._assemble(
+        return self._call(
+            "generate",
+            "generator",
             self.templates.generate,
             {SLOT_OVERARCHING: overarching_question},
             docs=render_docs(docs),
             doc_slot=SLOT_MEMORY,
-        )
-        return self._complete(prompt, "generator", self.config.generator_temperature).strip(), prompt
+        ).strip()

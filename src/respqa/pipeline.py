@@ -73,7 +73,7 @@ class RunTrace:
 
     @property
     def sub_questions(self) -> list[str]:
-        return [record.sub_question for record in self.iterations]
+        return [iteration.sub_question for iteration in self.iterations]
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -98,7 +98,8 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
     """
     if not question.strip():
         raise ValueError("question must be non-empty")
-    agents = replace(agents, config=config)
+    log: list[tuple[str, str]] = []
+    agents = replace(agents, config=config, prompt_log=log)
     memory = MemoryState()
     iterations: list[IterationRecord] = []
     anomalies: list[str] = []
@@ -107,11 +108,11 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
 
     try:
         for round_index in range(config.max_iterations):
-            record: dict[str, str] | None = {} if config.log_prompts else None
+            round_start = len(log)
             hits = retriever.retrieve(sub_question, config.top_k)
 
             if hits:
-                summary = agents.summarize_global(hits, question, record)
+                summary = agents.summarize_global(hits, question)
             else:
                 # Nothing retrievable: the sentinel keeps the evidence queue
                 # honest and the loop moving.
@@ -120,7 +121,7 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
 
             local_answer: LocalAnswer | None = None
             if round_index >= 1:
-                local_answer = agents.answer_local(sub_question, memory, record)
+                local_answer = agents.answer_local(sub_question, memory)
                 if local_answer.anomaly:
                     anomalies.append(
                         f"round {round_index}: unparseable local answer: {local_answer.raw_text!r}"
@@ -129,7 +130,7 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
                     round_index, sub_question, local_answer.answer, local_answer.answered
                 )
 
-            judgement = agents.judge(question, memory, record)
+            judgement = agents.judge(question, memory)
             if judgement.anomaly:
                 anomalies.append(
                     f"round {round_index}: unparseable judgement: {judgement.raw_text!r}"
@@ -146,7 +147,7 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
                 stop_reason = STOP_MAX_ITERATIONS
             else:
                 forbidden = memory.seen_subquestions(question)
-                plan_result = agents.plan(question, memory, forbidden, record)
+                plan_result = agents.plan(question, memory, forbidden)
                 if plan_result.forced_termination:
                     decision = DECISION_FORCED_GENERATE
                     stop_reason = STOP_DUPLICATE_PLAN
@@ -163,7 +164,7 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
                     judgement=judgement,
                     decision=decision,
                     plan=plan_result,
-                    prompts=record,
+                    prompts=dict(log[round_start:]) if config.log_prompts else None,
                 )
             )
             if decision != DECISION_CONTINUE:
@@ -171,11 +172,12 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
             sub_question = plan_result.sub_question
 
         # The generator's failures are reported against the last loop round.
-        answer, prompt = agents.generate(question, memory)
+        answer = agents.generate(question, memory)
     except BackendError as exc:
         raise _round_failure(exc, round_index) from exc
-    if record is not None:
-        record["generate"] = prompt
+    _, generate_prompt = log[-1]
+    if config.log_prompts:
+        iterations[-1].prompts["generate"] = generate_prompt
 
     return RunTrace(
         question=question,
@@ -184,7 +186,7 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
         final_answer=answer,
         stop_reason=stop_reason,
         anomalies=anomalies,
-        generator_prompt_tokens=whitespace_token_estimate(prompt),
+        generator_prompt_tokens=whitespace_token_estimate(generate_prompt),
         memory=memory,
     )
 
@@ -195,10 +197,11 @@ def run_standard_rag(
     """One retrieval, one generation from the raw documents; no memory."""
     if not question.strip():
         raise ValueError("question must be non-empty")
-    agents = replace(agents, config=config)
+    log: list[tuple[str, str]] = []
+    agents = replace(agents, config=config, prompt_log=log)
     hits = retriever.retrieve(question, config.top_k)
     try:
-        answer, prompt = agents.generate_standard(question, hits)
+        answer = agents.generate_standard(question, hits)
     except BackendError as exc:
         raise _round_failure(exc, 0) from exc
     iteration = IterationRecord(
@@ -209,7 +212,7 @@ def run_standard_rag(
         local_answer=None,
         judgement=None,
         decision=DECISION_GENERATE,
-        prompts={"generate": prompt} if config.log_prompts else None,
+        prompts=dict(log) if config.log_prompts else None,
     )
     return RunTrace(
         question=question,
@@ -218,7 +221,7 @@ def run_standard_rag(
         final_answer=answer,
         stop_reason=STOP_SINGLE_ROUND,
         anomalies=[],
-        generator_prompt_tokens=whitespace_token_estimate(prompt),
+        generator_prompt_tokens=whitespace_token_estimate(log[-1][1]),
         memory=None,
     )
 

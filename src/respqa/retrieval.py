@@ -721,8 +721,7 @@ class EmbeddingRetriever:
     def retrieve(self, query: str, k: int) -> list[RetrievedDocument]:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        # A copy: _unit_rows scales in place, and the caller may keep the vector.
-        query_vector = np.array(self._embed(query), dtype=np.float64)
+        query_vector = _query_vector(self._embed(query))
         if query_vector.shape != self._units.shape[1:]:
             raise RetrieverError(
                 f"query vector has shape {query_vector.shape}, "
@@ -737,6 +736,29 @@ class EmbeddingRetriever:
         return _ranked_hits(
             lambda top: map(self._documents.__getitem__, top.tolist()), self._id_ranks, scores, k
         )
+
+
+def _query_vector(reply: Sequence[float]) -> np.ndarray:
+    """A float64 copy of an ``embed`` reply (_unit_rows scales in place, and
+    the caller may keep the reply).
+
+    RetrieverError unless the reply is a flat sequence of Python or numpy
+    ints and floats: a bool, a string, None or a nested sequence, which
+    numpy would convert or fail on, is refused.
+    """
+    if isinstance(reply, np.ndarray):
+        if reply.dtype.kind not in "iuf":
+            raise RetrieverError(f"query vector has dtype {reply.dtype}, not a number type")
+    elif not isinstance(reply, Sequence):
+        raise RetrieverError(f"query vector is {type(reply).__name__}, not a sequence")
+    elif not _JSON_NUMBERS.issuperset(map(type, reply)):
+        for x in reply:
+            if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+                raise RetrieverError(f"query vector component {x!r} is not a number")
+    try:
+        return np.array(reply, dtype=np.float64)
+    except OverflowError as exc:
+        raise RetrieverError(f"query vector component overflows a float: {exc}") from exc
 
 
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:

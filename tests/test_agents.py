@@ -1,5 +1,6 @@
 import random
 import string
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from respqa.agents import (
     render_docs,
     render_template,
 )
-from respqa.errors import PromptError, PromptTooLargeError
+from respqa.errors import ConfigurationError, PromptError, PromptTooLargeError
 from respqa.llm import ScriptedRule, whitespace_token_estimate
 from respqa.memory import NO_ANSWER_MARKER, MemoryState, normalize_question
 from respqa.retrieval import RetrievedDocument
@@ -86,6 +87,29 @@ class TestTemplateFidelity:
         templates = PromptTemplateSet.load_dir(tmp_path)
         assert templates.judge == "custom judge {Overarching question}"
         assert templates.plan == TEMPLATES.plan
+
+    def test_shipped_templates_pass_the_slot_check(self, tmp_path):
+        for name in ANCHORS:
+            (tmp_path / f"{name}.txt").write_text(getattr(TEMPLATES, name) + "\n")
+        assert PromptTemplateSet.load_dir(tmp_path) == TEMPLATES
+
+    @pytest.mark.parametrize(
+        "name, slot",
+        [
+            ("judge", "Overarching questio"),
+            ("plan", "Forbidden questions"),
+            ("global_evidence", "Combined memory queues"),
+            ("local_pathway", "Overarching question"),
+            ("generate", "docs"),
+        ],
+    )
+    def test_override_with_a_slot_its_agent_does_not_bind_is_refused(self, tmp_path, name, slot):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(f"{ANCHORS[name]} {{{slot}}}\n")
+        with pytest.raises(ConfigurationError) as excinfo:
+            PromptTemplateSet.load_dir(tmp_path)
+        assert str(path) in str(excinfo.value)
+        assert f"{{{slot}}}" in str(excinfo.value)
 
 
 class TestRenderTemplate:
@@ -320,10 +344,11 @@ class TestJudge:
         assert judgement.anomaly is True
 
     def test_prompt_records(self):
-        agents, _ = scripted_agents([ScriptedRule(JUDGE_MARKER, "No")])
-        record = {}
-        agents.judge("q?", memory_with(["ev"]), record=record)
-        assert ANCHORS["judge"] in record["judge"]
+        agents, backend = scripted_agents([ScriptedRule(JUDGE_MARKER, "No")])
+        agents = replace(agents, prompt_log=[])
+        agents.judge("q?", memory_with(["ev"]))
+        assert agents.prompt_log == [("judge", backend.history[0].prompt)]
+        assert ANCHORS["judge"] in agents.prompt_log[0][1]
 
 
 class TestPlan:
@@ -403,19 +428,19 @@ class TestPlan:
 class TestGenerate:
     def test_trim_only(self):
         agents, _ = scripted_agents([ScriptedRule(GENERATE_MARKER, "  Answer: X  ")])
-        assert agents.generate("q?", memory_with(["ev"]))[0] == "Answer: X"
+        assert agents.generate("q?", memory_with(["ev"])) == "Answer: X"
 
     def test_case_study_answer(self):
         agents, _ = scripted_agents([ScriptedRule(GENERATE_MARKER, "Charlie Murphy")])
         memory = memory_with(["Victor Varnado directed Twisted Fortune starring Charlie Murphy."])
-        assert agents.generate("Which brother?", memory)[0] == "Charlie Murphy"
+        assert agents.generate("Which brother?", memory) == "Charlie Murphy"
 
     def test_render_matches_sent_prompt(self):
         agents, backend = scripted_agents([ScriptedRule(GENERATE_MARKER, "x")])
-        _, prompt = agents.generate("q?", memory_with(["ev"]))
-        assert backend.history[0].prompt == prompt
-        _, prompt = agents.generate_standard("q?", [hit(1, "raw doc text", 1)])
-        assert backend.history[1].prompt == prompt
+        agents = replace(agents, prompt_log=[])
+        agents.generate("q?", memory_with(["ev"]))
+        agents.generate_standard("q?", [hit(1, "raw doc text", 1)])
+        assert agents.prompt_log == [("generate", call.prompt) for call in backend.history]
 
     def test_standard_prompt_carries_raw_docs(self):
         agents, backend = scripted_agents([ScriptedRule(GENERATE_MARKER, "x")])
@@ -467,7 +492,7 @@ class TestRoleTemperatures:
 
 def test_generate_on_empty_memory_is_passthrough():
     agents, _ = scripted_agents([ScriptedRule(GENERATE_MARKER, "  raw output  ")])
-    assert agents.generate("q?", MemoryState())[0] == "raw output"
+    assert agents.generate("q?", MemoryState()) == "raw output"
 
 
 class TestAgentTruncation:

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from respqa.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from respqa.llm import BackendRouter
 
 from helpers import (
     OVERPLANNING_QUESTION,
@@ -268,6 +269,23 @@ class TestConfigFile:
         argv = ["ask", "q?", "--index-dir", str(index_dir), "--script", str(script_path)]
         assert main([*argv, "--templates-dir", str(templates)]) == EXIT_CONFIG
         assert str(templates / "judge.txt") in capsys.readouterr().err
+
+    def test_template_override_with_an_unknown_slot(
+        self, tmp_path, index_dir, script_path, dataset_path, capsys, monkeypatch
+    ):
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        (templates / "judge.txt").write_text("Enough? {Overarching questio}\n")
+        calls = []
+        monkeypatch.setattr(BackendRouter, "complete", lambda self, request: calls.append(request))
+        out_dir = tmp_path / "reports"
+        argv = ["--index-dir", str(index_dir), "--script", str(script_path)]
+        argv += ["--templates-dir", str(templates), "--out-dir", str(out_dir)]
+        assert main(["eval", str(dataset_path), *argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(templates / "judge.txt") in err and "{Overarching questio}" in err
+        assert not out_dir.exists()
+        assert calls == []
 
 
 class TestUnreadableInput:

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
 from respqa.agents import NO_INFO_SENTINEL, PipelineAgents
 from respqa.errors import BackendError, PipelineError
+from respqa.evaluation import QAExample, evaluate
 from respqa.llm import (
     ROLE_TAGS,
     BackendRouter,
@@ -348,7 +351,7 @@ class TestPromptLogging:
         trace = run_resp(TOPIC_QUESTION, index, agents, PipelineConfig(log_prompts=True))
         recorded = [p for record in trace.iterations for p in (record.prompts or {}).values()]
         sent = [call.prompt for call in backend.history]
-        assert sorted(recorded) == sorted(sent)
+        assert recorded == sent
         assert trace.iterations[-1].prompts["generate"] == sent[-1]
 
     def test_prompts_absent_by_default(self):
@@ -365,6 +368,57 @@ class TestPromptLogging:
             trace = run_standard_rag(TOPIC_QUESTION, index, agents, config)
             expected = {"generate": backend.history[-1].prompt} if log_prompts else None
             assert trace.iterations[0].prompts == expected
+
+    class SlowBackend:
+        """A scripted backend that waits before each reply, so that
+        concurrent runs interleave their calls."""
+
+        backend_id = "slow"
+
+        def __init__(self, inner):
+            self.inner = inner
+
+        def complete(self, request):
+            time.sleep(0.002)
+            return self.inner.complete(request)
+
+    def test_each_run_keeps_its_own_prompt_log(self):
+        index = BM25Index.build(TOPIC_DOCS)
+        rules = [
+            ScriptedRule(SUMMARIZER_MARKER, "A summary of the evidence. [DONE]"),
+            ScriptedRule(PLAN_RETRY_MARKER, "What about beta specifically?"),
+            ScriptedRule(PLAN_MARKER, "What about alpha specifically?"),
+            ScriptedRule(JUDGE_MARKER, "No"),
+            ScriptedRule(LOCAL_MARKER, "No"),
+            ScriptedRule(GENERATE_MARKER, "final answer"),
+        ]
+        backend = self.SlowBackend(ScriptedBackend(rules))
+        agents = PipelineAgents(BackendRouter({role: backend for role in ROLE_TAGS}))
+        config = PipelineConfig(log_prompts=True)
+        questions = [f"What links alpha and beta topics, case {c}?" for c in "ABCDEFGH"]
+        traces = {}
+
+        def run(question):
+            traces[question] = run_resp(question, index, agents, config)
+            return traces[question]
+
+        examples = [QAExample(f"e{i}", q, ("final answer",)) for i, q in enumerate(questions)]
+        assert evaluate(run, examples, parallelism=4).errors == 0
+        alone = run_resp(questions[0], index, agents, config)
+        keys = [list(record.prompts) for record in alone.iterations]
+        assert keys == [
+            ["global_summary", "judge", "plan"],
+            ["global_summary", "local_answer", "judge", "plan", "plan_retry"],
+            ["global_summary", "local_answer", "judge", "generate"],
+        ]
+        for question, trace in traces.items():
+            assert [list(record.prompts) for record in trace.iterations] == keys
+            prompts = [p for record in trace.iterations for p in record.prompts.values()]
+            for other in questions:
+                if other != question:
+                    assert not any(other in prompt for prompt in prompts)
+            for record in trace.iterations:
+                assert question in record.prompts["judge"]
 
 
 @pytest.mark.parametrize("run", [run_resp, run_standard_rag])

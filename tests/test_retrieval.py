@@ -498,6 +498,45 @@ class TestEmbeddingRetriever:
         with pytest.raises(RetrieverError, match="query vector has a non-finite component"):
             retriever.retrieve("anything", 3)
 
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            ([[1.0], [2.0, 3.0]], "component \\[1.0\\] is not a number"),
+            ([[1.0, 0.0]], "is not a number"),
+            (["1.5", True], "component '1.5' is not a number"),
+            ([1.0, None], "component None is not a number"),
+            ([True, 0.0], "component True is not a number"),
+            ([np.bool_(True), 0.0], "is not a number"),
+            (np.array([True, False]), "dtype bool"),
+            (np.array(["1", "0"]), "dtype <U1"),
+            ([10**400, 0.0], "overflows a float"),
+            (None, "NoneType, not a sequence"),
+        ],
+        ids=["ragged", "nested", "string", "none", "bool", "numpy-bool", "bool-array",
+             "string-array", "huge-int", "none-reply"],
+    )
+    def test_bad_query_vector(self, reply, message):
+        retriever = EmbeddingRetriever(self.DOCS, self.VECTORS, embed=lambda q: reply)
+        with pytest.raises(RetrieverError, match=message):
+            retriever.retrieve("anything", 3)
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            [1, 0],
+            (1.0, 0),
+            [np.float32(1.0), np.int64(0)],
+            np.array([1, 0], dtype=np.int32),
+            np.array([1.0, 0.0], dtype=np.float32),
+        ],
+        ids=["ints", "tuple", "numpy-scalars", "int-array", "float32-array"],
+    )
+    def test_query_vector_of_ints_and_floats(self, reply):
+        retriever = EmbeddingRetriever(self.DOCS, self.VECTORS, embed=lambda q: reply)
+        assert [h.doc_id for h in retriever.retrieve("anything", 3)] == ["a", "b"]
+        if isinstance(reply, np.ndarray):
+            assert reply.tolist() == [1, 0]  # the caller's array is not scaled in place
+
     def test_vector_lengths_must_agree(self):
         with pytest.raises(CorpusError, match="one length"):
             EmbeddingRetriever(self.DOCS, {"a": [1.0], "b": [1.0, 0.0], "c": [0.0]}, lambda q: [1.0])
