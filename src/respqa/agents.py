@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -29,7 +29,7 @@ DONE_MARKER = "[DONE]"
 NO_INFO_SENTINEL = "No relevant information found."
 
 # The slots each template's agent binds. A template may leave a slot out;
-# one outside its set is refused when the templates load.
+# one outside its set is refused when the template set is built.
 _TEMPLATE_SLOTS = {
     "judge": (SLOT_OVERARCHING, SLOT_MEMORY),
     "plan": (SLOT_OVERARCHING, SLOT_MEMORY),
@@ -46,7 +46,11 @@ _ANSWER_SEPARATORS = " \t\r\n,.:;-"
 
 @dataclass(frozen=True)
 class PromptTemplateSet:
-    """The five prompt templates, keyed by agent function."""
+    """The five prompt templates, keyed by agent function.
+
+    ConfigurationError, naming the template and the slot, if a template uses
+    a slot that its agent does not bind.
+    """
 
     judge: str
     plan: str
@@ -54,43 +58,42 @@ class PromptTemplateSet:
     local_pathway: str
     generate: str
 
+    def __post_init__(self) -> None:
+        for name, allowed in _TEMPLATE_SLOTS.items():
+            unknown = sorted(referenced_slots(getattr(self, name)).difference(allowed))
+            if unknown:
+                slots = ", ".join(f"{{{slot}}}" for slot in allowed)
+                raise ConfigurationError(
+                    f"template {name!r}: unknown slot {{{unknown[0]}}} (allowed: {slots})"
+                )
+
     @classmethod
     def load_default(cls) -> "PromptTemplateSet":
         base = resources.files("respqa").joinpath("templates")
         return cls(
-            **{name: _read_template(base.joinpath(f"{name}.txt"), name) for name in _TEMPLATE_SLOTS}
+            **{name: _read_template(base.joinpath(f"{name}.txt")) for name in _TEMPLATE_SLOTS}
         )
 
     @classmethod
     def load_dir(cls, directory: str | Path) -> "PromptTemplateSet":
         """Defaults overridden by any ``<name>.txt`` present in ``directory``."""
-        directory = Path(directory)
-        defaults = cls.load_default()
-        texts = {}
+        templates = cls.load_default()
         for name in _TEMPLATE_SLOTS:
-            path = directory / f"{name}.txt"
+            path = Path(directory) / f"{name}.txt"
             try:
-                texts[name] = _read_template(path, name)
+                templates = replace(templates, **{name: _read_template(path)})
             except FileNotFoundError:
-                texts[name] = getattr(defaults, name)
+                pass
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigurationError(f"unreadable template {path}: {exc}") from exc
-        return cls(**texts)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{path}: {exc}") from exc
+        return templates
 
 
-def _read_template(path, name: str) -> str:
-    """The template's text without its final newline.
-
-    ConfigurationError, naming the file and the slot, if the text uses a
-    slot that the agent filling template ``name`` does not bind.
-    """
+def _read_template(path) -> str:
+    """The template's text without its final newline."""
     text = path.read_text("utf-8")
-    unknown = sorted(referenced_slots(text).difference(_TEMPLATE_SLOTS[name]))
-    if unknown:
-        allowed = ", ".join(f"{{{slot}}}" for slot in _TEMPLATE_SLOTS[name])
-        raise ConfigurationError(
-            f"template {path}: unknown slot {{{unknown[0]}}} (allowed: {allowed})"
-        )
     return text[:-1] if text.endswith("\n") else text
 
 

@@ -162,6 +162,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--k values must be >= 1, got {args.k!r}")
     _check_limit(args.limit)
     pipelines = [part.strip() for part in args.pipelines.split(",") if part.strip()]
+    if not pipelines:
+        raise ConfigurationError("--pipelines must name at least one pipeline")
     for name in pipelines:
         if name not in (PIPELINE_RESP, PIPELINE_STANDARD):
             raise ConfigurationError(f"unknown pipeline in --pipelines: {name!r}")

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 from urllib.parse import urlsplit
 
 import yaml
@@ -57,24 +57,25 @@ class BackendSpec:
 
 @dataclass
 class AppConfig:
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
-    backends: dict[str, BackendSpec] = field(default_factory=dict)
-    roles: dict[str, str] = field(default_factory=dict)
-    retriever_kind: str = "bm25"
-    index_dir: Path | None = None
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
-    embedding_endpoint: str | None = None
-    embedding_model: str | None = None
-    embedding_api_key: str | None = None
-    vectors_path: Path | None = None
-    templates_dir: Path | None = None
-    parallelism: int = 1
+    pipeline: PipelineConfig
+    backends: dict[str, BackendSpec]
+    roles: dict[str, str]
+    retriever_kind: str
+    index_dir: Path | None
+    k1: float
+    b: float
+    embedding_endpoint: str | None
+    embedding_model: str | None
+    embedding_api_key: str | None
+    vectors_path: Path | None
+    templates_dir: Path | None
+    parallelism: int
 
 
 @dataclass(frozen=True)
 class CliOverrides:
-    """Values from command-line flags; highest precedence."""
+    """Values from command-line flags; highest precedence. A field named after a
+    PipelineConfig setting overrides that setting."""
 
     endpoint: str | None = None
     model: str | None = None
@@ -92,108 +93,21 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigurationError(message)
 
 
-def _require_http_url(url: object, owner: str) -> None:
-    try:
-        parts = urlsplit(url) if isinstance(url, str) else None
-    except ValueError:
-        parts = None
-    _require(
-        parts is not None and parts.scheme in ("http", "https") and bool(parts.netloc),
-        f"{owner}: endpoint {url!r} is not an http(s) URL",
-    )
-
-
-def _section(data: dict, key: str, known: tuple[str, ...] | None) -> dict:
-    """The mapping under ``key``; with ``known``, a key outside it is an error."""
-    value = data.get(key) or {}
-    _require(isinstance(value, dict), f"config section {key!r} must be a mapping")
-    if known is not None:
-        _check_keys(value, known, f"{key}.")
+# The parsers: each takes a setting's value and its dotted key, for messages.
+def _keep(value: object, key: str) -> object:
     return value
 
 
-def _check_keys(mapping: dict, known: tuple[str, ...], prefix: str = "") -> None:
-    """Refuse a key the loader does not read, so that a misspelt setting is not lost."""
-    unknown = [f"{prefix}{key}" for key in mapping if key not in known]
-    _require(not unknown, f"unknown config key(s): {', '.join(unknown)}")
-
-
-def load_app_config(path: str | Path | None, overrides: CliOverrides | None = None) -> AppConfig:
-    """Load, merge, and fully validate the application configuration."""
-    overrides = overrides or CliOverrides()
-    data: dict = {}
-    if path is not None:
-        path = Path(path)
-        try:
-            loaded = yaml.safe_load(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
-            raise ConfigurationError(f"unreadable config file {path}: {exc}") from exc
-        if loaded is None:
-            loaded = {}
-        _require(isinstance(loaded, dict), "config file must contain a mapping at top level")
-        data = loaded
-    _check_keys(data, ("pipeline", "retriever", "backends", "roles", "eval", "templates_dir"))
-
-    pipeline = _load_pipeline(_section(data, "pipeline", _PIPELINE_KEYS), overrides)
-    retriever = _section(
-        data,
-        "retriever",
-        ("kind", "index_dir", "k1", "b", "endpoint", "model", "api_key_env", "vectors"),
-    )
-    eval_section = _section(data, "eval", ("parallelism",))
-
-    backends = _load_backends(_section(data, "backends", known=None), overrides)
-    roles = _load_roles(data.get("roles"), backends, overrides)
-
-    templates_dir = overrides.templates_dir or data.get("templates_dir")
-    if templates_dir is not None:
-        templates_dir = Path(templates_dir)
-        _require(templates_dir.is_dir(), f"templates directory not found: {templates_dir}")
-
-    index_dir = overrides.index_dir or retriever.get("index_dir")
-    parallelism = overrides.parallelism
-    if parallelism is None:
-        parallelism = _integer(eval_section.get("parallelism", 1), "eval.parallelism")
-    k1 = _number(retriever.get("k1", DEFAULT_K1), "retriever.k1")
-    b = _number(retriever.get("b", DEFAULT_B), "retriever.b")
-    _require(parallelism >= 1, f"parallelism must be >= 1, got {parallelism}")
-    _require(0 <= k1 < math.inf, f"retriever.k1 must be finite and >= 0, got {k1}")
-    _require(0 <= b <= 1, f"retriever.b must be between 0 and 1, got {b}")
-    if retriever.get("endpoint") is not None:
-        _require_http_url(retriever["endpoint"], "retriever")
-
-    config = AppConfig(
-        pipeline=pipeline,
-        backends=backends,
-        roles=roles,
-        retriever_kind=str(retriever.get("kind", "bm25")),
-        index_dir=Path(index_dir) if index_dir else None,
-        k1=k1,
-        b=b,
-        embedding_endpoint=retriever.get("endpoint"),
-        embedding_model=retriever.get("model"),
-        embedding_api_key=_resolve_api_key(retriever.get("api_key_env")),
-        vectors_path=Path(retriever["vectors"]) if retriever.get("vectors") else None,
-        templates_dir=templates_dir,
-        parallelism=parallelism,
-    )
-    _require(
-        config.retriever_kind in ("bm25", "embedding"),
-        f"unknown retriever kind: {config.retriever_kind!r}",
-    )
-    return config
-
-
 def _integer(value: object, key: str) -> int:
-    """An integer setting from the file; a bool, a string or a fractional number is an error."""
+    """An integer setting; a bool, a string or a fractional number is an error."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     _require(integral and not isinstance(value, bool), f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
 def _number(value: object, key: str) -> float:
-    """A float setting from the file; a bool is an error. A string that parses is
-    accepted, because YAML reads an exponent without a dot (``1e-3``) as a string."""
+    """A float setting; a bool is an error. A string that parses is accepted,
+    because YAML reads an exponent without a dot (``1e-3``) as a string."""
     if not isinstance(value, bool):
         try:
             return float(value)
@@ -202,49 +116,148 @@ def _number(value: object, key: str) -> float:
     raise ConfigurationError(f"{key} must be a number, got {value!r}")
 
 
-_INTEGER_PIPELINE_KEYS = ("top_k", "max_iterations", "max_input_tokens", "max_output_tokens")
-_PIPELINE_KEYS = (*_INTEGER_PIPELINE_KEYS, "generator_temperature", "log_prompts")
+def _bool(value: object, key: str) -> bool:
+    _require(isinstance(value, bool), f"{key} must be true or false, got {value!r}")
+    return value
 
 
-def _load_pipeline(section: dict, overrides: CliOverrides) -> PipelineConfig:
-    """The file's pipeline settings over PipelineConfig's defaults, then the flags."""
-    settings: dict = {
-        key: _integer(section[key], f"pipeline.{key}")
-        for key in _INTEGER_PIPELINE_KEYS
-        if key in section
-    }
-    if "generator_temperature" in section:
-        settings["generator_temperature"] = _number(
-            section["generator_temperature"], "pipeline.generator_temperature"
-        )
-    if "log_prompts" in section:
-        log_prompts = section["log_prompts"]
-        _require(
-            isinstance(log_prompts, bool),
-            f"pipeline.log_prompts must be true or false, got {log_prompts!r}",
-        )
-        settings["log_prompts"] = log_prompts
-    if overrides.top_k is not None:
-        settings["top_k"] = overrides.top_k
-    if overrides.max_iterations is not None:
-        settings["max_iterations"] = overrides.max_iterations
-    if overrides.log_prompts:
-        settings["log_prompts"] = True
+def _string(value: object, key: str) -> str | None:
+    """A string, such as the name of an environment variable; null leaves it unset."""
+    _require(value is None or isinstance(value, str), f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _path(value: object, key: str) -> Path | None:
+    """A path; null or an empty string leaves it unset."""
+    text = _string(value, key)
+    return Path(text) if text else None
+
+
+def _url(value: object, key: str) -> str | None:
+    """An http(s) URL; null leaves it unset."""
     try:
-        return PipelineConfig(**settings)
+        parts = urlsplit(value) if isinstance(value, str) else None
+    except ValueError:
+        parts = None
+    http = parts is not None and parts.scheme in ("http", "https") and bool(parts.netloc)
+    _require(value is None or http, f"{key} {value!r} is not an http(s) URL")
+    return value
+
+
+def _mapping(value: object, key: str) -> dict:
+    value = value or {}
+    _require(isinstance(value, dict), f"config section {key!r} must be a mapping")
+    return value
+
+
+def _parse(mapping: dict, parsers: dict[str, Callable], prefix: str) -> dict:
+    """Each key of ``mapping`` through its parser. A key with no parser is
+    refused, so that a misspelt setting is not lost."""
+    unknown = [f"{prefix}{key}" for key in mapping if key not in parsers]
+    _require(not unknown, f"unknown config key(s): {', '.join(unknown)}")
+    return {key: parsers[key](value, f"{prefix}{key}") for key, value in mapping.items()}
+
+
+def _table(parsers: dict[str, Callable]) -> Callable[[object, str], dict]:
+    """The parser of a section whose keys ``parsers`` read."""
+    return lambda value, key: _parse(_mapping(value, key), parsers, f"{key}.")
+
+
+# The settings tables. The pipeline's is read off PipelineConfig's field types.
+_PIPELINE = {
+    name: {int: _integer, float: _number, bool: _bool}[hint]
+    for name, hint in get_type_hints(PipelineConfig).items()
+}
+_RETRIEVER = {
+    "kind": _keep, "index_dir": _path, "k1": _number, "b": _number,
+    "endpoint": _url, "model": _keep, "api_key_env": _string, "vectors": _path,
+}
+_FILE = {
+    "pipeline": _table(_PIPELINE), "retriever": _table(_RETRIEVER), "backends": _mapping,
+    "roles": _keep, "eval": _table({"parallelism": _integer}), "templates_dir": _path,
+}
+_BACKEND_KINDS = {
+    "http": {"kind": _keep, "endpoint": _keep, "model": _keep, "api_key_env": _string},
+    "scripted": {"kind": _keep, "script": _path},
+}
+
+
+def load_app_config(path: str | Path | None, overrides: CliOverrides | None = None) -> AppConfig:
+    """Load, merge, and fully validate the application configuration."""
+    overrides = overrides or CliOverrides()
+    data = None
+    if path is not None:
+        try:
+            data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+            raise ConfigurationError(f"unreadable config file {path}: {exc}") from exc
+    _require(
+        data is None or isinstance(data, dict), "config file must contain a mapping at top level"
+    )
+    parsed = _parse(data or {}, _FILE, "")
+    retriever = parsed.get("retriever", {})
+
+    pipeline = parsed.get("pipeline", {})
+    for name in _PIPELINE:
+        flag = getattr(overrides, name, None)
+        if flag is not None and flag is not False:
+            pipeline[name] = flag
+    try:
+        pipeline_config = PipelineConfig(**pipeline)
     except ValueError as exc:
         raise ConfigurationError(f"pipeline.{exc}") from exc
+
+    backends = _load_backends(parsed.get("backends", {}), overrides)
+    roles = _load_roles(parsed.get("roles"), backends, overrides)
+
+    templates_dir = _path(overrides.templates_dir, "--templates-dir") or parsed.get("templates_dir")
+    if templates_dir is not None:
+        _require(templates_dir.is_dir(), f"templates directory not found: {templates_dir}")
+    flag = overrides.parallelism
+    parallelism = parsed.get("eval", {}).get("parallelism", 1) if flag is None else flag
+    _require(parallelism >= 1, f"parallelism must be >= 1, got {parallelism}")
+    k1, b = retriever.get("k1", DEFAULT_K1), retriever.get("b", DEFAULT_B)
+    _require(0 <= k1 < math.inf, f"retriever.k1 must be finite and >= 0, got {k1}")
+    _require(0 <= b <= 1, f"retriever.b must be between 0 and 1, got {b}")
+    kind = str(retriever.get("kind", "bm25"))
+    _require(kind in ("bm25", "embedding"), f"unknown retriever kind: {kind!r}")
+
+    return AppConfig(
+        pipeline=pipeline_config,
+        backends=backends,
+        roles=roles,
+        retriever_kind=kind,
+        index_dir=_path(overrides.index_dir, "--index-dir") or retriever.get("index_dir"),
+        k1=k1,
+        b=b,
+        embedding_endpoint=retriever.get("endpoint"),
+        embedding_model=retriever.get("model"),
+        embedding_api_key=_resolve_api_key(retriever.get("api_key_env")),
+        vectors_path=retriever.get("vectors"),
+        templates_dir=templates_dir,
+        parallelism=parallelism,
+    )
 
 
 def _resolve_api_key(api_key_env: str | None) -> str | None:
     return os.environ.get(api_key_env or ENV_API_KEY) or None
 
 
-# The keys a backend of each kind may set.
-_BACKEND_KEYS = {
-    "http": ("kind", "endpoint", "model", "api_key_env"),
-    "scripted": ("kind", "script"),
-}
+def _http_backend(name: str, settings: dict) -> BackendSpec:
+    """An HTTP backend; the endpoint and the model fall back to the environment."""
+    endpoint = settings.get("endpoint") or os.environ.get(ENV_ENDPOINT)
+    _require(
+        bool(endpoint),
+        f"backend {name!r} has no endpoint "
+        f"(set it in the config file, {ENV_ENDPOINT}, or --llm-endpoint)",
+    )
+    return BackendSpec(
+        name=name,
+        kind="http",
+        endpoint=_url(endpoint, f"backend {name!r}: endpoint"),
+        model=str(settings.get("model") or os.environ.get(ENV_MODEL) or "default"),
+        api_key=_resolve_api_key(settings.get("api_key_env")),
+    )
 
 
 def _load_backends(section: dict, overrides: CliOverrides) -> dict[str, BackendSpec]:
@@ -253,23 +266,14 @@ def _load_backends(section: dict, overrides: CliOverrides) -> dict[str, BackendS
         _require(isinstance(raw, dict), f"backend {name!r} must be a mapping")
         kind = raw.get("kind", "http")
         _require(kind in ("http", "scripted"), f"backend {name!r}: unknown kind {kind!r}")
-        _check_keys(raw, _BACKEND_KEYS[kind], f"backends.{name}.")
-        if kind == "scripted":
-            script = raw.get("script")
-            _require(bool(script), f"backend {name!r}: scripted backends need a 'script' path")
-            script_path = Path(script)
-            _require(script_path.exists(), f"backend {name!r}: script not found: {script_path}")
-            backends[name] = BackendSpec(name=name, kind="scripted", script=script_path)
-        else:
-            endpoint = raw.get("endpoint") or os.environ.get(ENV_ENDPOINT)
-            model = raw.get("model") or os.environ.get(ENV_MODEL) or "default"
-            backends[name] = BackendSpec(
-                name=name,
-                kind="http",
-                endpoint=endpoint,
-                model=str(model),
-                api_key=_resolve_api_key(raw.get("api_key_env")),
-            )
+        settings = _parse(raw, _BACKEND_KINDS[kind], f"backends.{name}.")
+        if kind == "http":
+            backends[name] = _http_backend(name, settings)
+            continue
+        script = settings.get("script")
+        _require(script is not None, f"backend {name!r}: scripted backends need a 'script' path")
+        _require(script.exists(), f"backend {name!r}: script not found: {script}")
+        backends[name] = BackendSpec(name=name, kind="scripted", script=script)
 
     # Flag-level test mode: a scripted backend overrides all HTTP wiring.
     if overrides.script is not None:
@@ -277,28 +281,13 @@ def _load_backends(section: dict, overrides: CliOverrides) -> dict[str, BackendS
         _require(script_path.exists(), f"script not found: {script_path}")
         backends["scripted"] = BackendSpec(name="scripted", kind="scripted", script=script_path)
     elif overrides.endpoint or (not backends and os.environ.get(ENV_ENDPOINT)):
-        endpoint = overrides.endpoint or os.environ.get(ENV_ENDPOINT)
-        model = overrides.model or os.environ.get(ENV_MODEL) or "default"
-        backends["default"] = BackendSpec(
-            name="default",
-            kind="http",
-            endpoint=endpoint,
-            model=str(model),
-            api_key=_resolve_api_key(None),
+        backends["default"] = _http_backend(
+            "default", {"endpoint": overrides.endpoint, "model": overrides.model}
         )
     elif overrides.model is not None:
         for name, spec in list(backends.items()):
             if spec.kind == "http":
                 backends[name] = replace(spec, model=overrides.model)
-
-    for spec in backends.values():
-        if spec.kind == "http":
-            _require(
-                bool(spec.endpoint),
-                f"backend {spec.name!r} has no endpoint "
-                f"(set it in the config file, {ENV_ENDPOINT}, or --llm-endpoint)",
-            )
-            _require_http_url(spec.endpoint, f"backend {spec.name!r}")
     return backends
 
 
@@ -312,18 +301,15 @@ def _load_roles(
         "no completion backend configured (define one in the config file, set "
         f"{ENV_ENDPOINT}, or pass --llm-endpoint / --script)",
     )
-    roles: dict[str, str]
     if raw_roles is None:
         _require(
             len(backends) == 1,
             "no 'roles' section: either define one and only one backend "
             "(bound to every role) or add explicit role bindings",
         )
-        only = next(iter(backends))
-        roles = {role: only for role in ROLE_TAGS}
-    else:
-        _require(isinstance(raw_roles, dict), "'roles' must be a mapping")
-        roles = {str(role): str(name) for role, name in raw_roles.items()}
+        raw_roles = dict.fromkeys(ROLE_TAGS, next(iter(backends)))
+    _require(isinstance(raw_roles, dict), "'roles' must be a mapping")
+    roles = {str(role): str(name) for role, name in raw_roles.items()}
     missing = [role for role in ROLE_TAGS if role not in roles]
     _require(not missing, f"no backend bound for role(s): {', '.join(missing)}")
     for role, name in roles.items():
@@ -352,7 +338,6 @@ class AppRuntime:
         self._script_rules: dict[str, list[ScriptedRule]] = {}
         for name, spec in config.backends.items():
             if spec.kind == "http":
-                assert spec.endpoint is not None and spec.model is not None
                 self._http_backends[name] = HttpChatBackend(
                     endpoint=spec.endpoint,
                     model=spec.model,
@@ -361,7 +346,6 @@ class AppRuntime:
                     pool_size=config.parallelism,
                 )
             else:
-                assert spec.script is not None
                 self._script_rules[name] = load_script(spec.script)
 
     def fresh_bindings(self) -> dict[str, LlmBackend]:
@@ -398,7 +382,6 @@ class AppRuntime:
 
 def _build_retriever(config: AppConfig) -> Retriever:
     _require(config.index_dir is not None, "no index directory configured (retriever.index_dir)")
-    assert config.index_dir is not None
     _require(
         config.index_dir.is_dir(),
         f"index directory not found: {config.index_dir} (run the 'index' command first)",
@@ -410,7 +393,6 @@ def _build_retriever(config: AppConfig) -> Retriever:
         bool(config.embedding_endpoint) and bool(config.vectors_path),
         "embedding retriever needs retriever.endpoint and retriever.vectors",
     )
-    assert config.embedding_endpoint is not None and config.vectors_path is not None
     client = EmbeddingEndpointClient(
         endpoint=config.embedding_endpoint,
         model=config.embedding_model or "default",

@@ -111,6 +111,10 @@ class TestTemplateFidelity:
         assert str(path) in str(excinfo.value)
         assert f"{{{slot}}}" in str(excinfo.value)
 
+    def test_template_set_built_in_code_is_checked_too(self):
+        with pytest.raises(ConfigurationError, match=r"'judge': unknown slot \{Overarching questio\}"):
+            replace(TEMPLATES, judge="Enough? {Overarching questio}")
+
 
 class TestRenderTemplate:
     def test_unbound_slot_is_error(self):

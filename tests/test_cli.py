@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from respqa.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from respqa.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 from respqa.llm import BackendRouter
 
 from helpers import (
@@ -159,6 +159,28 @@ class TestAskCommand:
         )
         assert code == EXIT_CONFIG
 
+    def test_script_without_a_matching_rule_is_runtime_error(self, index_dir, tmp_path, capsys):
+        script = tmp_path / "silent.jsonl"
+        script.write_text(json.dumps({"match": "no prompt holds this", "response": "x"}) + "\n")
+        argv = ["ask", OVERPLANNING_QUESTION, "--index-dir", str(index_dir)]
+        assert main([*argv, "--script", str(script)]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no scripted rule matches call 0 (role=summarizer)")
+
+    def test_input_cap_below_one_document_is_runtime_error(
+        self, index_dir, script_path, tmp_path, capsys
+    ):
+        config = tmp_path / "config.yaml"
+        config.write_text("pipeline: {max_input_tokens: 5}\n")
+        argv = ["ask", OVERPLANNING_QUESTION, "--config", str(config)]
+        argv += ["--index-dir", str(index_dir), "--script", str(script_path)]
+        assert main(argv) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: prompt estimate")
+        assert "exceeds cap 5 even with 1 document(s)" in captured.err
+
 
 class TestFlagErrors:
     """Invalid flag values exit with the configuration code, not a traceback."""
@@ -170,6 +192,7 @@ class TestFlagErrors:
             (["eval", "--limit", "-1", "--out-dir", "."], "--limit"),
             (["sweep", "--limit", "-1", "--out", "sweep.csv"], "--limit"),
             (["eval", "--parallelism", "0", "--out-dir", "."], "parallelism"),
+            (["sweep", "--pipelines", ",", "--out", "sweep.csv"], "--pipelines"),
         ],
     )
     def test_exit_config(

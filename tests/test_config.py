@@ -1,8 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 import yaml
 
+from respqa.agents import PipelineConfig
+from respqa.cli import EXIT_CONFIG, main
 from respqa.config import (
     ENV_ENDPOINT,
     ENV_MODEL,
@@ -100,6 +104,23 @@ class TestPrecedence:
         path = write_yaml(tmp_path, {"pipeline": {"top_k": 7}})
         with pytest.raises(ConfigurationError, match="backend"):
             load_app_config(path)
+
+    def test_model_flag_overrides_file_http_backends(self, tmp_path, script_path):
+        path = write_yaml(
+            tmp_path,
+            {
+                "backends": {
+                    "small": {"kind": "http", "endpoint": "http://x/v1", "model": "m-small"},
+                    "large": {"kind": "http", "endpoint": "http://y/v1", "model": "m-large"},
+                    "mock": {"kind": "scripted", "script": str(script_path)},
+                },
+                "roles": {"reasoner": "small", "summarizer": "mock", "generator": "large"},
+            },
+        )
+        backends = load_app_config(path, CliOverrides(model="flag-model")).backends
+        assert backends["small"].model == backends["large"].model == "flag-model"
+        assert backends["mock"] == load_app_config(path).backends["mock"]
+        assert backends["mock"].model is None
 
     def test_api_key_env_resolved(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MY_SECRET", "s3cret")
@@ -273,6 +294,29 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=f"unknown config key\\(s\\): {named}$"):
             load_app_config(write_yaml(tmp_path, data))
 
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"templates_dir": 5}, "templates_dir"),
+            ({"retriever": {"index_dir": ["a"]}}, "retriever.index_dir"),
+            ({"retriever": {"vectors": 5}}, "retriever.vectors"),
+            ({"retriever": {"api_key_env": 5}}, "retriever.api_key_env"),
+            ({"backends": {"m": {"kind": "scripted", "script": 5}}}, "backends.m.script"),
+            (
+                {"backends": {"m": {"endpoint": "http://x/v1", "api_key_env": 5}}},
+                "backends.m.api_key_env",
+            ),
+        ],
+    )
+    def test_path_or_env_name_must_be_a_string(self, tmp_path, script_path, data, key, capsys):
+        data.setdefault("backends", {"mock": {"kind": "scripted", "script": str(script_path)}})
+        assert main(["ask", "q?", "--config", str(write_yaml(tmp_path, data))]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"configuration error: {key} must be a string")
+
+    def test_backend_model_may_be_a_number(self, tmp_path):
+        path = write_yaml(tmp_path, {"backends": {"m": {"endpoint": "http://x/v1", "model": 70}}})
+        assert load_app_config(path).backends["m"].model == "70"
+
     def test_log_prompts_must_be_a_bool(self, tmp_path, script_path):
         path = write_yaml(
             tmp_path,
@@ -371,3 +415,15 @@ class TestAppRuntime:
         runtime = AppRuntime(self.make_config(tmp_path, script_path, index_dir))
         with pytest.raises(ConfigurationError, match="pipeline"):
             runtime.runner(pipeline="fancy")
+
+
+def test_readme_configuration_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    example = re.search(r"```yaml\n(.*?)```", section, re.DOTALL).group(1)
+    path = tmp_path / "config.yaml"
+    path.write_text(example, encoding="utf-8")
+    config = load_app_config(path)
+    assert config.pipeline == PipelineConfig()
+    assert config.roles == {"reasoner": "small", "summarizer": "small", "generator": "large"}
+    assert config.parallelism == 4
