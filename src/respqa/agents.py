@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import re
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigurationError, PromptError, PromptTooLargeError
-from .llm import BackendRouter, LlmRequest, whitespace_token_estimate
+from .llm import BackendRouter, LlmRequest, LlmResponse, whitespace_token_estimate
 from .memory import NO_ANSWER_MARKER, MemoryState, normalize_question
 from .retrieval import RetrievedDocument
 
@@ -279,6 +280,14 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
+class EarlyCall:
+    """A request sent before its reply is needed: its prompt and the reply."""
+
+    prompt: str
+    reply: Future[LlmResponse]
+
+
+@dataclass(frozen=True)
 class PipelineAgents:
     """Agent frontend: (router, templates, config) in, parsed results out.
 
@@ -286,8 +295,11 @@ class PipelineAgents:
     assembles its prompt under the input cap, appends ``(key, prompt)`` to
     ``prompt_log`` if there is one, and goes through the router. The token
     caps and the generator temperature come from ``config``; the reasoner and
-    summarizer always run at 0.0. Agents without a log are safe to share
-    across threads; a run gives its own copy a fresh log.
+    summarizer always run at 0.0. ``start_generate`` sends the generate
+    request from a helper thread, so a caller can have it in flight while it
+    makes another call; ``generate`` then takes its reply. Agents without a
+    log are safe to share across threads; a run gives its own copy a fresh
+    log.
     """
 
     router: BackendRouter
@@ -295,26 +307,39 @@ class PipelineAgents:
     config: PipelineConfig = field(default_factory=PipelineConfig)
     prompt_log: list[tuple[str, str]] | None = field(default=None, compare=False)
 
-    def _call(
-        self, key: str, role_tag: str, template: str, bindings: dict[str, str],
+    def _prompt(
+        self, template: str, bindings: dict[str, str],
         docs: list[str] | None = None, doc_slot: str = SLOT_DOCS,
     ) -> str:
-        prompt = assemble_prompt(
+        return assemble_prompt(
             template,
             bindings,
             docs=docs,
             doc_slot=doc_slot,
             max_input_tokens=self.config.max_input_tokens,
         )
-        if self.prompt_log is not None:
-            self.prompt_log.append((key, prompt))
-        request = LlmRequest(
+
+    def _request(self, role_tag: str, prompt: str) -> LlmRequest:
+        return LlmRequest(
             prompt=prompt,
             max_output_tokens=self.config.max_output_tokens,
             temperature=self.config.generator_temperature if role_tag == "generator" else 0.0,
             role_tag=role_tag,
         )
-        return self.router.complete(request).text
+
+    def _log(self, key: str, prompt: str) -> None:
+        if self.prompt_log is not None:
+            self.prompt_log.append((key, prompt))
+
+    def _send(self, key: str, role_tag: str, prompt: str) -> str:
+        self._log(key, prompt)
+        return self.router.complete(self._request(role_tag, prompt)).text
+
+    def _call(
+        self, key: str, role_tag: str, template: str, bindings: dict[str, str],
+        docs: list[str] | None = None, doc_slot: str = SLOT_DOCS,
+    ) -> str:
+        return self._send(key, role_tag, self._prompt(template, bindings, docs, doc_slot))
 
     def summarize_global(self, docs: list[RetrievedDocument], overarching_question: str) -> str:
         """Summary of support for the overarching question found in ``docs``."""
@@ -348,10 +373,7 @@ class PipelineAgents:
         if not memory.global_evidence:
             raise ValueError("judge requires at least one global evidence entry")
         raw = self._call(
-            "judge",
-            "reasoner",
-            self.templates.judge,
-            {SLOT_OVERARCHING: overarching_question, SLOT_MEMORY: memory.render_combined()},
+            "judge", "reasoner", self.templates.judge, _memory_bindings(overarching_question, memory)
         )
         return parse_judgement(raw)
 
@@ -362,7 +384,7 @@ class PipelineAgents:
         A duplicate (or empty) first attempt triggers one retry with the
         forbidden list spelled out; a second duplicate forces termination.
         """
-        bindings = {SLOT_OVERARCHING: overarching_question, SLOT_MEMORY: memory.render_combined()}
+        bindings = _memory_bindings(overarching_question, memory)
         question = parse_plan_surface(self._call("plan", "reasoner", self.templates.plan, bindings))
         normalized = normalize_question(question)
         if normalized and normalized not in forbidden:
@@ -379,14 +401,40 @@ class PipelineAgents:
         forced = not normalized or normalized in forbidden
         return PlanResult(sub_question=question, attempts=2, forced_termination=forced)
 
-    def generate(self, overarching_question: str, memory: MemoryState) -> str:
-        """Final answer from the memory queues, trimmed."""
-        return self._call(
-            "generate",
-            "generator",
-            self.templates.generate,
-            {SLOT_OVERARCHING: overarching_question, SLOT_MEMORY: memory.render_combined()},
-        ).strip()
+    def start_generate(self, overarching_question: str, memory: MemoryState) -> EarlyCall | None:
+        """Send ``generate``'s request now, from a helper thread, for a later
+        ``generate(overarching_question, memory, early)`` over the same memory.
+
+        Never raises. None, and nothing sent, when the generator's backend
+        replies by call order or the prompt does not assemble; ``generate``
+        then makes the call, and raises the error, itself.
+        """
+        if self.router.order_dependent("generator"):
+            return None
+        try:
+            prompt = self._prompt(
+                self.templates.generate, _memory_bindings(overarching_question, memory)
+            )
+            return EarlyCall(prompt, self.router.start(self._request("generator", prompt)))
+        except (PromptError, ValueError, RuntimeError):  # RuntimeError: no thread at exit
+            return None
+
+    def generate(
+        self, overarching_question: str, memory: MemoryState, early: EarlyCall | None = None
+    ) -> str:
+        """Final answer from the memory queues, trimmed.
+
+        With ``early`` from ``start_generate``, waits for that request's reply
+        instead of sending it again; a request that has not begun yet is
+        cancelled and sent from here. Either way the prompt is logged here.
+        """
+        if early is None:
+            bindings = _memory_bindings(overarching_question, memory)
+            return self._call("generate", "generator", self.templates.generate, bindings).strip()
+        if early.reply.cancel():
+            return self._send("generate", "generator", early.prompt).strip()
+        self._log("generate", early.prompt)
+        return early.reply.result().text.strip()
 
     def generate_standard(self, overarching_question: str, docs: list[RetrievedDocument]) -> str:
         """Single-shot baseline: trimmed answer from the raw documents."""
@@ -400,3 +448,8 @@ class PipelineAgents:
             docs=render_docs(docs),
             doc_slot=SLOT_MEMORY,
         ).strip()
+
+
+def _memory_bindings(overarching_question: str, memory: MemoryState) -> dict[str, str]:
+    """The slots of the judge, plan and generate templates."""
+    return {SLOT_OVERARCHING: overarching_question, SLOT_MEMORY: memory.render_combined()}

@@ -127,6 +127,14 @@ def _string(value: object, key: str) -> str | None:
     return value
 
 
+def _text(value: object, key: str) -> str | None:
+    """A name such as a model's, read as text: YAML reads ``70`` as a number.
+    Null leaves it unset."""
+    scalar = isinstance(value, (str, int, float))
+    _require(value is None or scalar, f"{key} must be a string, got {value!r}")
+    return None if value is None else str(value)
+
+
 def _path(value: object, key: str) -> Path | None:
     """A path; null or an empty string leaves it unset."""
     text = _string(value, key)
@@ -170,14 +178,14 @@ _PIPELINE = {
 }
 _RETRIEVER = {
     "kind": _keep, "index_dir": _path, "k1": _number, "b": _number,
-    "endpoint": _url, "model": _keep, "api_key_env": _string, "vectors": _path,
+    "endpoint": _url, "model": _text, "api_key_env": _string, "vectors": _path,
 }
 _FILE = {
     "pipeline": _table(_PIPELINE), "retriever": _table(_RETRIEVER), "backends": _mapping,
     "roles": _keep, "eval": _table({"parallelism": _integer}), "templates_dir": _path,
 }
 _BACKEND_KINDS = {
-    "http": {"kind": _keep, "endpoint": _keep, "model": _keep, "api_key_env": _string},
+    "http": {"kind": _keep, "endpoint": _keep, "model": _text, "api_key_env": _string},
     "scripted": {"kind": _keep, "script": _path},
 }
 
@@ -255,7 +263,7 @@ def _http_backend(name: str, settings: dict) -> BackendSpec:
         name=name,
         kind="http",
         endpoint=_url(endpoint, f"backend {name!r}: endpoint"),
-        model=str(settings.get("model") or os.environ.get(ENV_MODEL) or "default"),
+        model=settings.get("model") or os.environ.get(ENV_MODEL) or "default",
         api_key=_resolve_api_key(settings.get("api_key_env")),
     )
 
@@ -276,8 +284,8 @@ def _load_backends(section: dict, overrides: CliOverrides) -> dict[str, BackendS
         backends[name] = BackendSpec(name=name, kind="scripted", script=script)
 
     # Flag-level test mode: a scripted backend overrides all HTTP wiring.
-    if overrides.script is not None:
-        script_path = Path(overrides.script)
+    script_path = _path(overrides.script, "--script")
+    if script_path is not None:
         _require(script_path.exists(), f"script not found: {script_path}")
         backends["scripted"] = BackendSpec(name="scripted", kind="scripted", script=script_path)
     elif overrides.endpoint or (not backends and os.environ.get(ENV_ENDPOINT)):
@@ -294,7 +302,7 @@ def _load_backends(section: dict, overrides: CliOverrides) -> dict[str, BackendS
 def _load_roles(
     raw_roles: object, backends: dict[str, BackendSpec], overrides: CliOverrides
 ) -> dict[str, str]:
-    if overrides.script is not None:
+    if overrides.script:
         return {role: "scripted" for role in ROLE_TAGS}
     _require(
         bool(backends),
@@ -323,7 +331,8 @@ class AppRuntime:
 
     Scripted backends get a fresh conversation per question run so rule
     ordinals stay deterministic under batch parallelism; HTTP backends are
-    shared singletons.
+    shared singletons. A chat backend pools two connections per concurrent
+    run, since a run can have two requests in flight (``run_resp``).
     """
 
     def __init__(self, config: AppConfig) -> None:
@@ -343,7 +352,7 @@ class AppRuntime:
                     model=spec.model,
                     api_key=spec.api_key,
                     backend_id=name,
-                    pool_size=config.parallelism,
+                    pool_size=2 * config.parallelism,
                 )
             else:
                 self._script_rules[name] = load_script(spec.script)

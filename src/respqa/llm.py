@@ -3,15 +3,18 @@
 ``HttpChatBackend`` speaks the de-facto chat-completion wire protocol with
 bounded retries and exponential backoff; ``ScriptedBackend`` replays a
 deterministic rule script for tests. All LLM traffic in the package flows
-through ``BackendRouter.complete``.
+through ``BackendRouter.complete``; ``BackendRouter.start`` runs it on a
+helper thread for a reply that is needed later.
 """
 
 from __future__ import annotations
 
 import logging
+import queue
 import re
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol
@@ -38,6 +41,9 @@ HTTP_MAX_ATTEMPTS = 3
 HTTP_BACKOFF_BASE_S = 1.0
 # Pooled connections per host when the caller gives no pool size: requests' default.
 HTTP_POOL_SIZE = 10
+# Helper threads of BackendRouter.start, shared by every router; a request
+# started while all are busy waits its turn.
+START_THREADS = 8
 
 
 def whitespace_token_estimate(text: str) -> float:
@@ -91,6 +97,10 @@ class LlmResponse:
 
 
 class LlmBackend(Protocol):
+    """A completion backend. One whose replies depend on the order of its
+    calls says so with a true ``order_dependent`` class attribute; its calls
+    are then never sent ahead of time (``BackendRouter.start``)."""
+
     backend_id: str
 
     def complete(self, request: LlmRequest) -> LlmResponse: ...
@@ -152,6 +162,8 @@ class ScriptedBackend(_CompletionBase):
     script order and are reusable. A request nothing matches raises
     ScriptError quoting the prompt, never a silent default.
     """
+
+    order_dependent = True
 
     def __init__(self, rules: Iterable[ScriptedRule], backend_id: str = "scripted") -> None:
         self.backend_id = backend_id
@@ -304,6 +316,49 @@ def pooled_session(pool_size: int) -> requests.Session:
     return session
 
 
+class _Helpers:
+    """Daemon threads that run the calls ``BackendRouter.start`` queues.
+
+    One set serves the process, since a router is built per question run.
+    All are started at once, on first use; being daemons, they never hold up
+    the process's exit. A call cancelled before a thread takes it up is
+    skipped.
+    """
+
+    def __init__(self, threads: int) -> None:
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        for number in range(threads):
+            threading.Thread(target=self._serve, name=f"respqa-start-{number}", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            future, call, argument = self._queue.get()
+            if future.set_running_or_notify_cancel():
+                try:
+                    future.set_result(call(argument))
+                except BaseException as exc:
+                    future.set_exception(exc)  # the caller that reads the future raises it
+                    if not isinstance(exc, Exception):
+                        raise
+
+    def submit(self, call: Callable, argument: object) -> Future:
+        future: Future = Future()
+        self._queue.put((future, call, argument))
+        return future
+
+
+_helpers: _Helpers | None = None
+_helpers_lock = threading.Lock()
+
+
+def _start_helpers() -> _Helpers:
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None:
+            _helpers = _Helpers(START_THREADS)
+        return _helpers
+
+
 class BackendRouter:
     """Binds each agent role to a completion backend.
 
@@ -328,3 +383,13 @@ class BackendRouter:
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         return self.backend_for(request.role_tag).complete(request)
+
+    def order_dependent(self, role_tag: str) -> bool:
+        """Whether the role's backend replies by call order."""
+        return getattr(self.backend_for(role_tag), "order_dependent", False)
+
+    def start(self, request: LlmRequest) -> Future[LlmResponse]:
+        """``complete(request)`` on a helper thread; the future holds its reply
+        or its error. Cancelling the future before it has begun sends nothing.
+        Callers leave order-dependent backends out."""
+        return _start_helpers().submit(self.complete, request)

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 from .agents import (
     NO_INFO_SENTINEL,
+    EarlyCall,
     Judgement,
     LocalAnswer,
     PipelineAgents,
@@ -95,6 +96,12 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
     ends on a sufficient judgement, on the iteration cap (generation happens
     anyway), or when planning cannot produce a novel sub-question. The caps
     and the generator temperature are ``config``'s, whatever ``agents`` holds.
+
+    The last allowed round generates whatever the judge says, from the memory
+    the judge reads, so its generate request is sent alongside the judge's:
+    a question can have two LLM calls in flight. A backend that replies by
+    call order gets them one at a time, in the order of the other rounds.
+    A judge failure is the error raised, and the generator's reply is dropped.
     """
     if not question.strip():
         raise ValueError("question must be non-empty")
@@ -105,6 +112,7 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
     anomalies: list[str] = []
     sub_question = question
     stop_reason = STOP_MAX_ITERATIONS
+    early: EarlyCall | None = None
 
     try:
         for round_index in range(config.max_iterations):
@@ -130,6 +138,8 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
                     round_index, sub_question, local_answer.answer, local_answer.answered
                 )
 
+            if round_index == config.max_iterations - 1:
+                early = agents.start_generate(question, memory)
             judgement = agents.judge(question, memory)
             if judgement.anomaly:
                 anomalies.append(
@@ -172,9 +182,12 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
             sub_question = plan_result.sub_question
 
         # The generator's failures are reported against the last loop round.
-        answer = agents.generate(question, memory)
+        answer = agents.generate(question, memory, early)
     except BackendError as exc:
         raise _round_failure(exc, round_index) from exc
+    finally:
+        if early is not None:
+            early.reply.cancel()  # a failed run sends no request it has not begun
     _, generate_prompt = log[-1]
     if config.log_prompts:
         iterations[-1].prompts["generate"] = generate_prompt

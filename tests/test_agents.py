@@ -1,5 +1,7 @@
 import random
 import string
+import threading
+from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
@@ -8,6 +10,7 @@ from respqa.agents import (
     NO_INFO_SENTINEL,
     SLOT_MEMORY,
     SLOT_OVERARCHING,
+    EarlyCall,
     PipelineAgents,
     PipelineConfig,
     PromptTemplateSet,
@@ -21,7 +24,7 @@ from respqa.agents import (
     render_template,
 )
 from respqa.errors import ConfigurationError, PromptError, PromptTooLargeError
-from respqa.llm import ScriptedRule, whitespace_token_estimate
+from respqa.llm import BackendRouter, LlmResponse, ScriptedRule, whitespace_token_estimate
 from respqa.memory import NO_ANSWER_MARKER, MemoryState, normalize_question
 from respqa.retrieval import RetrievedDocument
 
@@ -510,3 +513,63 @@ class TestAgentTruncation:
         assert whitespace_token_estimate(prompt) <= 400
         assert "w0_0" in prompt  # rank-1 document survives
         assert "w9_0" not in prompt  # lowest-ranked dropped
+
+
+class TestEarlyGenerate:
+    """start_generate sends the generate request ahead; generate takes its reply."""
+
+    def test_generate_takes_the_early_reply(self):
+        router, backend = capture_router("  early answer ")
+        log = []
+        agents = replace(PipelineAgents(router), prompt_log=log)
+        memory = memory_with(["ev"])
+        early = agents.start_generate("q?", memory)
+        assert early.reply.result(timeout=5).text == "  early answer "
+        assert agents.generate("q?", memory, early) == "early answer"
+        assert [r.prompt for r in backend.requests] == [early.prompt]
+        assert log == [("generate", early.prompt)]
+        assert backend.requests[0].role_tag == "generator"
+
+    @staticmethod
+    def reply_late(future):
+        if future.set_running_or_notify_cancel():
+            future.set_result(LlmResponse(text="late answer", backend_id="late", latency=0.0))
+
+    def test_a_request_not_yet_begun_is_cancelled_and_sent_inline(self):
+        router, backend = capture_router("inline answer")
+        log = []
+        agents = replace(PipelineAgents(router), prompt_log=log)
+        never_begun = EarlyCall("the prompt", Future())
+        # A helper that takes the request up late, should generate wait for it.
+        late = threading.Timer(5.0, self.reply_late, [never_begun.reply])
+        late.start()
+        try:
+            assert agents.generate("q?", memory_with(["ev"]), never_begun) == "inline answer"
+        finally:
+            late.cancel()
+        assert never_begun.reply.cancelled()
+        assert [(r.role_tag, r.prompt) for r in backend.requests] == [("generator", "the prompt")]
+        assert log == [("generate", "the prompt")]
+
+    def test_order_dependent_backend_is_not_started(self):
+        agents, backend = scripted_agents([ScriptedRule(GENERATE_MARKER, "x")])
+        assert agents.start_generate("q?", memory_with(["ev"])) is None
+        assert backend.history == []
+
+    def test_prompt_over_the_cap_is_not_started(self):
+        router, backend = capture_router()
+        agents = PipelineAgents(router, config=PipelineConfig(max_input_tokens=5))
+        memory = memory_with(["ev"])
+        assert agents.start_generate("q?", memory) is None
+        with pytest.raises(PromptTooLargeError):
+            agents.generate("q?", memory)
+        assert backend.requests == []
+
+    def test_a_start_that_fails_is_not_raised(self, monkeypatch):
+        def refuse(self, request):
+            raise RuntimeError("cannot schedule new futures after interpreter shutdown")
+
+        monkeypatch.setattr(BackendRouter, "start", refuse)
+        router, backend = capture_router()
+        assert PipelineAgents(router).start_generate("q?", memory_with(["ev"])) is None
+        assert backend.requests == []

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from respqa.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
+from respqa.config import ENV_ENDPOINT
 from respqa.llm import BackendRouter
 
 from helpers import (
@@ -240,6 +241,17 @@ class TestConfigFile:
         config_path = self.write_config(tmp_path, index_dir, script_path)
         assert main(["ask", OVERPLANNING_QUESTION, "--config", str(config_path)]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "Charlie Murphy"
+
+    def test_empty_script_flag_falls_back_to_the_file(self, tmp_path, index_dir, script_path, capsys):
+        config_path = self.write_config(tmp_path, index_dir, script_path)
+        argv = ["ask", OVERPLANNING_QUESTION, "--config", str(config_path), "--script", ""]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "Charlie Murphy"
+
+    def test_empty_script_flag_is_no_backend(self, index_dir, capsys, monkeypatch):
+        monkeypatch.delenv(ENV_ENDPOINT, raising=False)
+        assert main(["ask", "q?", "--index-dir", str(index_dir), "--script", ""]) == EXIT_CONFIG
+        assert "no completion backend configured" in capsys.readouterr().err
 
     def test_missing_summarizer_binding(self, tmp_path, index_dir, script_path, capsys):
         config_path = self.write_config(

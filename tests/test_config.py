@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
+import requests
 import yaml
 
 from respqa.agents import PipelineConfig
@@ -14,7 +15,7 @@ from respqa.config import (
     CliOverrides,
     load_app_config,
 )
-from respqa.errors import ConfigurationError
+from respqa.errors import ConfigurationError, RetrieverError
 from respqa.llm import HttpChatBackend, ScriptedBackend
 from respqa.retrieval import BM25Index
 
@@ -317,6 +318,20 @@ class TestValidation:
         path = write_yaml(tmp_path, {"backends": {"m": {"endpoint": "http://x/v1", "model": 70}}})
         assert load_app_config(path).backends["m"].model == "70"
 
+    @pytest.mark.parametrize("section", ["retriever", "backend"])
+    def test_model_must_be_a_scalar(self, tmp_path, script_path, section):
+        if section == "retriever":
+            data = {
+                "retriever": {"model": ["m"]},
+                "backends": {"mock": {"kind": "scripted", "script": str(script_path)}},
+            }
+            key = "retriever.model"
+        else:
+            data = {"backends": {"m": {"endpoint": "http://x/v1", "model": {"name": "m"}}}}
+            key = "backends.m.model"
+        with pytest.raises(ConfigurationError, match=f"{key} must be a string"):
+            load_app_config(write_yaml(tmp_path, data))
+
     def test_log_prompts_must_be_a_bool(self, tmp_path, script_path):
         path = write_yaml(
             tmp_path,
@@ -383,9 +398,8 @@ class TestAppRuntime:
         assert isinstance(first["reasoner"], HttpChatBackend)
         assert first["reasoner"] is second["reasoner"]
 
-    def test_connection_pools_follow_parallelism(self, tmp_path, index_dir, monkeypatch):
-        # Fewer pooled connections than workers makes urllib3 drop connections
-        # and log "Connection pool is full".
+    @staticmethod
+    def embedding_retriever(tmp_path, index_dir, **settings):
         vectors = tmp_path / "vectors.jsonl"
         vectors.write_text(
             "".join(
@@ -393,23 +407,49 @@ class TestAppRuntime:
                 for i, doc in enumerate(film_corpus())
             )
         )
-        retriever = {
+        return {
             "kind": "embedding",
             "index_dir": str(index_dir),
             "endpoint": "http://emb.example/v1",
             "vectors": str(vectors),
+            **settings,
         }
+
+    def test_connection_pools_follow_parallelism(self, tmp_path, index_dir, monkeypatch):
+        # Fewer pooled connections than workers makes urllib3 drop connections
+        # and log "Connection pool is full".
+        retriever = self.embedding_retriever(tmp_path, index_dir)
         monkeypatch.setenv(ENV_ENDPOINT, "http://env.example/v1")
         path = write_yaml(tmp_path, {"retriever": retriever, "eval": {"parallelism": 16}})
         runtime = AppRuntime(load_app_config(path))
+        # A question can have two chat requests in flight (run_resp's last round).
         sessions = {
-            "http://env.example/v1/chat/completions": runtime.fresh_bindings()["reasoner"]._session,
-            "http://emb.example/v1/embeddings": runtime.retriever._embed._session,
+            "http://env.example/v1/chat/completions": (
+                runtime.fresh_bindings()["reasoner"]._session, 32
+            ),
+            "http://emb.example/v1/embeddings": (runtime.retriever._embed._session, 16),
         }
-        for url, session in sessions.items():
+        for url, (session, size) in sessions.items():
             for scheme_url in (url, url.replace("http:", "https:")):
                 pool = session.get_adapter(scheme_url).poolmanager.connection_pool_kw
-                assert pool["maxsize"] == 16
+                assert pool["maxsize"] == size
+
+    def test_retriever_model_is_sent_as_text(self, tmp_path, index_dir, script_path):
+        retriever = self.embedding_retriever(tmp_path, index_dir, model=70)
+        backends = {"mock": {"kind": "scripted", "script": str(script_path)}}
+        path = write_yaml(tmp_path, {"retriever": retriever, "backends": backends})
+        runtime = AppRuntime(load_app_config(path))
+        sent = []
+
+        class Offline:
+            def post(self, url, json, headers, timeout):
+                sent.append(json)
+                raise requests.ConnectionError("offline")
+
+        runtime.retriever._embed._session = Offline()
+        with pytest.raises(RetrieverError):
+            runtime.retriever.retrieve("Twisted Fortune", 1)
+        assert sent == [{"model": "70", "input": ["Twisted Fortune"]}]
 
     def test_runner_rejects_unknown_pipeline(self, tmp_path, script_path, index_dir):
         runtime = AppRuntime(self.make_config(tmp_path, script_path, index_dir))

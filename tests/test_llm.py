@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 import requests
@@ -9,6 +10,7 @@ from respqa.llm import (
     BackendRouter,
     HttpChatBackend,
     LlmRequest,
+    LlmResponse,
     ScriptedBackend,
     ScriptedRule,
     load_script,
@@ -339,3 +341,31 @@ class TestBackendRouter:
         bindings["oracle"] = backend
         with pytest.raises(ConfigurationError, match="oracle"):
             BackendRouter(bindings)
+
+    def test_only_the_scripted_backend_is_order_dependent(self):
+        http = HttpChatBackend("http://x/v1", model="m", session=FakeSession([]))
+        router = BackendRouter(
+            {"reasoner": ScriptedBackend([]), "summarizer": http, "generator": http}
+        )
+        assert [router.order_dependent(role) for role in ROLE_TAGS] == [True, False, False]
+
+    def test_start_completes_on_a_helper_thread(self):
+        class Recording:
+            backend_id = "recording"
+
+            def __init__(self):
+                self.threads = []
+
+            def complete(self, request):
+                self.threads.append(threading.current_thread())
+                if request.prompt == "fail":
+                    raise BackendError("wire down", role_tag=request.role_tag)
+                return LlmResponse(text=request.prompt.upper(), backend_id="recording", latency=0.0)
+
+        backend = Recording()
+        router = BackendRouter({role: backend for role in ROLE_TAGS})
+        assert router.start(req("hello", role="generator")).result(timeout=5).text == "HELLO"
+        with pytest.raises(BackendError, match="wire down"):
+            router.start(req("fail", role="generator")).result(timeout=5)
+        assert threading.current_thread() not in backend.threads
+        assert all(thread.daemon for thread in backend.threads)

@@ -1,13 +1,17 @@
+import sys
+import threading
 import time
+from dataclasses import replace
 
 import pytest
 
-from respqa.agents import NO_INFO_SENTINEL, PipelineAgents
-from respqa.errors import BackendError, PipelineError
+from respqa.agents import NO_INFO_SENTINEL, PipelineAgents, PromptTemplateSet
+from respqa.errors import BackendError, PipelineError, PromptTooLargeError
 from respqa.evaluation import QAExample, evaluate
 from respqa.llm import (
     ROLE_TAGS,
     BackendRouter,
+    LlmResponse,
     ScriptedBackend,
     ScriptedRule,
     whitespace_token_estimate,
@@ -603,3 +607,191 @@ class TestSweep:
         assert all(row.n == 2 for row in rows)
         assert rows[0].mean_prompt_tokens == rows[1].mean_prompt_tokens
         assert rows[0].mean_f1 > 0
+
+
+class TemplateBackend:
+    """Thread-safe and not order-dependent: each reply is a function of the
+    prompt alone (the judge's is ``judge``), and every call is kept with its
+    start and end time. ``fail`` names roles whose calls raise BackendError;
+    ``final_judge``, if given, is the ordinal (from 1) of the judge call that
+    fails when ``reasoner`` is in ``fail``. ``barrier``, if given, must be
+    reached by that judge call and by the generator call."""
+
+    backend_id = "template"
+
+    def __init__(self, judge="No", fail=(), final_judge=None, barrier=None):
+        self.judge, self.fail, self.final_judge, self.barrier = judge, fail, final_judge, barrier
+        self.lock = threading.Lock()
+        self.calls = []  # (role, prompt, start, end), in the order the calls ended
+        self.judges = 0
+
+    def reply(self, prompt):
+        if SUMMARIZER_MARKER in prompt:
+            return "A summary of the evidence. [DONE]"
+        if LOCAL_MARKER in prompt:
+            return "No"
+        if JUDGE_MARKER in prompt:
+            return self.judge
+        if PLAN_MARKER in prompt:
+            return f"What about the alpha topic, step {prompt.count('Q: ')}?"
+        assert GENERATE_MARKER in prompt
+        return "final answer"
+
+    def complete(self, request):
+        start = time.perf_counter()
+        role = request.role_tag
+        with self.lock:
+            if role == "reasoner" and JUDGE_MARKER in request.prompt:
+                self.judges += 1
+                final = self.judges == self.final_judge
+            else:
+                final = role == "generator"
+        if final and self.barrier is not None:
+            self.barrier.wait()
+        if role in self.fail and (role != "reasoner" or final):
+            raise BackendError("wire down", role_tag=role)
+        text = self.reply(request.prompt)
+        with self.lock:
+            self.calls.append((role, request.prompt, start, time.perf_counter()))
+        return LlmResponse(text=text, backend_id=self.backend_id, latency=0.0)
+
+
+class SequentialTemplateBackend(TemplateBackend):
+    order_dependent = True
+
+
+def template_run(backend, **config):
+    agents = PipelineAgents(BackendRouter({role: backend for role in ROLE_TAGS}))
+    return run_resp(TOPIC_QUESTION, BM25Index.build(TOPIC_DOCS), agents, PipelineConfig(**config))
+
+
+class TestFinalRoundOverlap:
+    """The last allowed round sends the generate request alongside the judge's."""
+
+    @pytest.mark.parametrize("rounds, judge", [(1, "No"), (1, "Yes"), (3, "No")])
+    def test_judge_and_generator_are_in_flight_together(self, rounds, judge):
+        # Each of the two calls waits for the other: run one at a time, both time out.
+        barrier = threading.Barrier(2, timeout=5.0)
+        backend = TemplateBackend(judge=judge, final_judge=rounds, barrier=barrier)
+        trace = template_run(backend, max_iterations=rounds)
+        assert trace.final_answer == "final answer" and len(trace.iterations) == rounds
+        assert not barrier.broken
+        generator = [call for call in backend.calls if call[0] == "generator"]
+        judges = [call for call in backend.calls if JUDGE_MARKER in call[1]]
+        assert len(generator) == 1 and len(judges) == rounds
+        # No generator call is in flight during an earlier round's judge.
+        assert all(end < generator[0][2] for _, _, _, end in judges[:-1])
+
+    @pytest.mark.parametrize("log_prompts", [False, True])
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_overlap_changes_no_call_and_no_trace_byte(self, rounds, log_prompts):
+        overlapped, sequential = TemplateBackend(), SequentialTemplateBackend()
+        traces = [
+            template_run(backend, max_iterations=rounds, log_prompts=log_prompts)
+            for backend in (overlapped, sequential)
+        ]
+        assert traces[0].to_dict() == traces[1].to_dict()
+        assert traces[0].stop_reason == STOP_MAX_ITERATIONS
+        calls = [sorted(call[:2] for call in backend.calls) for backend in (overlapped, sequential)]
+        assert calls[0] == calls[1] and len(calls[0]) == {1: 3, 3: 11}[rounds]
+        # The sequential backend saw the calls one at a time, generator last.
+        assert [call[0] for call in sequential.calls][-2:] == ["reasoner", "generator"]
+
+    def test_parallel_runs_match_their_sequential_traces(self):
+        # More workers than cores, and a short switch interval to mix the threads.
+        index = BM25Index.build(TOPIC_DOCS)
+        config = PipelineConfig(log_prompts=True)
+        overlapped = TemplateBackend()
+        agents = PipelineAgents(BackendRouter({role: overlapped for role in ROLE_TAGS}))
+        questions = [f"What links alpha and beta topics, case {i}?" for i in range(64)]
+        traces = {}
+
+        def run(question):
+            traces[question] = run_resp(question, index, agents, config)
+            return traces[question]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            examples = [QAExample(f"e{i}", q, ("final answer",)) for i, q in enumerate(questions)]
+            assert evaluate(run, examples, parallelism=8).errors == 0
+        finally:
+            sys.setswitchinterval(interval)
+        sequential = SequentialTemplateBackend()
+        agents = PipelineAgents(BackendRouter({role: sequential for role in ROLE_TAGS}))
+        for question in questions:
+            assert traces[question].to_dict() == run_resp(question, index, agents, config).to_dict()
+        assert sorted(c[:2] for c in overlapped.calls) == sorted(c[:2] for c in sequential.calls)
+
+    def test_scripted_history_keeps_its_order_under_parallel_runs(self):
+        # Integer rules at the final round's judge (9) and generate (10) positions:
+        # a generate request sent ahead of the judge would take position 9.
+        rules = [
+            ScriptedRule(2, "What about alpha specifically?"),
+            ScriptedRule(6, "What about beta specifically?"),
+            ScriptedRule(9, "Yes"),
+            ScriptedRule(10, "positional answer"),
+            ScriptedRule(SUMMARIZER_MARKER, "A summary of the evidence. [DONE]"),
+            ScriptedRule(JUDGE_MARKER, "No"),
+            ScriptedRule(LOCAL_MARKER, "No"),
+            ScriptedRule(GENERATE_MARKER, "substring answer"),
+        ]
+        index = BM25Index.build(TOPIC_DOCS)
+        histories = {}
+
+        def run(question):
+            agents, backend = scripted_agents(rules)
+            trace = run_resp(question, index, agents, PipelineConfig())
+            histories[question] = backend.history
+            return trace
+
+        examples = [
+            QAExample(f"e{i}", f"What links alpha and beta topics, case {i}?", ("positional answer",))
+            for i in range(200)
+        ]
+        report = evaluate(run, examples, parallelism=4)
+        assert report.errors == 0 and report.mean_em == 1.0
+        roles = ["summarizer", "reasoner", "reasoner"] + ["summarizer", "summarizer", "reasoner",
+                                                          "reasoner"] * 2
+        roles[-1] = "generator"
+        for example in examples:
+            agents, backend = scripted_agents(rules)
+            run_resp(example.question, index, agents, PipelineConfig())
+            assert histories[example.question] == backend.history
+            assert [call.role_tag for call in backend.history] == roles
+
+    @pytest.mark.parametrize("generator_fails", [False, True])
+    def test_judge_failure_is_the_error_raised(self, generator_fails):
+        fail = ("reasoner", "generator") if generator_fails else ("reasoner",)
+        backend = TemplateBackend(fail=fail, final_judge=3)
+        with pytest.raises(PipelineError) as excinfo:
+            template_run(backend)
+        assert (excinfo.value.round_index, excinfo.value.role_tag) == (2, "reasoner")
+
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_early_generator_failure_is_the_generators(self, rounds):
+        with pytest.raises(PipelineError) as excinfo:
+            template_run(TemplateBackend(fail=("generator",)), max_iterations=rounds)
+        assert (excinfo.value.round_index, excinfo.value.role_tag) == (rounds - 1, "generator")
+        assert "generator backend failed: wire down" in str(excinfo.value)
+
+    @pytest.mark.parametrize("judge_fails", [False, True])
+    def test_generate_prompt_over_the_cap_is_not_started(self, judge_fails):
+        backend = TemplateBackend(fail=("reasoner",) if judge_fails else (), final_judge=3)
+        padding = "word " * 200
+        templates = replace(
+            PromptTemplateSet.load_default(),
+            generate=padding + PromptTemplateSet.load_default().generate,
+        )
+        agents = PipelineAgents(BackendRouter({role: backend for role in ROLE_TAGS}), templates)
+        config = PipelineConfig(max_input_tokens=200)
+        index = BM25Index.build(TOPIC_DOCS)
+        if judge_fails:
+            with pytest.raises(PipelineError) as excinfo:
+                run_resp(TOPIC_QUESTION, index, agents, config)
+            assert (excinfo.value.round_index, excinfo.value.role_tag) == (2, "reasoner")
+        else:
+            with pytest.raises(PromptTooLargeError):
+                run_resp(TOPIC_QUESTION, index, agents, config)
+        assert backend.judges == 3
+        assert [call[0] for call in backend.calls if call[0] == "generator"] == []
