@@ -406,8 +406,9 @@ class PipelineAgents:
         ``generate(overarching_question, memory, early)`` over the same memory.
 
         Never raises. None, and nothing sent, when the generator's backend
-        replies by call order or the prompt does not assemble; ``generate``
-        then makes the call, and raises the error, itself.
+        replies by call order, the prompt does not assemble or no helper
+        thread runs; ``generate`` then makes the call, and raises the error,
+        itself.
         """
         if self.router.order_dependent("generator"):
             return None
@@ -415,9 +416,10 @@ class PipelineAgents:
             prompt = self._prompt(
                 self.templates.generate, _memory_bindings(overarching_question, memory)
             )
-            return EarlyCall(prompt, self.router.start(self._request("generator", prompt)))
-        except (PromptError, ValueError, RuntimeError):  # RuntimeError: no thread at exit
+        except (PromptError, ValueError):
             return None
+        reply = self.router.start(self._request("generator", prompt))
+        return None if reply is None else EarlyCall(prompt, reply)
 
     def generate(
         self, overarching_question: str, memory: MemoryState, early: EarlyCall | None = None

@@ -28,6 +28,7 @@ from .llm import (
     ScriptedBackend,
     ScriptedRule,
     load_script,
+    start_helpers,
 )
 from .pipeline import PIPELINE_RESP, PIPELINE_STANDARD, RunTrace, run_resp, run_standard_rag
 from .retrieval import (
@@ -130,7 +131,7 @@ def _string(value: object, key: str) -> str | None:
 def _text(value: object, key: str) -> str | None:
     """A name such as a model's, read as text: YAML reads ``70`` as a number.
     Null leaves it unset."""
-    scalar = isinstance(value, (str, int, float))
+    scalar = isinstance(value, (str, int, float)) and not isinstance(value, bool)
     _require(value is None or scalar, f"{key} must be a string, got {value!r}")
     return None if value is None else str(value)
 
@@ -331,8 +332,9 @@ class AppRuntime:
 
     Scripted backends get a fresh conversation per question run so rule
     ordinals stay deterministic under batch parallelism; HTTP backends are
-    shared singletons. A chat backend pools two connections per concurrent
-    run, since a run can have two requests in flight (``run_resp``).
+    shared singletons. A run can have two requests in flight (``run_resp``):
+    the process keeps a helper thread per concurrent run (``eval.parallelism``)
+    to send the early one, and a chat backend pools two connections per run.
     """
 
     def __init__(self, config: AppConfig) -> None:
@@ -343,6 +345,7 @@ class AppRuntime:
             if config.templates_dir
             else PromptTemplateSet.load_default()
         )
+        start_helpers(config.parallelism)
         self._http_backends: dict[str, HttpChatBackend] = {}
         self._script_rules: dict[str, list[ScriptedRule]] = {}
         for name, spec in config.backends.items():

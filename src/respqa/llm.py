@@ -41,9 +41,6 @@ HTTP_MAX_ATTEMPTS = 3
 HTTP_BACKOFF_BASE_S = 1.0
 # Pooled connections per host when the caller gives no pool size: requests' default.
 HTTP_POOL_SIZE = 10
-# Helper threads of BackendRouter.start, shared by every router; a request
-# started while all are busy waits its turn.
-START_THREADS = 8
 
 
 def whitespace_token_estimate(text: str) -> float:
@@ -319,16 +316,29 @@ def pooled_session(pool_size: int) -> requests.Session:
 class _Helpers:
     """Daemon threads that run the calls ``BackendRouter.start`` queues.
 
-    One set serves the process, since a router is built per question run.
-    All are started at once, on first use; being daemons, they never hold up
+    One set serves the process, since a router is built per question run;
+    ``start_helpers`` adds threads to it. Being daemons, they never hold up
     the process's exit. A call cancelled before a thread takes it up is
     skipped.
     """
 
-    def __init__(self, threads: int) -> None:
+    def __init__(self) -> None:
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        for number in range(threads):
-            threading.Thread(target=self._serve, name=f"respqa-start-{number}", daemon=True).start()
+        self._lock = threading.Lock()
+        self.threads = 0
+
+    def ensure(self, count: int) -> None:
+        with self._lock:
+            while self.threads < count:
+                thread = threading.Thread(
+                    target=self._serve, name=f"respqa-start-{self.threads}", daemon=True
+                )
+                try:
+                    thread.start()
+                except RuntimeError as exc:  # no thread to be had: calls are sent inline
+                    logger.warning("started %d of %d helper threads: %s", self.threads, count, exc)
+                    return
+                self.threads += 1
 
     def _serve(self) -> None:
         while True:
@@ -336,27 +346,27 @@ class _Helpers:
             if future.set_running_or_notify_cancel():
                 try:
                     future.set_result(call(argument))
-                except BaseException as exc:
-                    future.set_exception(exc)  # the caller that reads the future raises it
-                    if not isinstance(exc, Exception):
-                        raise
+                except BaseException as exc:  # the caller that reads the future raises it
+                    future.set_exception(exc)
 
-    def submit(self, call: Callable, argument: object) -> Future:
+    def submit(self, call: Callable, argument: object) -> Future | None:
+        """``call(argument)`` on a helper thread; None, and nothing queued, while
+        no thread serves."""
+        if not self.threads:
+            return None
         future: Future = Future()
         self._queue.put((future, call, argument))
         return future
 
 
-_helpers: _Helpers | None = None
-_helpers_lock = threading.Lock()
+_HELPERS = _Helpers()
 
 
-def _start_helpers() -> _Helpers:
-    global _helpers
-    with _helpers_lock:
-        if _helpers is None:
-            _helpers = _Helpers(START_THREADS)
-        return _helpers
+def start_helpers(count: int) -> None:
+    """Have at least ``count`` helper threads serve ``BackendRouter.start``:
+    one per question run that can be in flight. Never raises; a thread the
+    system refuses is logged, and its calls are sent inline."""
+    _HELPERS.ensure(count)
 
 
 class BackendRouter:
@@ -388,8 +398,9 @@ class BackendRouter:
         """Whether the role's backend replies by call order."""
         return getattr(self.backend_for(role_tag), "order_dependent", False)
 
-    def start(self, request: LlmRequest) -> Future[LlmResponse]:
-        """``complete(request)`` on a helper thread; the future holds its reply
-        or its error. Cancelling the future before it has begun sends nothing.
-        Callers leave order-dependent backends out."""
-        return _start_helpers().submit(self.complete, request)
+    def start(self, request: LlmRequest) -> Future[LlmResponse] | None:
+        """``complete(request)`` on a helper thread (``start_helpers``); the
+        future holds its reply or its error. Cancelling the future before it
+        has begun sends nothing. None, and nothing sent, while no helper
+        thread runs. Callers leave order-dependent backends out."""
+        return _HELPERS.submit(self.complete, request)

@@ -23,8 +23,14 @@ from respqa.agents import (
     render_docs,
     render_template,
 )
+from respqa import llm
 from respqa.errors import ConfigurationError, PromptError, PromptTooLargeError
-from respqa.llm import BackendRouter, LlmResponse, ScriptedRule, whitespace_token_estimate
+from respqa.llm import (
+    LlmResponse,
+    ScriptedRule,
+    start_helpers,
+    whitespace_token_estimate,
+)
 from respqa.memory import NO_ANSWER_MARKER, MemoryState, normalize_question
 from respqa.retrieval import RetrievedDocument
 
@@ -519,6 +525,7 @@ class TestEarlyGenerate:
     """start_generate sends the generate request ahead; generate takes its reply."""
 
     def test_generate_takes_the_early_reply(self):
+        start_helpers(1)
         router, backend = capture_router("  early answer ")
         log = []
         agents = replace(PipelineAgents(router), prompt_log=log)
@@ -565,11 +572,8 @@ class TestEarlyGenerate:
             agents.generate("q?", memory)
         assert backend.requests == []
 
-    def test_a_start_that_fails_is_not_raised(self, monkeypatch):
-        def refuse(self, request):
-            raise RuntimeError("cannot schedule new futures after interpreter shutdown")
-
-        monkeypatch.setattr(BackendRouter, "start", refuse)
+    def test_nothing_is_started_while_no_helper_runs(self, monkeypatch):
+        monkeypatch.setattr(llm, "_HELPERS", llm._Helpers())
         router, backend = capture_router()
         assert PipelineAgents(router).start_generate("q?", memory_with(["ev"])) is None
         assert backend.requests == []

@@ -7,6 +7,7 @@ import requests
 import yaml
 
 from respqa.agents import PipelineConfig
+from respqa import llm
 from respqa.cli import EXIT_CONFIG, main
 from respqa.config import (
     ENV_ENDPOINT,
@@ -318,16 +319,17 @@ class TestValidation:
         path = write_yaml(tmp_path, {"backends": {"m": {"endpoint": "http://x/v1", "model": 70}}})
         assert load_app_config(path).backends["m"].model == "70"
 
+    @pytest.mark.parametrize("value", [["m"], {"name": "m"}, True])
     @pytest.mark.parametrize("section", ["retriever", "backend"])
-    def test_model_must_be_a_scalar(self, tmp_path, script_path, section):
+    def test_model_must_be_a_scalar(self, tmp_path, script_path, section, value):
         if section == "retriever":
             data = {
-                "retriever": {"model": ["m"]},
+                "retriever": {"model": value},
                 "backends": {"mock": {"kind": "scripted", "script": str(script_path)}},
             }
             key = "retriever.model"
         else:
-            data = {"backends": {"m": {"endpoint": "http://x/v1", "model": {"name": "m"}}}}
+            data = {"backends": {"m": {"endpoint": "http://x/v1", "model": value}}}
             key = "backends.m.model"
         with pytest.raises(ConfigurationError, match=f"{key} must be a string"):
             load_app_config(write_yaml(tmp_path, data))
@@ -421,8 +423,11 @@ class TestAppRuntime:
         retriever = self.embedding_retriever(tmp_path, index_dir)
         monkeypatch.setenv(ENV_ENDPOINT, "http://env.example/v1")
         path = write_yaml(tmp_path, {"retriever": retriever, "eval": {"parallelism": 16}})
+        monkeypatch.setattr(llm, "_HELPERS", llm._Helpers())
         runtime = AppRuntime(load_app_config(path))
-        # A question can have two chat requests in flight (run_resp's last round).
+        # A question can have two chat requests in flight (run_resp's last round),
+        # the early one sent by one of the helper threads, one per worker.
+        assert llm._HELPERS.threads == 16
         sessions = {
             "http://env.example/v1/chat/completions": (
                 runtime.fresh_bindings()["reasoner"]._session, 32

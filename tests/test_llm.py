@@ -4,6 +4,7 @@ import threading
 import pytest
 import requests
 
+from respqa import llm
 from respqa.errors import BackendError, ConfigurationError, ScriptError
 from respqa.llm import (
     ROLE_TAGS,
@@ -14,6 +15,7 @@ from respqa.llm import (
     ScriptedBackend,
     ScriptedRule,
     load_script,
+    start_helpers,
     truncate_to_token_estimate,
     whitespace_token_estimate,
 )
@@ -362,6 +364,7 @@ class TestBackendRouter:
                     raise BackendError("wire down", role_tag=request.role_tag)
                 return LlmResponse(text=request.prompt.upper(), backend_id="recording", latency=0.0)
 
+        start_helpers(1)
         backend = Recording()
         router = BackendRouter({role: backend for role in ROLE_TAGS})
         assert router.start(req("hello", role="generator")).result(timeout=5).text == "HELLO"
@@ -369,3 +372,52 @@ class TestBackendRouter:
             router.start(req("fail", role="generator")).result(timeout=5)
         assert threading.current_thread() not in backend.threads
         assert all(thread.daemon for thread in backend.threads)
+
+    def test_start_sends_nothing_while_no_helper_runs(self, monkeypatch):
+        monkeypatch.setattr(llm, "_HELPERS", llm._Helpers())
+        backend = ScriptedBackend([])
+        router = BackendRouter({role: backend for role in ROLE_TAGS})
+        assert router.start(req("hello", role="generator")) is None
+        assert backend.history == []
+
+
+class TestHelpers:
+    """The helper threads behind BackendRouter.start."""
+
+    def test_threads_grow_to_the_largest_count_asked(self):
+        helpers = llm._Helpers()
+        for count, threads in [(2, 2), (1, 2), (3, 3)]:
+            helpers.ensure(count)
+            assert helpers.threads == threads
+
+    def test_a_refused_thread_leaves_the_started_ones_serving(self, monkeypatch, caplog):
+        started = []
+
+        class Scarce(threading.Thread):
+            def start(self):
+                if started:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
+
+        helpers = llm._Helpers()
+        monkeypatch.setattr(llm.threading, "Thread", Scarce)
+        helpers.ensure(3)  # does not raise
+        assert helpers.threads == 1 and len(started) == 1
+        assert "started 1 of 3 helper threads" in caplog.text
+        assert helpers.submit(str.upper, "a").result(timeout=5) == "A"
+        monkeypatch.undo()
+        helpers.ensure(3)
+        assert helpers.threads == 3
+
+    def test_a_helper_outlives_a_call_that_raises_a_base_exception(self):
+        class Stop(BaseException):
+            pass
+
+        def stop(_):
+            raise Stop()
+
+        helpers = llm._Helpers()
+        helpers.ensure(1)
+        assert isinstance(helpers.submit(stop, None).exception(timeout=5), Stop)
+        assert helpers.submit(str.upper, "a").result(timeout=5) == "A"

@@ -14,6 +14,7 @@ from respqa.llm import (
     LlmResponse,
     ScriptedBackend,
     ScriptedRule,
+    start_helpers,
     whitespace_token_estimate,
 )
 from respqa.memory import normalize_question
@@ -667,6 +668,10 @@ def template_run(backend, **config):
 
 class TestFinalRoundOverlap:
     """The last allowed round sends the generate request alongside the judge's."""
+
+    @pytest.fixture(autouse=True)
+    def helpers(self):
+        start_helpers(8)  # as AppRuntime does at eval.parallelism 8
 
     @pytest.mark.parametrize("rounds, judge", [(1, "No"), (1, "Yes"), (3, "No")])
     def test_judge_and_generator_are_in_flight_together(self, rounds, judge):
