@@ -15,6 +15,7 @@ from pathlib import Path
 from .config import AppRuntime, CliOverrides, load_app_config
 from .errors import ConfigurationError, CorpusError, DatasetError, RespqaError
 from .evaluation import evaluate, load_dataset, write_report
+from .files import replaced_on_success
 from .pipeline import PIPELINE_RESP, PIPELINE_STANDARD, sweep_k
 from .retrieval import BM25Index, read_corpus
 
@@ -134,11 +135,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = load_app_config(args.config, _overrides(args, top_k=args.k))
     runtime = AppRuntime(config)
     examples = load_dataset(args.dataset, limit=args.limit)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the batch: a bad --out-dir costs no call
     report = evaluate(
         runtime.runner(pipeline=args.pipeline), examples, parallelism=config.parallelism
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary_path = out_dir / "eval_report.json"
     rows_path = out_dir / "eval_examples.jsonl"
     write_report(report, summary_path, rows_path)
@@ -172,20 +173,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     runtime = AppRuntime(config)
     examples = load_dataset(args.dataset, limit=args.limit)
 
-    all_rows = []
-    for pipeline in pipelines:
-        all_rows.extend(
-            sweep_k(
-                examples,
-                k_values,
-                pipeline,
-                make_runner=lambda k, p=pipeline: runtime.runner(pipeline=p, top_k=k),
-                parallelism=config.parallelism,
-            )
-        )
-
     out_path = Path(args.out)
-    with out_path.open("w", encoding="utf-8", newline="") as handle:
+    # The CSV file is created before the first cell, so a missing directory
+    # costs no LLM call.
+    with replaced_on_success(out_path) as handle:
+        all_rows = []
+        for pipeline in pipelines:
+            all_rows.extend(
+                sweep_k(
+                    examples,
+                    k_values,
+                    pipeline,
+                    make_runner=lambda k, p=pipeline: runtime.runner(pipeline=p, top_k=k),
+                    parallelism=config.parallelism,
+                )
+            )
         writer = csv.writer(handle)
         writer.writerow(["pipeline", "k", "mean_f1", "mean_prompt_tokens", "n", "errors"])
         for row in all_rows:

@@ -197,7 +197,9 @@ def load_app_config(path: str | Path | None, overrides: CliOverrides | None = No
     data = None
     if path is not None:
         try:
-            data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+            # libyaml's parser, where PyYAML was built with it, is ~4x faster.
+            loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+            data = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=loader)
         except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
             raise ConfigurationError(f"unreadable config file {path}: {exc}") from exc
     _require(

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DatasetError
+from .files import replaced_on_success
 from .jsonl import read_jsonl
 from .retrieval import strip_punctuation, tokenize
 
@@ -219,10 +220,13 @@ def evaluate(
 
 
 def write_report(report: EvalReport, summary_path: str | Path, rows_path: str | Path) -> None:
-    """JSON summary plus per-example JSONL rows."""
-    Path(summary_path).write_text(
-        json.dumps(report.summary_dict(), indent=2, ensure_ascii=False), encoding="utf-8"
-    )
-    with Path(rows_path).open("w", encoding="utf-8") as handle:
+    """Per-example JSONL rows, then the JSON summary.
+
+    Each file is written whole or not at all, and the rows go first, so a
+    failed write leaves no new summary and no truncated file.
+    """
+    with replaced_on_success(rows_path) as handle:
         for row in report.rows:
             handle.write(json.dumps(row.to_dict(), ensure_ascii=False) + "\n")
+    with replaced_on_success(summary_path) as handle:
+        handle.write(json.dumps(report.summary_dict(), indent=2, ensure_ascii=False))

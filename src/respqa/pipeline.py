@@ -25,6 +25,7 @@ from .agents import (
 )
 from .errors import BackendError, PipelineError
 from .evaluation import evaluate
+from .files import replaced_on_success
 from .llm import whitespace_token_estimate
 from .memory import MemoryState
 from .retrieval import RetrievedDocument, Retriever
@@ -82,9 +83,9 @@ class RunTrace:
         return data
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, ensure_ascii=False), encoding="utf-8"
-        )
+        """The trace as JSON, written whole or not at all."""
+        with replaced_on_success(path) as handle:
+            handle.write(json.dumps(self.to_dict(), indent=2, ensure_ascii=False))
 
 
 def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config: PipelineConfig) -> RunTrace:

@@ -8,7 +8,9 @@ concatenated as UTF-8; ``terms.txt``, the vocabulary joined by newlines; and
 4 or 8 bytes that holds its largest value: the postings and the byte offsets
 of the document fields. Opening an index parses no document: it keeps
 ``documents.txt`` as bytes and decodes a document only when a query returns
-it. A rebuilt or reopened index returns byte-identical rankings.
+it. Nor does it score any posting: a term's BM25 gains are computed by the
+first query that uses the term. A rebuilt or reopened index returns
+byte-identical rankings.
 
 An alternative dense retriever (cosine over externally computed vectors) is
 provided behind the same ``retrieve(query, k)`` surface.
@@ -219,13 +221,19 @@ class BM25Index:
 
     Postings are flat integer arrays (document index and term frequency)
     grouped by term through per-term offsets; a saved index stores each array
-    in the narrowest unsigned dtype that holds it. Each posting's BM25 gain is
-    computed once, at build and at open, so a query only adds gains into a
-    score vector. The documents sit in a ``_DocumentStore`` and are built
-    only for the hits. Immutable after build; concurrent retrieval is safe.
-    Scores are always non-negative because the IDF uses
-    log(1 + (N - df + 0.5) / (df + 0.5)). Ties are broken by ascending doc_id
-    so rankings are deterministic.
+    in the narrowest unsigned dtype that holds it, and ``open`` keeps them so.
+    Build and open compute one value per document, its length norm
+    ``k1 * (1 - b + b * dl / avgdl)``; a term's BM25 gains are computed by its
+    first query and kept for later ones. The documents sit in a
+    ``_DocumentStore`` and are built only for the hits.
+
+    Concurrent retrieval is safe: the postings never change after build, and
+    two queries that meet a new term at once compute equal arrays, of which
+    ``dict.setdefault`` keeps the first stored. The kept gains never exceed
+    16 B per posting (an intp document index and a float64 gain), the cost of
+    computing every term's gains up front. Scores are always non-negative
+    because the IDF uses log(1 + (N - df + 0.5) / (df + 0.5)). Ties are
+    broken by ascending doc_id so rankings are deterministic.
     """
 
     def __init__(
@@ -244,14 +252,16 @@ class BM25Index:
         self._doc_lengths = doc_lengths
         self._term_ids = term_ids
         self._offsets = offsets
-        # Fancy indexing casts any other index dtype to intp on every call.
-        self._doc_indices = doc_indices.astype(np.intp)
+        self._doc_indices = doc_indices
         self._term_freqs = term_freqs
         n = len(doc_lengths)
         self._avgdl = int(doc_lengths.sum()) / n if n else 0.0
         self.k1 = k1
         self.b = b
-        self._weights = self._posting_weights()
+        # k1 and b are read here only, so every term's gains use the same values.
+        self._k1_plus_1 = k1 + 1.0
+        self._k1_norms = k1 * (1.0 - b + b * doc_lengths / (self._avgdl or 1.0))
+        self._gains: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def stats(self) -> IndexStats:
@@ -325,29 +335,31 @@ class BM25Index:
             b=b,
         )
 
-    def _posting_weights(self) -> np.ndarray:
-        """BM25 gain of every posting.
+    def _term_gains(self, term_id: int) -> tuple[np.ndarray, np.ndarray]:
+        """The term's document indices, as intp, and the BM25 gain of each.
 
-        The IDF uses ``math.log``, once per distinct document frequency, and
-        the gain keeps the scalar formula's operation order, so each weight,
-        and each query's sum of weights in query-term order, equals the
-        scalar computation bit for bit.
+        Computed at the term's first query. The IDF uses ``math.log`` and the
+        gain keeps the scalar formula's operation order, so each gain, and
+        each query's sum of gains in query-term order, equals the scalar
+        computation bit for bit.
         """
-        n = len(self._doc_lengths)
-        df = np.diff(self._offsets)
-        distinct_df, df_rank = np.unique(df, return_inverse=True)
-        idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in distinct_df.tolist()])
-        avgdl = self._avgdl or 1.0
-        norm = 1.0 - self.b + self.b * self._doc_lengths / avgdl
-        tf = self._term_freqs
+        cached = self._gains.get(term_id)
+        if cached is not None:
+            return cached
+        start, end = self._offsets[term_id : term_id + 2].tolist()
+        df, n = end - start, len(self._doc_lengths)
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        # Fancy indexing casts any other index dtype to intp on every call.
+        doc_indices = self._doc_indices[start:end].astype(np.intp)
+        tf = self._term_freqs[start:end]
         # idf * (tf * (k1 + 1)) / (tf + k1 * norm), in place. Swapping the two
         # operands of a * or a + leaves an IEEE result unchanged.
-        gains = tf * (self.k1 + 1.0)
-        gains *= np.repeat(idf[df_rank], df)
-        denominators = (self.k1 * norm)[self._doc_indices]
+        gains = tf * self._k1_plus_1
+        gains *= idf
+        denominators = self._k1_norms[doc_indices]
         denominators += tf
         gains /= denominators
-        return gains
+        return self._gains.setdefault(term_id, (doc_indices, gains))
 
     def retrieve(self, query: str, k: int) -> list[RetrievedDocument]:
         """Top-k documents by BM25 score over the tokenized query.
@@ -363,9 +375,9 @@ class BM25Index:
             term_id = self._term_ids.get(term)
             if term_id is None:
                 continue
-            start, end = self._offsets[term_id], self._offsets[term_id + 1]
+            doc_indices, gains = self._term_gains(term_id)
             # A term lists each document once, so this fancy-indexed add is exact.
-            scores[self._doc_indices[start:end]] += self._weights[start:end]
+            scores[doc_indices] += gains
         return _ranked_hits(self._store.take, self._id_ranks, scores, k)
 
     def save(self, index_dir: str | Path) -> None:

@@ -45,6 +45,20 @@ def script_path(tmp_path):
 
 
 @pytest.fixture
+def complete_calls(monkeypatch):
+    """Every request that goes through BackendRouter.complete."""
+    calls = []
+    complete = BackendRouter.complete
+
+    def counted(self, request):
+        calls.append(request)
+        return complete(self, request)
+
+    monkeypatch.setattr(BackendRouter, "complete", counted)
+    return calls
+
+
+@pytest.fixture
 def dataset_path(tmp_path):
     path = tmp_path / "dataset.jsonl"
     rows = [
@@ -440,6 +454,19 @@ class TestEvalCommand:
         assert code == EXIT_OK
         assert json.loads((out_dir / "eval_report.json").read_text())["n"] == 2
 
+    def test_an_out_dir_that_is_a_file_fails_before_any_call(
+        self, index_dir, script_path, dataset_path, tmp_path, complete_calls, capsys
+    ):
+        blocker = tmp_path / "reports"
+        blocker.write_text("a file")
+        argv = ["eval", str(dataset_path), "--index-dir", str(index_dir), "--script", str(script_path)]
+        assert main([*argv, "--out-dir", str(blocker)]) == EXIT_IO
+        assert "reports" in capsys.readouterr().err
+        assert complete_calls == []
+        assert blocker.read_text() == "a file"
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        assert complete_calls
+
     def test_missing_dataset(self, index_dir, script_path, tmp_path, capsys):
         code = main(
             [
@@ -476,6 +503,21 @@ class TestSweepCommand:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 8  # 2 pipelines x 4 k values
         assert {row["pipeline"] for row in rows} == {"resp", "standard"}
+
+    @pytest.mark.parametrize("out", ["missing/sweep.csv", "."])
+    def test_an_unwritable_out_fails_before_any_call(
+        self, index_dir, script_path, dataset_path, tmp_path, complete_calls, capsys, out
+    ):
+        argv = ["sweep", str(dataset_path), "--k", "3", "--index-dir", str(index_dir)]
+        argv += ["--script", str(script_path)]
+        assert main([*argv, "--out", str(tmp_path / out)]) == EXIT_IO
+        assert str(tmp_path / out.split("/")[0]) in capsys.readouterr().err
+        assert complete_calls == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "corpus.jsonl", "dataset.jsonl", "index", "script.jsonl"
+        ]
+        assert main([*argv, "--out", str(tmp_path / "sweep.csv")]) == EXIT_OK
+        assert complete_calls
 
     def test_curves(self, index_dir, script_path, dataset_path, tmp_path, capsys):
         out_csv = tmp_path / "sweep.csv"

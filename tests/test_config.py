@@ -462,13 +462,79 @@ class TestAppRuntime:
             runtime.runner(pipeline="fancy")
 
 
-def test_readme_configuration_example_loads(tmp_path):
+def readme_configuration_example() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
-    example = re.search(r"```yaml\n(.*?)```", section, re.DOTALL).group(1)
+    return re.search(r"```yaml\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_readme_configuration_example_loads(tmp_path):
     path = tmp_path / "config.yaml"
-    path.write_text(example, encoding="utf-8")
+    path.write_text(readme_configuration_example(), encoding="utf-8")
     config = load_app_config(path)
     assert config.pipeline == PipelineConfig()
     assert config.roles == {"reasoner": "small", "summarizer": "small", "generator": "large"}
     assert config.parallelism == 4
+
+
+class TestYamlLoaders:
+    """The file is parsed by libyaml where PyYAML has it, by PyYAML's own
+    parser where it has not, and both read it alike."""
+
+    @staticmethod
+    def configs(script_path, index_dir) -> list[str]:
+        scripted = {
+            "pipeline": {"top_k": 3, "max_iterations": 2, "generator_temperature": 0.5},
+            "retriever": {"kind": "bm25", "index_dir": str(index_dir), "k1": 0.9, "b": 0.4},
+            "backends": {"sim": {"kind": "scripted", "script": str(script_path)}},
+            "roles": {"reasoner": "sim", "summarizer": "sim", "generator": "sim"},
+            "eval": {"parallelism": 2},
+        }
+        hand_written = (
+            "# an anchor, a merge key, flow style, quoting and a non-ASCII value\n"
+            "backends:\n"
+            "  a: &http {kind: http, endpoint: 'http://localhost:8000/v1', model: \"70\"}\n"
+            "  b:\n"
+            "    <<: *http\n"
+            "    model: modèle-ünïcode\n"
+            "roles: {reasoner: a, summarizer: a, generator: b}\n"
+            "templates_dir: null\n"
+            "pipeline: {log_prompts: yes, max_input_tokens: 0x1000}\n"
+        )
+        return [readme_configuration_example(), yaml.safe_dump(scripted), hand_written]
+
+    def test_both_loaders_give_one_config(self, tmp_path, script_path, index_dir, monkeypatch):
+        if not getattr(yaml, "__with_libyaml__", False):
+            pytest.skip("PyYAML was built without libyaml")
+        parsed = []
+
+        class CountingLoader(yaml.CSafeLoader):
+            def __init__(self, stream):
+                parsed.append(stream)
+                super().__init__(stream)
+
+        monkeypatch.setattr(yaml, "CSafeLoader", CountingLoader)
+        texts = self.configs(script_path, index_dir)
+        paths = []
+        for number, text in enumerate(texts):
+            paths.append(tmp_path / f"config{number}.yaml")
+            paths[-1].write_text(text, encoding="utf-8")
+        with_libyaml = [load_app_config(path) for path in paths]
+        assert parsed == texts
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        assert [load_app_config(path) for path in paths] == with_libyaml
+        assert len(parsed) == len(texts)
+
+    @pytest.mark.parametrize("libyaml", [True, False])
+    @pytest.mark.parametrize(
+        "text", ["pipeline: [unclosed\n", "a: 1\n\tb: 2\n", "a: \x07\n", "a: *nope\n", "a: 1\n---\nb: 2\n"]
+    )
+    def test_bad_yaml_exits_2(self, tmp_path, monkeypatch, capsys, libyaml, text):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        elif not getattr(yaml, "__with_libyaml__", False):
+            pytest.skip("PyYAML was built without libyaml")
+        path = tmp_path / "config.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert main(["ask", "q?", "--config", str(path)]) == EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import string
@@ -242,3 +243,27 @@ class TestWriteReport:
         lines = [json.loads(line) for line in rows.read_text().splitlines()]
         assert len(lines) == 3
         assert lines[0]["id"] == "e1"
+
+    @pytest.mark.parametrize("earlier", [True, False])
+    def test_a_row_that_fails_mid_write_leaves_no_new_report(self, tmp_path, earlier):
+        summary = tmp_path / "eval_report.json"
+        rows = tmp_path / "eval_examples.jsonl"
+        if earlier:
+            good = evaluate(lambda q: canned_trace(q, "Charlie Murphy"), TestEvaluate.EXAMPLES)
+            write_report(good, summary, rows)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        report = evaluate(lambda q: canned_trace(q, "Eddie"), TestEvaluate.EXAMPLES)
+        # The first row serializes; the second does not.
+        report.rows[1] = dataclasses.replace(report.rows[1], prediction=object())
+        with pytest.raises(TypeError):
+            write_report(report, summary, rows)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+class TestTraceJson:
+    def test_replaces_an_earlier_trace(self, tmp_path):
+        path = tmp_path / "trace.json"
+        path.write_text("earlier")
+        canned_trace("q?", "Charlie Murphy").write_json(path)
+        assert json.loads(path.read_text())["final_answer"] == "Charlie Murphy"
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]

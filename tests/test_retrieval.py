@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -837,6 +839,102 @@ def test_bm25_equals_brute_force_exactly_on_tied_random_corpora(tmp_path):
             seen["repeated_term"] |= len(set(terms)) < len(terms)
             seen["k_above_matches"] |= 0 < len(expected) < k
     assert all(seen.values()), seen
+
+
+def zipf_corpus(n_docs: int, seed: int, vocab_size: int = 600) -> list[Document]:
+    """Documents of 20-80 words from a Zipf-weighted vocabulary; ids out of order."""
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(vocab_size)]
+    weights = [1.0 / (rank + 1) for rank in range(vocab_size)]
+    ids = [f"doc{i:05d}" for i in range(n_docs)]
+    rng.shuffle(ids)
+    return [
+        Document(doc_id, "t", " ".join(rng.choices(vocab, weights, k=rng.randint(20, 80))))
+        for doc_id in ids
+    ]
+
+
+def zipf_queries(count: int, seed: int, vocab_size: int = 600) -> list[str]:
+    """Queries of 1-6 Zipf-weighted words, as in the documents, plus the word "absent"."""
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(vocab_size)] + ["absent"]
+    weights = [1.0 / (rank + 1) for rank in range(vocab_size + 1)]
+    return [" ".join(rng.choices(vocab, weights, k=rng.randint(1, 6))) for _ in range(count)]
+
+
+def exact_hits(index: BM25Index, queries: list[str]) -> list[list[tuple[str, str]]]:
+    """Each query's (doc_id, score as hex) at k = 1, 5 and 40."""
+    return [
+        [(hit.doc_id, hit.score.hex()) for hit in index.retrieve(query, k)]
+        for query in queries
+        for k in (1, 5, 40)
+    ]
+
+
+def test_open_allocates_under_eight_bytes_a_posting_beyond_its_files(tmp_path):
+    BM25Index.build(zipf_corpus(3000, seed=1)).save(tmp_path / "idx")
+    manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
+    file_bytes = sum(entry["bytes"] for entry in manifest["files"].values())
+    postings = manifest["num_postings"]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = BM25Index.open(tmp_path / "idx")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert index.stats.num_documents == 3000 and postings > 50_000
+    # Open keeps its files' bytes; an intp document index and a float64 gain
+    # for every posting would add 16 B a posting.
+    assert held - file_bytes < 8 * postings
+
+
+def test_concurrent_first_queries_equal_a_sequential_run(tmp_path):
+    BM25Index.build(zipf_corpus(2000, seed=2)).save(tmp_path / "idx")
+    queries = zipf_queries(50, seed=3)
+    expected = exact_hits(BM25Index.open(tmp_path / "idx"), queries)
+    workers = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            index = BM25Index.open(tmp_path / "idx")  # no term queried yet
+            start = threading.Barrier(workers, timeout=30)
+            results: list[object] = [None] * workers
+
+            def work(slot: int) -> None:
+                start.wait()
+                results[slot] = exact_hits(index, queries)
+
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert all(result == expected for result in results)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_built_and_reopened_indexes_rank_alike_in_any_query_order(tmp_path):
+    built = BM25Index.build(zipf_corpus(1500, seed=4))
+    built.save(tmp_path / "before")
+    queries = zipf_queries(150, seed=5)
+    from_build = exact_hits(built, queries)
+    built.save(tmp_path / "after")  # the kept gains never reach the files
+    for name in ("manifest.json", "documents.txt", "terms.txt", "postings.bin"):
+        assert (tmp_path / "before" / name).read_bytes() == (tmp_path / "after" / name).read_bytes()
+    reopened = BM25Index.open(tmp_path / "after")
+    assert exact_hits(reopened, queries[::-1]) == exact_hits(built, queries[::-1])
+    assert exact_hits(reopened, queries) == from_build
+
+
+def test_k1_and_b_are_read_at_construction():
+    expected = BM25Index.build(TEN_DOCS, k1=0.9, b=0.4).retrieve("the quantum cat", 5)
+    index = BM25Index.build(TEN_DOCS, k1=0.9, b=0.4)
+    index.k1, index.b = 2.0, 1.0  # before any term's gains are computed
+    assert index.retrieve("the quantum cat", 5) == expected
 
 
 def test_dense_equals_brute_force_cosine():
