@@ -406,9 +406,9 @@ class PipelineAgents:
         ``generate(overarching_question, memory, early)`` over the same memory.
 
         Never raises. None, and nothing sent, when the generator's backend
-        replies by call order, the prompt does not assemble or no helper
-        thread runs; ``generate`` then makes the call, and raises the error,
-        itself.
+        replies by call order, the prompt does not assemble or the system
+        refuses a helper thread; ``generate`` then makes the call, and raises
+        the error, itself.
         """
         if self.router.order_dependent("generator"):
             return None

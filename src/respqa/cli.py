@@ -121,12 +121,15 @@ def cmd_ask(args: argparse.Namespace) -> int:
     if not args.question.strip():
         raise ConfigurationError("question must be non-empty")
     config = load_app_config(args.config, _overrides(args, top_k=args.k))
-    runtime = AppRuntime(config)
-    trace = runtime.runner(pipeline=args.pipeline)(args.question)
-    print(trace.final_answer)
-    if args.trace:
-        trace.write_json(args.trace)
-        print(f"trace written to {args.trace}", file=sys.stderr)
+    run = AppRuntime(config).runner(pipeline=args.pipeline)
+    if not args.trace:
+        print(run(args.question).final_answer)
+        return EXIT_OK
+    with replaced_on_success(args.trace) as handle:  # first: a bad path costs no LLM call
+        trace = run(args.question)
+        print(trace.final_answer)
+        handle.write(trace.to_json())
+    print(f"trace written to {args.trace}", file=sys.stderr)
     return EXIT_OK
 
 

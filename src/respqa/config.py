@@ -28,7 +28,6 @@ from .llm import (
     ScriptedBackend,
     ScriptedRule,
     load_script,
-    start_helpers,
 )
 from .pipeline import PIPELINE_RESP, PIPELINE_STANDARD, RunTrace, run_resp, run_standard_rag
 from .retrieval import (
@@ -122,10 +121,20 @@ def _bool(value: object, key: str) -> bool:
     return value
 
 
+def _utf8(value: object, key: str) -> object:
+    """``value``, unless it is a string UTF-8 cannot encode (a lone surrogate)."""
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigurationError(f"{key} is not UTF-8 text: {value!r}") from None
+    return value
+
+
 def _string(value: object, key: str) -> str | None:
     """A string, such as the name of an environment variable; null leaves it unset."""
     _require(value is None or isinstance(value, str), f"{key} must be a string, got {value!r}")
-    return value
+    return _utf8(value, key)
 
 
 def _text(value: object, key: str) -> str | None:
@@ -133,7 +142,7 @@ def _text(value: object, key: str) -> str | None:
     Null leaves it unset."""
     scalar = isinstance(value, (str, int, float)) and not isinstance(value, bool)
     _require(value is None or scalar, f"{key} must be a string, got {value!r}")
-    return None if value is None else str(value)
+    return None if value is None else _utf8(str(value), key)
 
 
 def _path(value: object, key: str) -> Path | None:
@@ -145,7 +154,7 @@ def _path(value: object, key: str) -> Path | None:
 def _url(value: object, key: str) -> str | None:
     """An http(s) URL; null leaves it unset."""
     try:
-        parts = urlsplit(value) if isinstance(value, str) else None
+        parts = urlsplit(_utf8(value, key)) if isinstance(value, str) else None
     except ValueError:
         parts = None
     http = parts is not None and parts.scheme in ("http", "https") and bool(parts.netloc)
@@ -334,9 +343,9 @@ class AppRuntime:
 
     Scripted backends get a fresh conversation per question run so rule
     ordinals stay deterministic under batch parallelism; HTTP backends are
-    shared singletons. A run can have two requests in flight (``run_resp``):
-    the process keeps a helper thread per concurrent run (``eval.parallelism``)
-    to send the early one, and a chat backend pools two connections per run.
+    shared singletons. A run can have two requests in flight, the early one
+    from a helper thread started on demand (``run_resp``), so a chat backend
+    pools two connections per run.
     """
 
     def __init__(self, config: AppConfig) -> None:
@@ -347,7 +356,6 @@ class AppRuntime:
             if config.templates_dir
             else PromptTemplateSet.load_default()
         )
-        start_helpers(config.parallelism)
         self._http_backends: dict[str, HttpChatBackend] = {}
         self._script_rules: dict[str, list[ScriptedRule]] = {}
         for name, spec in config.backends.items():

@@ -314,59 +314,44 @@ def pooled_session(pool_size: int) -> requests.Session:
 
 
 class _Helpers:
-    """Daemon threads that run the calls ``BackendRouter.start`` queues.
-
-    One set serves the process, since a router is built per question run;
-    ``start_helpers`` adds threads to it. Being daemons, they never hold up
-    the process's exit. A call cancelled before a thread takes it up is
-    skipped.
-    """
+    """Daemon threads, so they never hold up the process's exit, that run the
+    calls ``BackendRouter.start`` queues; one set serves the process. A call
+    that finds no helper idle starts one more, so the set grows to the most
+    calls ever in flight at once. A call cancelled before it is taken is skipped."""
 
     def __init__(self) -> None:
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._lock = threading.Lock()
-        self.threads = 0
-
-    def ensure(self, count: int) -> None:
-        with self._lock:
-            while self.threads < count:
-                thread = threading.Thread(
-                    target=self._serve, name=f"respqa-start-{self.threads}", daemon=True
-                )
-                try:
-                    thread.start()
-                except RuntimeError as exc:  # no thread to be had: calls are sent inline
-                    logger.warning("started %d of %d helper threads: %s", self.threads, count, exc)
-                    return
-                self.threads += 1
+        self._idle = threading.Semaphore(0)  # released by a helper after each call
 
     def _serve(self) -> None:
         while True:
             future, call, argument = self._queue.get()
+            settle = None
             if future.set_running_or_notify_cancel():
                 try:
-                    future.set_result(call(argument))
+                    outcome, settle = call(argument), future.set_result
                 except BaseException as exc:  # the caller that reads the future raises it
-                    future.set_exception(exc)
+                    outcome, settle = exc, future.set_exception
+            # Idle before the caller sees the outcome, so its next call reuses this thread.
+            self._idle.release()
+            if settle is not None:
+                settle(outcome)
 
     def submit(self, call: Callable, argument: object) -> Future | None:
-        """``call(argument)`` on a helper thread; None, and nothing queued, while
-        no thread serves."""
-        if not self.threads:
-            return None
+        """``call(argument)`` on a helper thread; None, and nothing queued, if none
+        is idle and the system refuses another."""
+        if not self._idle.acquire(blocking=False):
+            try:
+                threading.Thread(target=self._serve, name="respqa-start", daemon=True).start()
+            except RuntimeError as exc:  # no thread to be had: the call is sent inline
+                logger.warning("no helper thread for an early call: %s", exc)
+                return None
         future: Future = Future()
         self._queue.put((future, call, argument))
         return future
 
 
 _HELPERS = _Helpers()
-
-
-def start_helpers(count: int) -> None:
-    """Have at least ``count`` helper threads serve ``BackendRouter.start``:
-    one per question run that can be in flight. Never raises; a thread the
-    system refuses is logged, and its calls are sent inline."""
-    _HELPERS.ensure(count)
 
 
 class BackendRouter:
@@ -399,8 +384,8 @@ class BackendRouter:
         return getattr(self.backend_for(role_tag), "order_dependent", False)
 
     def start(self, request: LlmRequest) -> Future[LlmResponse] | None:
-        """``complete(request)`` on a helper thread (``start_helpers``); the
-        future holds its reply or its error. Cancelling the future before it
-        has begun sends nothing. None, and nothing sent, while no helper
-        thread runs. Callers leave order-dependent backends out."""
+        """``complete(request)`` on a helper thread, started if none is idle;
+        the future holds its reply or its error. Cancelling the future before
+        it has begun sends nothing. None, and nothing sent, only when the
+        system refuses a thread. Callers leave order-dependent backends out."""
         return _HELPERS.submit(self.complete, request)

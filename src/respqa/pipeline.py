@@ -82,10 +82,13 @@ class RunTrace:
         data["memory"] = self.memory.to_dict() if self.memory else None
         return data
 
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False)
+
     def write_json(self, path: str | Path) -> None:
         """The trace as JSON, written whole or not at all."""
         with replaced_on_success(path) as handle:
-            handle.write(json.dumps(self.to_dict(), indent=2, ensure_ascii=False))
+            handle.write(self.to_json())
 
 
 def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config: PipelineConfig) -> RunTrace:

@@ -25,12 +25,7 @@ from respqa.agents import (
 )
 from respqa import llm
 from respqa.errors import ConfigurationError, PromptError, PromptTooLargeError
-from respqa.llm import (
-    LlmResponse,
-    ScriptedRule,
-    start_helpers,
-    whitespace_token_estimate,
-)
+from respqa.llm import LlmResponse, ScriptedRule, whitespace_token_estimate
 from respqa.memory import NO_ANSWER_MARKER, MemoryState, normalize_question
 from respqa.retrieval import RetrievedDocument
 
@@ -525,7 +520,6 @@ class TestEarlyGenerate:
     """start_generate sends the generate request ahead; generate takes its reply."""
 
     def test_generate_takes_the_early_reply(self):
-        start_helpers(1)
         router, backend = capture_router("  early answer ")
         log = []
         agents = replace(PipelineAgents(router), prompt_log=log)
@@ -572,8 +566,13 @@ class TestEarlyGenerate:
             agents.generate("q?", memory)
         assert backend.requests == []
 
-    def test_nothing_is_started_while_no_helper_runs(self, monkeypatch):
+    def test_nothing_is_started_when_no_thread_can_start(self, monkeypatch):
+        class Refused(threading.Thread):
+            def start(self):
+                raise RuntimeError("can't start new thread")
+
         monkeypatch.setattr(llm, "_HELPERS", llm._Helpers())
+        monkeypatch.setattr(llm.threading, "Thread", Refused)
         router, backend = capture_router()
         assert PipelineAgents(router).start_generate("q?", memory_with(["ev"])) is None
         assert backend.requests == []

@@ -135,6 +135,23 @@ class TestAskCommand:
         assert data["iterations"][0]["round"] == 0
         assert data["stop_reason"] == "judged_sufficient"
 
+    @pytest.mark.parametrize("trace", ["missing/trace.json", "."])
+    def test_an_unwritable_trace_fails_before_any_call(
+        self, index_dir, script_path, tmp_path, complete_calls, capsys, trace
+    ):
+        argv = ["ask", OVERPLANNING_QUESTION, "--index-dir", str(index_dir)]
+        argv += ["--script", str(script_path)]
+        assert main([*argv, "--trace", str(tmp_path / trace)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert str(tmp_path / trace.split("/")[0]) in captured.err and captured.out == ""
+        assert complete_calls == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "corpus.jsonl", "index", "script.jsonl"
+        ]
+        assert main([*argv, "--trace", str(tmp_path / "trace.json")]) == EXIT_OK
+        assert complete_calls
+        assert json.loads((tmp_path / "trace.json").read_text())["final_answer"] == "Charlie Murphy"
+
     def test_standard_pipeline_single_iteration(self, index_dir, script_path, tmp_path):
         trace_path = tmp_path / "out.json"
         code = main(

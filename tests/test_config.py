@@ -7,7 +7,6 @@ import requests
 import yaml
 
 from respqa.agents import PipelineConfig
-from respqa import llm
 from respqa.cli import EXIT_CONFIG, main
 from respqa.config import (
     ENV_ENDPOINT,
@@ -423,11 +422,8 @@ class TestAppRuntime:
         retriever = self.embedding_retriever(tmp_path, index_dir)
         monkeypatch.setenv(ENV_ENDPOINT, "http://env.example/v1")
         path = write_yaml(tmp_path, {"retriever": retriever, "eval": {"parallelism": 16}})
-        monkeypatch.setattr(llm, "_HELPERS", llm._Helpers())
         runtime = AppRuntime(load_app_config(path))
-        # A question can have two chat requests in flight (run_resp's last round),
-        # the early one sent by one of the helper threads, one per worker.
-        assert llm._HELPERS.threads == 16
+        # A question can have two chat requests in flight (run_resp's last round).
         sessions = {
             "http://env.example/v1/chat/completions": (
                 runtime.fresh_bindings()["reasoner"]._session, 32
@@ -538,3 +534,23 @@ class TestYamlLoaders:
         path.write_text(text, encoding="utf-8")
         assert main(["ask", "q?", "--config", str(path)]) == EXIT_CONFIG
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("libyaml", [True, False])
+    @pytest.mark.parametrize("key", ["model", "vectors", "api_key_env"])
+    def test_a_lone_surrogate_exits_2(
+        self, tmp_path, script_path, index_dir, monkeypatch, capsys, libyaml, key
+    ):
+        # A model name, a path and an environment variable's name: each a "\ud800"
+        # escape, which UTF-8 cannot encode. The file is otherwise good.
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        elif not getattr(yaml, "__with_libyaml__", False):
+            pytest.skip("PyYAML was built without libyaml")
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            f"retriever: {{index_dir: {json.dumps(str(index_dir))}, {key}: \"x\\ud800\"}}\n"
+            f"backends: {{sim: {{kind: scripted, script: {json.dumps(str(script_path))}}}}}\n",
+            encoding="utf-8",
+        )
+        assert main(["ask", "q?", "--config", str(path)]) == EXIT_CONFIG
+        assert (str(path) if libyaml else f"retriever.{key}") in capsys.readouterr().err

@@ -1,5 +1,8 @@
 import json
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 import requests
@@ -15,7 +18,6 @@ from respqa.llm import (
     ScriptedBackend,
     ScriptedRule,
     load_script,
-    start_helpers,
     truncate_to_token_estimate,
     whitespace_token_estimate,
 )
@@ -364,7 +366,6 @@ class TestBackendRouter:
                     raise BackendError("wire down", role_tag=request.role_tag)
                 return LlmResponse(text=request.prompt.upper(), backend_id="recording", latency=0.0)
 
-        start_helpers(1)
         backend = Recording()
         router = BackendRouter({role: backend for role in ROLE_TAGS})
         assert router.start(req("hello", role="generator")).result(timeout=5).text == "HELLO"
@@ -373,44 +374,109 @@ class TestBackendRouter:
         assert threading.current_thread() not in backend.threads
         assert all(thread.daemon for thread in backend.threads)
 
-    def test_start_sends_nothing_while_no_helper_runs(self, monkeypatch):
+    def test_start_sends_nothing_when_no_thread_can_start(self, monkeypatch, thread_starts):
         monkeypatch.setattr(llm, "_HELPERS", llm._Helpers())
+        thread_starts.refuse = True
         backend = ScriptedBackend([])
         router = BackendRouter({role: backend for role in ROLE_TAGS})
         assert router.start(req("hello", role="generator")) is None
         assert backend.history == []
 
 
-class TestHelpers:
-    """The helper threads behind BackendRouter.start."""
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs. Set ``refuse`` to have the
+    system refuse every new one, or ``hold`` to leave each new one unstarted
+    until the test passes it to ``begin``."""
+    starts = SimpleNamespace(threads=[], refuse=False, hold=False)
 
-    def test_threads_grow_to_the_largest_count_asked(self):
-        helpers = llm._Helpers()
-        for count, threads in [(2, 2), (1, 2), (3, 3)]:
-            helpers.ensure(count)
-            assert helpers.threads == threads
-
-    def test_a_refused_thread_leaves_the_started_ones_serving(self, monkeypatch, caplog):
-        started = []
-
-        class Scarce(threading.Thread):
-            def start(self):
-                if started:
-                    raise RuntimeError("can't start new thread")
-                started.append(self)
+    class Counted(threading.Thread):
+        def start(self):
+            if starts.refuse:
+                raise RuntimeError("can't start new thread")
+            starts.threads.append(self)
+            if not starts.hold:
                 super().start()
 
-        helpers = llm._Helpers()
-        monkeypatch.setattr(llm.threading, "Thread", Scarce)
-        helpers.ensure(3)  # does not raise
-        assert helpers.threads == 1 and len(started) == 1
-        assert "started 1 of 3 helper threads" in caplog.text
-        assert helpers.submit(str.upper, "a").result(timeout=5) == "A"
-        monkeypatch.undo()
-        helpers.ensure(3)
-        assert helpers.threads == 3
+    starts.begin = lambda thread: super(Counted, thread).start()
+    monkeypatch.setattr(llm.threading, "Thread", Counted)
+    return starts
 
-    def test_a_helper_outlives_a_call_that_raises_a_base_exception(self):
+
+class TestHelpers:
+    """The helper threads behind BackendRouter.start, started on demand."""
+
+    @staticmethod
+    def this_thread(_):
+        return threading.current_thread()
+
+    def test_sequential_calls_reuse_one_thread(self, thread_starts):
+        helpers = llm._Helpers()
+        ran = [helpers.submit(self.this_thread, None).result(timeout=5) for _ in range(5)]
+        assert thread_starts.threads == ran[:1] and set(ran) == set(ran[:1])
+        assert ran[0].daemon
+
+    def test_two_calls_blocked_at_once_start_exactly_two_threads(self, thread_starts):
+        barrier = threading.Barrier(2, timeout=5.0)  # each call waits for the other
+
+        def meet(_):
+            barrier.wait()
+            return threading.current_thread()
+
+        helpers = llm._Helpers()
+        for _ in range(3):  # the later pairs find both threads idle
+            futures = [helpers.submit(meet, None) for _ in range(2)]
+            ran = {future.result(timeout=5) for future in futures}
+            assert len(ran) == 2 and ran == set(thread_starts.threads)
+
+    def test_the_pool_never_outgrows_the_calls_in_flight(self, thread_starts):
+        # More workers than cores, each with one call in flight at a time, and a
+        # short switch interval to mix the threads.
+        helpers = llm._Helpers()
+
+        def worker(_):
+            return [helpers.submit(abs, -i).result(timeout=5) for i in range(300)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                results = list(pool.map(worker, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [list(range(300))] * 8
+        helper_threads = [t for t in thread_starts.threads if t.name == "respqa-start"]
+        assert 1 <= len(helper_threads) <= 8
+
+    def test_a_refused_thread_queues_nothing_and_the_next_call_starts_one(
+        self, thread_starts, caplog
+    ):
+        helpers = llm._Helpers()
+        thread_starts.refuse = True
+        assert helpers.submit(str.upper, "a") is None  # does not raise
+        assert helpers._queue.empty() and thread_starts.threads == []
+        assert "no helper thread for an early call" in caplog.text
+        thread_starts.refuse = False
+        assert helpers.submit(str.upper, "a").result(timeout=5) == "A"
+        assert len(thread_starts.threads) == 1
+        # An idle helper still serves while new threads are refused.
+        thread_starts.refuse = True
+        assert helpers.submit(str.upper, "b").result(timeout=5) == "B"
+
+    def test_a_call_cancelled_before_a_helper_takes_it_is_never_run(self, thread_starts):
+        helpers = llm._Helpers()
+        ran = []
+        thread_starts.hold = True
+        cancelled = helpers.submit(ran.append, "cancelled")
+        assert cancelled.cancel()
+        thread_starts.begin(thread_starts.threads[0])
+        assert helpers._idle.acquire(timeout=5)  # the helper skipped it and is idle again
+        helpers._idle.release()
+        thread_starts.hold = False
+        assert helpers.submit(ran.append, "sent").result(timeout=5) is None
+        assert ran == ["sent"] and len(thread_starts.threads) == 1
+
+    def test_a_helper_outlives_a_call_that_raises_a_base_exception(self, thread_starts):
         class Stop(BaseException):
             pass
 
@@ -418,6 +484,6 @@ class TestHelpers:
             raise Stop()
 
         helpers = llm._Helpers()
-        helpers.ensure(1)
         assert isinstance(helpers.submit(stop, None).exception(timeout=5), Stop)
-        assert helpers.submit(str.upper, "a").result(timeout=5) == "A"
+        assert helpers.submit(self.this_thread, None).result(timeout=5) is thread_starts.threads[0]
+        assert len(thread_starts.threads) == 1

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -5,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import respqa
 from respqa.agents import NO_INFO_SENTINEL, PipelineAgents, PromptTemplateSet
 from respqa.errors import BackendError, PipelineError, PromptTooLargeError
 from respqa.evaluation import QAExample, evaluate
@@ -14,7 +17,6 @@ from respqa.llm import (
     LlmResponse,
     ScriptedBackend,
     ScriptedRule,
-    start_helpers,
     whitespace_token_estimate,
 )
 from respqa.memory import normalize_question
@@ -669,10 +671,6 @@ def template_run(backend, **config):
 class TestFinalRoundOverlap:
     """The last allowed round sends the generate request alongside the judge's."""
 
-    @pytest.fixture(autouse=True)
-    def helpers(self):
-        start_helpers(8)  # as AppRuntime does at eval.parallelism 8
-
     @pytest.mark.parametrize("rounds, judge", [(1, "No"), (1, "Yes"), (3, "No")])
     def test_judge_and_generator_are_in_flight_together(self, rounds, judge):
         # Each of the two calls waits for the other: run one at a time, both time out.
@@ -686,6 +684,25 @@ class TestFinalRoundOverlap:
         assert len(generator) == 1 and len(judges) == rounds
         # No generator call is in flight during an earlier round's judge.
         assert all(end < generator[0][2] for _, _, _, end in judges[:-1])
+
+    def test_a_fresh_interpreter_overlaps_without_a_runtime(self):
+        # No AppRuntime is built and no helper thread runs before the run starts.
+        code = (
+            "import sys, threading\n"
+            "from test_pipeline import TemplateBackend, template_run\n"
+            "barrier = threading.Barrier(2, timeout=5.0)\n"
+            "backend = TemplateBackend(final_judge=1, barrier=barrier)\n"
+            "trace = template_run(backend, max_iterations=1)\n"
+            "print(trace.final_answer, barrier.broken, 'respqa.config' in sys.modules)\n"
+        )
+        paths = [os.path.dirname(os.path.dirname(respqa.__file__)), os.path.dirname(__file__)]
+        paths.append(os.environ.get("PYTHONPATH", ""))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["final", "answer", "False", "False"]
 
     @pytest.mark.parametrize("log_prompts", [False, True])
     @pytest.mark.parametrize("rounds", [1, 3])
