@@ -49,8 +49,8 @@ _ANSWER_SEPARATORS = " \t\r\n,.:;-"
 class PromptTemplateSet:
     """The five prompt templates, keyed by agent function.
 
-    ConfigurationError, naming the template and the slot, if a template uses
-    a slot that its agent does not bind.
+    ConfigurationError, naming the template, if a template is empty or uses
+    a slot that its agent does not bind (naming the slot too).
     """
 
     judge: str
@@ -61,7 +61,10 @@ class PromptTemplateSet:
 
     def __post_init__(self) -> None:
         for name, allowed in _TEMPLATE_SLOTS.items():
-            unknown = sorted(referenced_slots(getattr(self, name)).difference(allowed))
+            template = getattr(self, name)
+            if not template:
+                raise ConfigurationError(f"template {name!r} is empty")
+            unknown = sorted(referenced_slots(template).difference(allowed))
             if unknown:
                 slots = ", ".join(f"{{{slot}}}" for slot in allowed)
                 raise ConfigurationError(

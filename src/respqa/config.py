@@ -241,6 +241,9 @@ def load_app_config(path: str | Path | None, overrides: CliOverrides | None = No
     _require(0 <= b <= 1, f"retriever.b must be between 0 and 1, got {b}")
     kind = str(retriever.get("kind", "bm25"))
     _require(kind in ("bm25", "embedding"), f"unknown retriever kind: {kind!r}")
+    if kind == "embedding":
+        for key in ("endpoint", "vectors"):
+            _require(retriever.get(key) is not None, f"embedding retriever needs retriever.{key}")
 
     return AppConfig(
         pipeline=pipeline_config,
@@ -411,10 +414,6 @@ def _build_retriever(config: AppConfig) -> Retriever:
     index = BM25Index.open(config.index_dir, k1=config.k1, b=config.b)
     if config.retriever_kind == "bm25":
         return index
-    _require(
-        bool(config.embedding_endpoint) and bool(config.vectors_path),
-        "embedding retriever needs retriever.endpoint and retriever.vectors",
-    )
     client = EmbeddingEndpointClient(
         endpoint=config.embedding_endpoint,
         model=config.embedding_model or "default",

@@ -1,10 +1,12 @@
-"""Uniform completion interface over two backends.
+"""Uniform completion interface over two backends, and the one HTTP client.
 
-``HttpChatBackend`` speaks the de-facto chat-completion wire protocol with
-bounded retries and exponential backoff; ``ScriptedBackend`` replays a
-deterministic rule script for tests. All LLM traffic in the package flows
-through ``BackendRouter.complete``; ``BackendRouter.start`` runs it on a
-helper thread for a reply that is needed later.
+``JsonEndpoint`` POSTs JSON with bounded retries and exponential backoff, for
+the chat client here and the embeddings client in ``retrieval``.
+``HttpChatBackend`` speaks the de-facto chat-completion protocol over it;
+``ScriptedBackend`` replays a deterministic rule script for tests. All LLM
+traffic in the package flows through ``BackendRouter.complete``;
+``BackendRouter.start`` runs it on a helper thread for a reply that is needed
+later.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import BackendError, ConfigurationError, ScriptError
 from .jsonl import read_jsonl
 
 if TYPE_CHECKING:
-    import requests
+    from requests import Session
 
 logger = logging.getLogger(__name__)
 
@@ -35,7 +37,7 @@ _WORD = re.compile(r"\S+")
 # fudge factor. Every cap check in the package uses this one estimate.
 _WORDS_PER_TOKEN = 1.3
 
-# HttpChatBackend: seconds per request, tries per request, first backoff delay.
+# JsonEndpoint: seconds per request (chat; embeddings set their own), tries, first backoff delay.
 HTTP_TIMEOUT_S = 60.0
 HTTP_MAX_ATTEMPTS = 3
 HTTP_BACKOFF_BASE_S = 1.0
@@ -200,15 +202,86 @@ class ScriptedBackend(_CompletionBase):
             return rule.response
 
 
-class HttpChatBackend(_CompletionBase):
-    """Chat-completion wire client with retries and exponential backoff.
+class JsonEndpoint:
+    """JSON POSTed to ``endpoint`` plus ``path``, unless it ends so already,
+    with a bearer header when given an ``api_key``.
 
-    Transient failures (connection errors, timeouts, HTTP 429/5xx) are
-    tried up to ``HTTP_MAX_ATTEMPTS`` times with delays
-    ``HTTP_BACKOFF_BASE_S * 2**attempt``; any other ``requests`` error, HTTP
-    4xx, a malformed body, or exhaustion surfaces at once as BackendError
-    carrying the role tag. Without a ``session`` it opens one whose connection
-    pool keeps ``pool_size`` connections, one per concurrent run.
+    Transient failures (connection errors, timeouts, HTTP 429/5xx) are tried
+    up to ``HTTP_MAX_ATTEMPTS`` times, the backoff doubling from ``HTTP_BACKOFF_BASE_S``.
+    Without a ``session`` it opens one that pools ``pool_size`` connections
+    per host, one per concurrent caller; with fewer, urllib3 drops the surplus
+    after each request and logs "Connection pool is full".
+    """
+
+    def __init__(
+        self,
+        endpoint: str,
+        path: str,
+        api_key: str | None = None,
+        timeout: float = HTTP_TIMEOUT_S,
+        session: Session | None = None,
+        pool_size: int = HTTP_POOL_SIZE,
+        sleep: Callable[[float], None] = time.sleep,
+    ) -> None:
+        endpoint = endpoint.rstrip("/")
+        self.url = endpoint if endpoint.endswith(path) else endpoint + path
+        # requests sets the JSON content type itself.
+        self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
+        self._timeout = timeout
+        if session is None:
+            import requests  # deferred: offline runs never load the HTTP stack
+            from requests.adapters import HTTPAdapter
+
+            session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=pool_size)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self.session = session
+        self._sleep = sleep
+
+    def send(self, payload: object, fail: Callable[[str], Exception]) -> object:
+        """The parsed JSON reply to ``payload``.
+
+        Raises ``fail(message)``, never retried, for HTTP 4xx, a body that is
+        not JSON and any other ``requests`` error, and for a transient failure
+        once the attempts are spent.
+        """
+        import requests
+
+        for attempt in range(HTTP_MAX_ATTEMPTS):
+            if attempt:
+                delay = HTTP_BACKOFF_BASE_S * 2 ** (attempt - 1)
+                logger.debug(
+                    "transient failure from %s: %s; retrying in %.1fs", self.url, error, delay
+                )
+                self._sleep(delay)
+            try:
+                response = self.session.post(
+                    self.url, json=payload, headers=self._headers, timeout=self._timeout
+                )
+            except (requests.ConnectionError, requests.Timeout) as exc:
+                error = str(exc)
+                continue
+            except requests.RequestException as exc:
+                raise fail(f"request failed: {exc}") from exc
+            status = response.status_code
+            if status == 429 or status >= 500:
+                error = f"HTTP {status}"
+            elif status >= 400:
+                raise fail(f"HTTP {status}: {response.text[:500]}")
+            else:
+                try:
+                    return response.json()
+                except ValueError as exc:
+                    raise fail(f"malformed response: {exc}") from exc
+        raise fail(f"request failed after {HTTP_MAX_ATTEMPTS} attempts: {error}")
+
+
+class HttpChatBackend(_CompletionBase):
+    """Chat-completion client over a ``JsonEndpoint``, which retries.
+
+    Every failure, a reply whose ``choices[0].message.content`` is not a
+    string included, is a BackendError carrying the role tag.
     """
 
     def __init__(
@@ -218,21 +291,18 @@ class HttpChatBackend(_CompletionBase):
         api_key: str | None = None,
         backend_id: str | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        session: requests.Session | None = None,
+        session: Session | None = None,
         pool_size: int = HTTP_POOL_SIZE,
     ) -> None:
-        endpoint = endpoint.rstrip("/")
-        if not endpoint.endswith("/chat/completions"):
-            endpoint = endpoint + "/chat/completions"
-        self.endpoint = endpoint
         self.model = model
-        self.api_key = api_key
         self.backend_id = backend_id or f"http:{model}"
-        self._sleep = sleep
-        self._session = session if session is not None else pooled_session(pool_size)
+        self._http = JsonEndpoint(
+            endpoint, "/chat/completions", api_key, HTTP_TIMEOUT_S, session, pool_size, sleep
+        )
 
     def _generate(self, request: LlmRequest) -> str:
-        import requests
+        def fail(message: str) -> BackendError:
+            return BackendError(f"{self.backend_id}: {message}", role_tag=request.role_tag)
 
         payload = {
             "model": self.model,
@@ -240,77 +310,14 @@ class HttpChatBackend(_CompletionBase):
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
         }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: Exception | None = None
-        for attempt in range(HTTP_MAX_ATTEMPTS):
-            try:
-                response = self._session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=HTTP_TIMEOUT_S
-                )
-                if response.status_code == 429 or response.status_code >= 500:
-                    raise _TransientHttpError(f"HTTP {response.status_code}")
-                if response.status_code >= 400:
-                    raise BackendError(
-                        f"{self.backend_id}: HTTP {response.status_code}: "
-                        f"{response.text[:500]}",
-                        role_tag=request.role_tag,
-                    )
-                return self._extract_text(response, request)
-            except (_TransientHttpError, requests.ConnectionError, requests.Timeout) as exc:
-                last_error = exc
-                if attempt < HTTP_MAX_ATTEMPTS - 1:
-                    delay = HTTP_BACKOFF_BASE_S * (2**attempt)
-                    logger.debug(
-                        "transient failure from %s (attempt %d/%d): %s; retrying in %.1fs",
-                        self.backend_id,
-                        attempt + 1,
-                        HTTP_MAX_ATTEMPTS,
-                        exc,
-                        delay,
-                    )
-                    self._sleep(delay)
-            except requests.RequestException as exc:
-                raise BackendError(
-                    f"{self.backend_id}: request failed: {exc}", role_tag=request.role_tag
-                ) from exc
-        raise BackendError(
-            f"{self.backend_id}: request failed after {HTTP_MAX_ATTEMPTS} attempts: {last_error}",
-            role_tag=request.role_tag,
-        )
-
-    def _extract_text(self, response: requests.Response, request: LlmRequest) -> str:
+        reply = self._http.send(payload, fail)
         try:
-            content = response.json()["choices"][0]["message"]["content"]
+            content = reply["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError(f"message content is {type(content).__name__}, not a string")
             return content
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise BackendError(
-                f"{self.backend_id}: malformed completion response: {exc}",
-                role_tag=request.role_tag,
-            ) from exc
-
-
-class _TransientHttpError(Exception):
-    pass
-
-
-def pooled_session(pool_size: int) -> requests.Session:
-    """A ``requests`` session that keeps up to ``pool_size`` connections per host.
-
-    With fewer than one per thread, urllib3 drops the surplus connections
-    after each request and logs "Connection pool is full".
-    """
-    import requests  # deferred: offline runs never load the HTTP stack
-    from requests.adapters import HTTPAdapter
-
-    session = requests.Session()
-    adapter = HTTPAdapter(pool_maxsize=pool_size)
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
-    return session
+        except (KeyError, IndexError, TypeError) as exc:
+            raise fail(f"malformed completion response: {exc}") from exc
 
 
 class _Helpers:

@@ -13,7 +13,8 @@ first query that uses the term. A rebuilt or reopened index returns
 byte-identical rankings.
 
 An alternative dense retriever (cosine over externally computed vectors) is
-provided behind the same ``retrieve(query, k)`` surface.
+provided behind the same ``retrieve(query, k)`` surface; its embeddings client
+goes through ``llm.JsonEndpoint``, so it retries as the chat client does.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import math
 import os
 import shutil
+import time
 import unicodedata
 import uuid
 import zlib
@@ -44,10 +46,10 @@ import numpy as np
 
 from .errors import CorpusError, RetrieverError
 from .jsonl import jsonl_lines, parse_row, read_jsonl
-from .llm import HTTP_POOL_SIZE, pooled_session
+from .llm import HTTP_POOL_SIZE, JsonEndpoint
 
 if TYPE_CHECKING:
-    import requests
+    from .llm import Session
 
 INDEX_FORMAT_TAG = "respqa-bm25"
 INDEX_FORMAT_VERSION = 4
@@ -575,12 +577,11 @@ def _ranked_hits(
 
 
 class EmbeddingEndpointClient:
-    """Minimal client for an external embeddings endpoint.
+    """Minimal client for an external embeddings endpoint, over ``JsonEndpoint``.
 
     POSTs ``{"model": ..., "input": [text]}`` and expects the de-facto
     ``{"data": [{"embedding": [...]}]}`` response shape, the embedding an
-    array of JSON numbers. Without a ``session`` it opens one whose
-    connection pool keeps ``pool_size`` connections, one per concurrent run.
+    array of JSON numbers. Every failure is a RetrieverError.
     """
 
     def __init__(
@@ -588,40 +589,29 @@ class EmbeddingEndpointClient:
         endpoint: str,
         model: str,
         api_key: str | None = None,
-        session: requests.Session | None = None,
+        session: Session | None = None,
         pool_size: int = HTTP_POOL_SIZE,
+        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        endpoint = endpoint.rstrip("/")
-        if not endpoint.endswith("/embeddings"):
-            endpoint = endpoint + "/embeddings"
-        self.endpoint = endpoint
         self.model = model
-        self.api_key = api_key
-        self._session = session if session is not None else pooled_session(pool_size)
+        self._http = JsonEndpoint(
+            endpoint, "/embeddings", api_key, EMBEDDING_TIMEOUT_S, session, pool_size, sleep
+        )
 
     def __call__(self, text: str) -> list[float]:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        reply = self._http.send({"model": self.model, "input": [text]}, _embedding_failure)
         try:
-            response = self._session.post(
-                self.endpoint,
-                json={"model": self.model, "input": [text]},
-                headers=headers,
-                timeout=EMBEDDING_TIMEOUT_S,
-            )
-            response.raise_for_status()
-            embedding = response.json()["data"][0]["embedding"]
+            embedding = reply["data"][0]["embedding"]
             if not isinstance(embedding, list):
                 raise TypeError(f"embedding is {type(embedding).__name__}, not an array")
             _check_numbers(embedding, "embedding")
             return [float(x) for x in embedding]
-        except (
-            requests.RequestException, KeyError, IndexError, TypeError, ValueError, OverflowError
-        ) as exc:
-            raise RetrieverError(f"embedding endpoint failed: {exc}") from exc
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+            raise _embedding_failure(str(exc)) from exc
+
+
+def _embedding_failure(message: str) -> RetrieverError:
+    return RetrieverError(f"embedding endpoint failed: {message}")
 
 
 # The exact types json.loads and orjson give a JSON number. Types are compared

@@ -353,6 +353,20 @@ class TestConfigFile:
         assert not out_dir.exists()
         assert calls == []
 
+    @pytest.mark.parametrize("text", ["", "\n"], ids=["empty", "one-newline"])
+    def test_an_empty_template_override_fails_before_any_call(
+        self, tmp_path, index_dir, script_path, complete_calls, capsys, text
+    ):
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        (templates / "judge.txt").write_text(text)
+        argv = ["ask", OVERPLANNING_QUESTION, "--index-dir", str(index_dir)]
+        argv += ["--script", str(script_path), "--templates-dir", str(templates)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(templates / "judge.txt") in err and "template 'judge' is empty" in err
+        assert complete_calls == []
+
 
 class TestUnreadableInput:
     """Each JSONL input fails with its documented exit code, naming the file and line."""

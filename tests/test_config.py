@@ -1,9 +1,9 @@
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-import requests
 import yaml
 
 from respqa.agents import PipelineConfig
@@ -357,6 +357,26 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=f"{named}.*not an http"):
             load_app_config(write_yaml(tmp_path, data))
 
+    @pytest.mark.parametrize("missing", ["endpoint", "vectors"])
+    def test_embedding_retriever_settings_checked_before_the_index_opens(
+        self, tmp_path, script_path, missing, monkeypatch, capsys
+    ):
+        retriever = {
+            "kind": "embedding",
+            "index_dir": str(tmp_path),
+            "endpoint": "http://emb.example/v1",
+            "vectors": str(tmp_path / "vectors.jsonl"),
+        }
+        del retriever[missing]
+        backends = {"mock": {"kind": "scripted", "script": str(script_path)}}
+        path = write_yaml(tmp_path, {"retriever": retriever, "backends": backends})
+        opened = []
+        monkeypatch.setattr(BM25Index, "open", lambda *args, **kwargs: opened.append(args))
+        assert main(["ask", "q?", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"embedding retriever needs retriever.{missing}" in err
+        assert opened == []
+
     def test_missing_templates_dir(self, tmp_path, script_path):
         path = write_yaml(
             tmp_path,
@@ -426,9 +446,9 @@ class TestAppRuntime:
         # A question can have two chat requests in flight (run_resp's last round).
         sessions = {
             "http://env.example/v1/chat/completions": (
-                runtime.fresh_bindings()["reasoner"]._session, 32
+                runtime.fresh_bindings()["reasoner"]._http.session, 32
             ),
-            "http://emb.example/v1/embeddings": (runtime.retriever._embed._session, 16),
+            "http://emb.example/v1/embeddings": (runtime.retriever._embed._http.session, 16),
         }
         for url, (session, size) in sessions.items():
             for scheme_url in (url, url.replace("http:", "https:")):
@@ -442,13 +462,15 @@ class TestAppRuntime:
         runtime = AppRuntime(load_app_config(path))
         sent = []
 
-        class Offline:
+        class Refusing:
+            """Answers HTTP 400, which is not retried."""
+
             def post(self, url, json, headers, timeout):
                 sent.append(json)
-                raise requests.ConnectionError("offline")
+                return SimpleNamespace(status_code=400, text="unknown model")
 
-        runtime.retriever._embed._session = Offline()
-        with pytest.raises(RetrieverError):
+        runtime.retriever._embed._http.session = Refusing()
+        with pytest.raises(RetrieverError, match="HTTP 400"):
             runtime.retriever.retrieve("Twisted Fortune", 1)
         assert sent == [{"model": "70", "input": ["Twisted Fortune"]}]
 

@@ -1,4 +1,6 @@
+import http.server
 import json
+import socket
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -8,7 +10,7 @@ import pytest
 import requests
 
 from respqa import llm
-from respqa.errors import BackendError, ConfigurationError, ScriptError
+from respqa.errors import BackendError, ConfigurationError, RetrieverError, ScriptError
 from respqa.llm import (
     ROLE_TAGS,
     BackendRouter,
@@ -21,6 +23,7 @@ from respqa.llm import (
     truncate_to_token_estimate,
     whitespace_token_estimate,
 )
+from respqa.retrieval import EmbeddingEndpointClient
 
 
 class TestTokenEstimate:
@@ -284,26 +287,136 @@ class TestHttpChatBackend:
 
 
 def test_wire_requests_confined_to_gateway_modules():
-    # Completion traffic goes through complete(); the embedding client in
-    # retrieval.py is the only other module allowed near the wire.
+    # llm.JsonEndpoint is the one HTTP client: the chat backend and the
+    # embeddings client both go through it, so no other module may use
+    # requests or post to a session.
     import pathlib
+    import re
 
     import respqa
 
+    wire = re.compile(r"\bimport requests\b|\bfrom requests\b|\brequests\.\w|\.post\(")
     root = pathlib.Path(respqa.__file__).parent
-    offenders = []
-    for path in root.rglob("*.py"):
-        if path.name in {"llm.py", "retrieval.py"}:
-            continue
-        text = path.read_text(encoding="utf-8")
-        if "import requests" in text or "requests.post" in text or "requests.Session" in text:
-            offenders.append(path.name)
+    offenders = [
+        path.name
+        for path in root.rglob("*.py")
+        if path.name != "llm.py" and wire.search(path.read_text(encoding="utf-8"))
+    ]
     assert offenders == []
 
 
+@pytest.mark.parametrize("endpoint", ["http://x/v1", "http://x/v1/", "http://x/v1/embeddings"])
+def test_the_path_is_appended_once(endpoint):
+    url = llm.JsonEndpoint(endpoint, "/embeddings", session=FakeSession([])).url
+    assert url == "http://x/v1/embeddings"
+
+
+class _ReplayHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with the server's next ``(status, body)``; a body that
+    is not bytes is sent as JSON."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.received.append((self.path, dict(self.headers), body))
+        status, body = self.server.replies.pop(0)
+        data = body if isinstance(body, bytes) else json.dumps(body).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, format, *args):
+        pass
+
+
+class TestOverLoopback:
+    """Both HTTP clients against a stdlib server on 127.0.0.1, through the
+    ``requests`` session each opens; one retry policy serves both."""
+
+    @pytest.fixture
+    def server(self):
+        server = http.server.HTTPServer(("127.0.0.1", 0), _ReplayHandler)
+        server.replies, server.received = [], []
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        yield server
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @pytest.fixture(params=["chat", "embeddings"])
+    def client(self, request):
+        """The client kind: ``connect(url)`` builds one and gives ``(call,
+        sleeps)``; ``good`` is a reply, ``result`` what ``call()`` returns for
+        it, ``error`` the client's error class and ``path`` its URL path."""
+        sessions = []
+
+        def connect(url):
+            sleeps = []
+            if request.param == "chat":
+                backend = HttpChatBackend(url, model="m", api_key="k", sleep=sleeps.append)
+                sessions.append(backend._http.session)
+                return (lambda: backend.complete(req("ping")).text), sleeps
+            embed = EmbeddingEndpointClient(url, model="m", api_key="k", sleep=sleeps.append)
+            sessions.append(embed._http.session)
+            return (lambda: embed("ping")), sleeps
+
+        if request.param == "chat":
+            yield SimpleNamespace(
+                connect=connect, good=completion("ok"), result="ok",
+                error=BackendError, path="/v1/chat/completions",
+            )
+        else:
+            yield SimpleNamespace(
+                connect=connect, good={"data": [{"embedding": [0.5, 2]}]}, result=[0.5, 2.0],
+                error=RetrieverError, path="/v1/embeddings",
+            )
+        for session in sessions:
+            session.close()
+
+    def url(self, server):
+        return f"http://127.0.0.1:{server.server_address[1]}/v1"
+
+    def test_a_503_is_retried(self, server, client):
+        server.replies = [(503, {"error": "busy"}), (200, client.good)]
+        call, sleeps = client.connect(self.url(server))
+        assert call() == client.result
+        assert sleeps == [1.0]
+        assert len(server.received) == 2
+        for path, headers, body in server.received:
+            assert path == client.path
+            assert headers["Content-Type"] == "application/json"
+            assert headers["Authorization"] == "Bearer k"
+            assert body["model"] == "m"
+
+    @pytest.mark.parametrize(
+        "status, body, fragment",
+        [(400, {"error": "unknown model"}, "HTTP 400"), (200, b"not json", "malformed")],
+        ids=["http-400", "body-not-json"],
+    )
+    def test_a_permanent_failure_is_sent_once(self, server, client, status, body, fragment):
+        server.replies = [(status, body)]
+        call, sleeps = client.connect(self.url(server))
+        with pytest.raises(client.error, match=fragment):
+            call()
+        assert len(server.received) == 1
+        assert sleeps == []
+
+    def test_a_closed_port_fails_after_every_attempt(self, client):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        call, sleeps = client.connect(f"http://127.0.0.1:{port}/v1")
+        with pytest.raises(client.error, match="request failed after 3 attempts"):
+            call()
+        assert sleeps == [1.0, 2.0]
+
+
 def test_offline_modules_do_not_import_requests():
-    # Only the HTTP backend and the embedding client need requests, and they
-    # import it when built; scripted runs and `respqa index` never load it.
+    # Only JsonEndpoint needs requests, and it imports it when built; scripted
+    # runs and `respqa index` never load it.
     import os
     import pathlib
     import subprocess

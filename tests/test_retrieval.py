@@ -560,11 +560,10 @@ class TestEmbeddingEndpointClient:
             return self.outcome
 
     class FakeResponse:
+        status_code = 200
+
         def __init__(self, payload):
             self.payload = payload
-
-        def raise_for_status(self):
-            pass
 
         def json(self):
             return self.payload
