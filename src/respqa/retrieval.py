@@ -13,8 +13,10 @@ first query that uses the term. A rebuilt or reopened index returns
 byte-identical rankings.
 
 An alternative dense retriever (cosine over externally computed vectors) is
-provided behind the same ``retrieve(query, k)`` surface; its embeddings client
-goes through ``llm.JsonEndpoint``, so it retries as the chat client does.
+provided behind the same ``retrieve(query, k)`` surface. It holds its
+documents in the same UTF-8 store as the index, which owns the top-k and
+the doc_id tie-break for both; its embeddings client goes through
+``llm.JsonEndpoint``, so it retries as the chat client does.
 """
 
 from __future__ import annotations
@@ -171,42 +173,45 @@ def read_corpus(path: str | Path) -> Iterator[Document]:
 class _DocumentStore:
     """The documents' fields as UTF-8 bytes, back to back, cut at 3n + 1 byte offsets.
 
-    Document i's id, title and text lie between offsets 3i and 3i + 3.
-    ``take`` decodes documents only when asked, so opening an index parses
-    no document.
+    Document i's id, title and text lie between offsets 3i and 3i + 3. Both
+    retrievers hold their documents here and decode only the hits they
+    return. The store owns the tie-break: ``id_ranks`` gives each document
+    its position in ascending doc_id order, sorted from the undecoded ids
+    (UTF-8 bytes sort in code-point order, as ``str`` does).
     """
 
     def __init__(self, data: bytes, bounds: np.ndarray) -> None:
         self.data = data
         self.bounds = bounds
+        ids = [data[i:j] for i, j in zip(bounds[0:-1:3].tolist(), bounds[1::3].tolist())]
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.id_ranks = np.empty(len(ids), dtype=np.int64)
+        self.id_ranks[order] = np.arange(len(ids))
 
-    def take(self, indices: np.ndarray) -> list[Document]:
-        """The documents at ``indices``, in that order; one gather reads all their offsets."""
-        data = self.data
-        cuts = self.bounds[3 * indices[:, np.newaxis] + np.arange(4)].tolist()
-        return [
-            Document(data[start:title].decode(), data[title:text].decode(), data[text:end].decode())
-            for start, title, text, end in cuts
-        ]
+    @classmethod
+    def pack(cls, documents: Iterable[Document]) -> "_DocumentStore":
+        """Encode a document stream; CorpusError if it is empty or a field is not UTF-8."""
+        # One growing buffer: a bytes object per field, then their join, put
+        # ~2 MB more on the peak RSS of a 5k-document build.
+        data = bytearray()
+        bounds = array("q", [0])
+        for doc in documents:
+            try:
+                for field in doc:
+                    data += field.encode("utf-8")
+                    bounds.append(len(data))
+            except UnicodeEncodeError as exc:
+                raise CorpusError(f"document {doc.doc_id!r} is not UTF-8 text: {exc}") from None
+        if len(bounds) == 1:
+            raise CorpusError("corpus is empty: at least one document is required")
+        return cls(bytes(data), np.array(bounds, dtype=np.int64))
 
-    def documents(self) -> list[Document]:
-        """Every document, in corpus order."""
-        bounds = self.bounds.tolist()
-        fields = [self.data[start:end].decode() for start, end in zip(bounds, bounds[1:])]
-        return list(map(Document._make, zip(fields[0::3], fields[1::3], fields[2::3])))
+    @classmethod
+    def read(cls, data: bytes, bounds: np.ndarray) -> "_DocumentStore":
+        """The store over a saved index's bytes.
 
-    def id_ranks(self) -> np.ndarray:
-        """Each document's position in ascending doc_id order: the tie-break key.
-
-        UTF-8 bytes sort in code-point order, as ``str`` does, so the ids are
-        sorted undecoded.
+        Raises ValueError unless the offsets cut the data into whole UTF-8 fields.
         """
-        data, bounds = self.data, self.bounds.tolist()
-        return _id_ranks([data[start:end] for start, end in zip(bounds[0::3], bounds[1::3])])
-
-    def check(self) -> None:
-        """Raise ValueError unless the offsets cut the data into whole UTF-8 fields."""
-        data, bounds = self.data, self.bounds
         if bounds[0] != 0 or bounds[-1] != len(data) or (bounds[1:] < bounds[:-1]).any():
             raise ValueError(
                 f"the document field offsets decrease or do not span {_DOCUMENTS_FILE}"
@@ -216,6 +221,35 @@ class _DocumentStore:
         starts = bounds[bounds < len(data)]
         if (np.frombuffer(data, dtype=np.uint8)[starts] & 0xC0 == 0x80).any():
             raise ValueError("a document field offset falls inside a UTF-8 character")
+        return cls(data, bounds)
+
+    def documents(self) -> list[Document]:
+        """Every document, in corpus order."""
+        bounds = self.bounds.tolist()
+        fields = [self.data[start:end].decode() for start, end in zip(bounds, bounds[1:])]
+        return list(map(Document._make, zip(fields[0::3], fields[1::3], fields[2::3])))
+
+    def ranked_hits(self, scores: np.ndarray, k: int) -> list[RetrievedDocument]:
+        """Hits for the k highest positive scores, ties by ascending doc_id.
+
+        One gather reads the hits' offsets; only the hits are decoded.
+        """
+        candidates = np.flatnonzero(scores > 0.0)
+        if len(candidates) > k:
+            kth = np.partition(scores[candidates], len(candidates) - k)[len(candidates) - k]
+            # Keep every candidate tied with the k-th score; the sort settles them.
+            candidates = candidates[scores[candidates] >= kth]
+        order = np.lexsort((self.id_ranks[candidates], -scores[candidates]))
+        top = candidates[order[:k]]
+        data, cuts = self.data, self.bounds[3 * top[:, np.newaxis] + np.arange(4)].tolist()
+        hits = zip(cuts, scores[top].tolist())
+        return [
+            RetrievedDocument(
+                data[start:title].decode(), data[title:text].decode(), data[text:end].decode(),
+                score, rank,
+            )
+            for rank, ((start, title, text, end), score) in enumerate(hits, start=1)
+        ]
 
 
 class BM25Index:
@@ -250,7 +284,6 @@ class BM25Index:
         b: float = DEFAULT_B,
     ) -> None:
         self._store = store
-        self._id_ranks = store.id_ranks()
         self._doc_lengths = doc_lengths
         self._term_ids = term_ids
         self._offsets = offsets
@@ -289,8 +322,6 @@ class BM25Index:
         Raises CorpusError for duplicate doc_ids, empty passages, or an
         empty stream.
         """
-        data = bytearray()  # every document's id, title and text as UTF-8, back to back
-        field_ends = array("q")
         doc_ids: set[str] = set()
         vocabulary = _Vocabulary()
         lengths = array("i")
@@ -298,28 +329,23 @@ class BM25Index:
         # One entry per (document, term) pair, in document order.
         term_ids = array("i")
         term_freqs = array("i")
-        for doc in documents:
+
+        def add(doc: Document) -> Document:
             if doc.doc_id in doc_ids:
                 raise CorpusError(f"duplicate doc_id in corpus: {doc.doc_id!r}")
             if not doc.text.strip():
                 raise CorpusError(f"document {doc.doc_id!r} has empty text")
             doc_ids.add(doc.doc_id)
-            try:
-                for field in doc:
-                    data += field.encode("utf-8")
-                    field_ends.append(len(data))
-            except UnicodeEncodeError as exc:
-                raise CorpusError(f"document {doc.doc_id!r} is not UTF-8 text: {exc}") from None
             tokens = tokenize(doc.text)
             counts = Counter(tokens)
             lengths.append(len(tokens))
             distinct_terms.append(len(counts))
             term_ids.extend(map(vocabulary.__getitem__, counts))
             term_freqs.extend(counts.values())
-        if not doc_ids:
-            raise CorpusError("corpus is empty: at least one document is required")
-        store = _DocumentStore(bytes(data), np.array([0, *field_ends], dtype=np.int64))
-        del data  # the store holds a copy
+            return doc
+
+        # The store encodes each document as add has checked and counted it.
+        store = _DocumentStore.pack(map(add, documents))
         term_of_pair = np.array(term_ids, dtype=np.int32)
         # A stable sort groups pairs by term and keeps document order within a term.
         order = np.argsort(term_of_pair, kind="stable")
@@ -380,7 +406,7 @@ class BM25Index:
             doc_indices, gains = self._term_gains(term_id)
             # A term lists each document once, so this fancy-indexed add is exact.
             scores[doc_indices] += gains
-        return _ranked_hits(self._store.take, self._id_ranks, scores, k)
+        return self._store.ranked_hits(scores, k)
 
     def save(self, index_dir: str | Path) -> None:
         """Persist to a directory (manifest, documents, vocabulary, postings).
@@ -486,8 +512,7 @@ class BM25Index:
                 raise ValueError(f"a posting's document index is not below {n} documents")
             if offsets[0] != 0 or offsets[-1] != p or (offsets[1:] < offsets[:-1]).any():
                 raise ValueError(f"the term offsets decrease or do not span the {p} postings")
-            store = _DocumentStore(data[_DOCUMENTS_FILE], bounds)
-            store.check()
+            store = _DocumentStore.read(data[_DOCUMENTS_FILE], bounds)
             vocabulary = data[_TERMS_FILE].decode("utf-8")
             terms = vocabulary.split("\n") if vocabulary else []
             if len(terms) != t:
@@ -542,37 +567,6 @@ def _posting_arrays(data: bytes, dtypes: object, counts: tuple[int, ...]) -> lis
     return [
         np.frombuffer(data, dtype=dtypes[name], count=count, offset=start)
         for name, count, start in zip(_POSTING_ARRAYS, counts, starts)
-    ]
-
-
-def _id_ranks(doc_ids: Sequence[str] | Sequence[bytes]) -> np.ndarray:
-    """Each document's position in ascending doc_id order: the tie-break key."""
-    order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
-    ranks = np.empty(len(doc_ids), dtype=np.int64)
-    ranks[order] = np.arange(len(doc_ids))
-    return ranks
-
-
-def _ranked_hits(
-    take: Callable[[np.ndarray], Iterable[Document]],
-    id_ranks: np.ndarray,
-    scores: np.ndarray,
-    k: int,
-) -> list[RetrievedDocument]:
-    """Hits for the k highest positive scores, ties by ascending doc_id.
-
-    ``take`` gives the documents at an array of document indices, in order.
-    """
-    candidates = np.flatnonzero(scores > 0.0)
-    if len(candidates) > k:
-        kth = np.partition(scores[candidates], len(candidates) - k)[len(candidates) - k]
-        # Keep every candidate tied with the k-th score; the sort settles them.
-        candidates = candidates[scores[candidates] >= kth]
-    order = np.lexsort((id_ranks[candidates], -scores[candidates]))
-    top = candidates[order[:k]]
-    return [
-        RetrievedDocument(doc_id=doc.doc_id, title=doc.title, text=doc.text, score=score, rank=rank)
-        for rank, (doc, score) in enumerate(zip(take(top), scores[top].tolist()), start=1)
     ]
 
 
@@ -697,9 +691,11 @@ class EmbeddingRetriever:
     any mapping of doc_id to a sequence of numbers (``load_vectors`` gives
     float64 arrays). The documents' rows are stacked, in document order, into
     one n x d float64 matrix (8 B per component), which is scaled to unit rows
-    in place and is all that is kept; vectors of ids outside the corpus are
-    ignored. Cosine scores are clamped at zero: only documents with a positive
-    cosine are returned.
+    in place; vectors of ids outside the corpus are ignored. The documents
+    themselves sit in the same UTF-8 ``_DocumentStore`` as the index's, with
+    its doc_id tie-break, and only the hits are decoded. Cosine scores are
+    clamped at zero: only documents with a positive cosine are returned. An
+    empty document list raises CorpusError.
     """
 
     def __init__(
@@ -711,13 +707,15 @@ class EmbeddingRetriever:
         missing = [doc.doc_id for doc in documents if doc.doc_id not in vectors]
         if missing:
             raise CorpusError(f"missing vectors for document(s): {', '.join(missing[:5])}")
-        self._documents = list(documents)
         try:
-            matrix = np.array([vectors[doc.doc_id] for doc in self._documents], dtype=np.float64)
+            matrix = np.array([vectors[doc.doc_id] for doc in documents], dtype=np.float64)
         except ValueError as exc:
             raise CorpusError(f"document vectors must all have one length: {exc}") from exc
         self._units = _unit_rows(matrix)
-        self._id_ranks = _id_ranks([doc.doc_id for doc in self._documents])
+        # Packed last, the store's transient buffers fit in what the norms'
+        # temporaries freed; packed first, they added ~1.2 MB to the peak RSS
+        # of a 1k x 384 set-up.
+        self._store = _DocumentStore.pack(documents)
         self._embed = embed
 
     def retrieve(self, query: str, k: int) -> list[RetrievedDocument]:
@@ -735,9 +733,7 @@ class EmbeddingRetriever:
         # einsum, not BLAS gemv: gemv may round identical rows differently by
         # their position, which would break the doc-id tie-break.
         scores = np.einsum("ij,j->i", self._units, query_unit)
-        return _ranked_hits(
-            lambda top: map(self._documents.__getitem__, top.tolist()), self._id_ranks, scores, k
-        )
+        return self._store.ranked_hits(scores, k)
 
 
 def _query_vector(reply: Sequence[float]) -> np.ndarray:
@@ -745,14 +741,15 @@ def _query_vector(reply: Sequence[float]) -> np.ndarray:
     the caller may keep the reply).
 
     RetrieverError unless the reply is a flat sequence of Python or numpy
-    ints and floats: a bool, a string, None or a nested sequence, which
-    numpy would convert or fail on, is refused.
+    ints and floats: a bool, a string, None, a nested sequence or ``bytes``
+    (a sequence of ints to Python, a string to numpy), which numpy would
+    convert or fail on, is refused.
     """
     if isinstance(reply, np.ndarray):
         if reply.dtype.kind not in "iuf":
             raise RetrieverError(f"query vector has dtype {reply.dtype}, not a number type")
-    elif not isinstance(reply, Sequence):
-        raise RetrieverError(f"query vector is {type(reply).__name__}, not a sequence")
+    elif not isinstance(reply, Sequence) or isinstance(reply, (str, bytes)):
+        raise RetrieverError(f"query vector is {type(reply).__name__}, not a sequence of numbers")
     elif not _JSON_NUMBERS.issuperset(map(type, reply)):
         for x in reply:
             if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):

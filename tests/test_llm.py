@@ -192,11 +192,11 @@ def completion(text: str) -> dict:
 
 
 class TestHttpChatBackend:
-    def make(self, outcomes, **kwargs):
+    def make(self, outcomes, endpoint="http://llm.test/v1", **kwargs):
         session = FakeSession(outcomes)
         sleeps = []
         backend = HttpChatBackend(
-            endpoint="http://llm.test/v1",
+            endpoint=endpoint,
             model="test-model",
             api_key="secret",
             session=session,
@@ -217,8 +217,9 @@ class TestHttpChatBackend:
         assert call["headers"]["Authorization"] == "Bearer secret"
 
     def test_endpoint_not_doubled(self):
-        backend, session, _ = self.make([FakeResponse(200, completion("x"))])
-        backend.endpoint = "http://llm.test/v1/chat/completions"
+        backend, session, _ = self.make(
+            [FakeResponse(200, completion("x"))], endpoint="http://llm.test/v1/chat/completions"
+        )
         backend.complete(req("ping"))
         assert session.calls[0]["url"] == "http://llm.test/v1/chat/completions"
 

@@ -397,12 +397,17 @@ class TestPersistence:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
-    def test_reopened_ties_follow_doc_id_code_points(self, tmp_path):
+    @pytest.mark.parametrize("retriever", ["bm25", "dense"])
+    def test_reopened_ties_follow_doc_id_code_points(self, tmp_path, retriever):
         # UTF-16 would put U+10000 before U+FF61; code-point order puts it after.
         ids = ["\U00010000", "\uff61", "\u00e9", "z", "Z"]
         docs = [Document(doc_id, "", "same words") for doc_id in ids]
-        BM25Index.build(docs).save(tmp_path / "idx")
-        hits = BM25Index.open(tmp_path / "idx").retrieve("same", 5)
+        if retriever == "bm25":
+            BM25Index.build(docs).save(tmp_path / "idx")
+            ranker = BM25Index.open(tmp_path / "idx")
+        else:  # every vector equal, so every score ties
+            ranker = EmbeddingRetriever(docs, dict.fromkeys(ids, [1.0, 2.0]), lambda _: [1.0, 2.0])
+        hits = ranker.retrieve("same", 5)
         assert [hit.doc_id for hit in hits] == sorted(ids)
 
     def test_open_rejects_wrong_format_tag(self, tmp_path):
@@ -490,6 +495,10 @@ class TestEmbeddingRetriever:
         )
         assert retriever.retrieve("anything", 3) == []
 
+    def test_empty_document_list(self):
+        with pytest.raises(CorpusError, match="empty"):
+            EmbeddingRetriever([], {}, embed=lambda q: [1.0, 0.0])
+
     def test_missing_vector(self):
         with pytest.raises(CorpusError, match="c"):
             EmbeddingRetriever(self.DOCS, {"a": [1.0], "b": [1.0]}, embed=lambda q: [1.0])
@@ -513,9 +522,10 @@ class TestEmbeddingRetriever:
             (np.array(["1", "0"]), "dtype <U1"),
             ([10**400, 0.0], "overflows a float"),
             (None, "NoneType, not a sequence"),
+            (b"\x01\x02", "bytes, not a sequence of numbers"),
         ],
         ids=["ragged", "nested", "string", "none", "bool", "numpy-bool", "bool-array",
-             "string-array", "huge-int", "none-reply"],
+             "string-array", "huge-int", "none-reply", "bytes-reply"],
     )
     def test_bad_query_vector(self, reply, message):
         retriever = EmbeddingRetriever(self.DOCS, self.VECTORS, embed=lambda q: reply)
@@ -987,6 +997,31 @@ def test_load_vectors_holds_eight_bytes_a_component(tmp_path):
     assert len(vectors) == 500
     # 8 B per component is 256 kB; a Python float in a list costs 32 B.
     assert held < 2 * 500 * 64 * 8
+
+
+def test_dense_retriever_holds_its_documents_as_utf8():
+    def corpus() -> list[Document]:
+        # An accented title keeps the text from being ASCII.
+        return [
+            Document(f"doc-{i:04d}", f"Tïtle {i}", " ".join(f"w{i * j % 97}" for j in range(120)))
+            for i in range(1000)
+        ]
+
+    utf8_bytes = sum(len(field.encode()) for d in corpus() for field in d)
+    vectors = {d.doc_id: np.array([1.0, 0.0]) for d in corpus()}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        docs = corpus()  # strings that only the retriever holds once docs is gone
+        retriever = EmbeddingRetriever(docs, vectors, embed=lambda _: [1.0, 0.0])
+        del docs
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(retriever.retrieve("q", 3)) == 3
+    # A list of decoded Documents held ~1.57 times their UTF-8 size; the store
+    # holds the bytes plus their offsets, the tie-break ranks and the unit rows.
+    assert held < 1.25 * utf8_bytes
 
 
 def test_dense_from_a_vectors_file_equals_brute_force_cosine(tmp_path):
