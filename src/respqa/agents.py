@@ -137,46 +137,36 @@ def assemble_prompt(
     are dropped from the lowest rank upward until the estimate fits. All
     other slot content, memory queues included, is never touched; if the
     prompt still exceeds the cap with only the rank-1 document (or with no
-    documents at all), PromptTooLargeError reports both sizes.
+    documents at all), PromptTooLargeError reports both sizes. A template
+    without ``doc_slot``, or a call without ``docs``, has no documents.
     """
-    if docs is not None and doc_slot in referenced_slots(template):
+    truncatable = docs is not None and doc_slot in referenced_slots(template)
+    docs = docs if truncatable else []
 
-        def prompt_with(count: int) -> str:
-            filled = dict(bindings)
-            filled[doc_slot] = "\n\n".join(docs[:count])
-            return render_template(template, filled)
+    def prompt_with(count: int) -> str:
+        filled = {**bindings, doc_slot: "\n\n".join(docs[:count])} if truncatable else bindings
+        return render_template(template, filled)
 
-        if max_input_tokens is None:
-            return prompt_with(len(docs))
-        floor = 1 if docs else 0
-        floor_estimate = whitespace_token_estimate(prompt_with(floor))
-        if floor_estimate > max_input_tokens:
-            raise PromptTooLargeError(
-                f"prompt estimate {floor_estimate:.0f} tokens exceeds cap "
-                f"{max_input_tokens} even with {floor} document(s)",
-                estimate=floor_estimate,
-                cap=max_input_tokens,
-            )
-        lo, hi = floor, len(docs)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if whitespace_token_estimate(prompt_with(mid)) <= max_input_tokens:
-                lo = mid
-            else:
-                hi = mid - 1
-        return prompt_with(lo)
-
-    prompt = render_template(template, bindings)
-    if max_input_tokens is not None:
-        estimate = whitespace_token_estimate(prompt)
-        if estimate > max_input_tokens:
-            raise PromptTooLargeError(
-                f"prompt estimate {estimate:.0f} tokens exceeds cap {max_input_tokens} "
-                "and contains no truncatable document content",
-                estimate=estimate,
-                cap=max_input_tokens,
-            )
-    return prompt
+    if max_input_tokens is None:
+        return prompt_with(len(docs))
+    floor = min(1, len(docs))
+    prompt = prompt_with(floor)
+    estimate = whitespace_token_estimate(prompt)
+    if estimate > max_input_tokens:
+        raise PromptTooLargeError(
+            f"prompt estimate {estimate:.0f} tokens exceeds cap "
+            f"{max_input_tokens} even with {floor} document(s)",
+            estimate=estimate,
+            cap=max_input_tokens,
+        )
+    lo, hi = floor, len(docs)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if whitespace_token_estimate(prompt_with(mid)) <= max_input_tokens:
+            lo = mid
+        else:
+            hi = mid - 1
+    return prompt if lo == floor else prompt_with(lo)
 
 
 @dataclass(frozen=True)
@@ -408,18 +398,15 @@ class PipelineAgents:
         """Send ``generate``'s request now, from a helper thread, for a later
         ``generate(overarching_question, memory, early)`` over the same memory.
 
-        Never raises. None, and nothing sent, when the generator's backend
-        replies by call order, the prompt does not assemble or the system
-        refuses a helper thread; ``generate`` then makes the call, and raises
-        the error, itself.
+        Never raises. None, and nothing sent, when the prompt does not
+        assemble or the router does not start the call (``BackendRouter.start``);
+        ``generate`` then makes the call, and raises the error, itself.
         """
-        if self.router.order_dependent("generator"):
-            return None
         try:
             prompt = self._prompt(
                 self.templates.generate, _memory_bindings(overarching_question, memory)
             )
-        except (PromptError, ValueError):
+        except PromptError:
             return None
         reply = self.router.start(self._request("generator", prompt))
         return None if reply is None else EarlyCall(prompt, reply)

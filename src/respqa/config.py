@@ -26,7 +26,6 @@ from .llm import (
     HttpChatBackend,
     LlmBackend,
     ScriptedBackend,
-    ScriptedRule,
     load_script,
 )
 from .pipeline import PIPELINE_RESP, PIPELINE_STANDARD, RunTrace, run_resp, run_standard_rag
@@ -266,9 +265,10 @@ def _resolve_api_key(api_key_env: str | None) -> str | None:
     return os.environ.get(api_key_env or ENV_API_KEY) or None
 
 
-def _http_backend(name: str, settings: dict) -> BackendSpec:
-    """An HTTP backend; the endpoint and the model fall back to the environment."""
-    endpoint = settings.get("endpoint") or os.environ.get(ENV_ENDPOINT)
+def _http_backend(name: str, settings: dict, overrides: CliOverrides) -> BackendSpec:
+    """An HTTP backend. ``--llm-endpoint`` and ``--model`` override the file's
+    endpoint and model, which fall back to the environment."""
+    endpoint = overrides.endpoint or settings.get("endpoint") or os.environ.get(ENV_ENDPOINT)
     _require(
         bool(endpoint),
         f"backend {name!r} has no endpoint "
@@ -278,7 +278,7 @@ def _http_backend(name: str, settings: dict) -> BackendSpec:
         name=name,
         kind="http",
         endpoint=_url(endpoint, f"backend {name!r}: endpoint"),
-        model=settings.get("model") or os.environ.get(ENV_MODEL) or "default",
+        model=overrides.model or settings.get("model") or os.environ.get(ENV_MODEL) or "default",
         api_key=_resolve_api_key(settings.get("api_key_env")),
     )
 
@@ -291,7 +291,7 @@ def _load_backends(section: dict, overrides: CliOverrides) -> dict[str, BackendS
         _require(kind in ("http", "scripted"), f"backend {name!r}: unknown kind {kind!r}")
         settings = _parse(raw, _BACKEND_KINDS[kind], f"backends.{name}.")
         if kind == "http":
-            backends[name] = _http_backend(name, settings)
+            backends[name] = _http_backend(name, settings, overrides)
             continue
         script = settings.get("script")
         _require(script is not None, f"backend {name!r}: scripted backends need a 'script' path")
@@ -303,14 +303,8 @@ def _load_backends(section: dict, overrides: CliOverrides) -> dict[str, BackendS
     if script_path is not None:
         _require(script_path.exists(), f"script not found: {script_path}")
         backends["scripted"] = BackendSpec(name="scripted", kind="scripted", script=script_path)
-    elif overrides.endpoint or (not backends and os.environ.get(ENV_ENDPOINT)):
-        backends["default"] = _http_backend(
-            "default", {"endpoint": overrides.endpoint, "model": overrides.model}
-        )
-    elif overrides.model is not None:
-        for name, spec in list(backends.items()):
-            if spec.kind == "http":
-                backends[name] = replace(spec, model=overrides.model)
+    elif not backends and (overrides.endpoint or os.environ.get(ENV_ENDPOINT)):
+        backends["default"] = _http_backend("default", {}, overrides)
     return backends
 
 
@@ -344,11 +338,12 @@ def _load_roles(
 class AppRuntime:
     """Configured components, ready to run questions.
 
-    Scripted backends get a fresh conversation per question run so rule
-    ordinals stay deterministic under batch parallelism; HTTP backends are
-    shared singletons. A run can have two requests in flight, the early one
-    from a helper thread started on demand (``run_resp``), so a chat backend
-    pools two connections per run.
+    Each configured backend is built once. A scripted one gives each question
+    run a fresh conversation (``ScriptedBackend.fresh``), shared by the roles
+    bound to it, so rule ordinals stay deterministic under batch parallelism;
+    an HTTP one is shared by every run. A run can have two requests in flight,
+    the early one from a helper thread started on demand (``run_resp``), so a
+    chat backend pools two connections per run.
     """
 
     def __init__(self, config: AppConfig) -> None:
@@ -359,32 +354,23 @@ class AppRuntime:
             if config.templates_dir
             else PromptTemplateSet.load_default()
         )
-        self._http_backends: dict[str, HttpChatBackend] = {}
-        self._script_rules: dict[str, list[ScriptedRule]] = {}
-        for name, spec in config.backends.items():
-            if spec.kind == "http":
-                self._http_backends[name] = HttpChatBackend(
-                    endpoint=spec.endpoint,
-                    model=spec.model,
-                    api_key=spec.api_key,
-                    backend_id=name,
-                    pool_size=2 * config.parallelism,
-                )
-            else:
-                self._script_rules[name] = load_script(spec.script)
+        self._backends: dict[str, LlmBackend] = {
+            name: HttpChatBackend(
+                spec.endpoint, spec.model, spec.api_key, name, pool_size=2 * config.parallelism
+            )
+            if spec.kind == "http"
+            else ScriptedBackend(load_script(spec.script), backend_id=name)
+            for name, spec in config.backends.items()
+        }
 
     def fresh_bindings(self) -> dict[str, LlmBackend]:
-        scripted: dict[str, ScriptedBackend] = {}
-        bindings: dict[str, LlmBackend] = {}
-        for role, name in self.config.roles.items():
-            spec = self.config.backends[name]
-            if spec.kind == "http":
-                bindings[role] = self._http_backends[name]
-            else:
-                if name not in scripted:
-                    scripted[name] = ScriptedBackend(self._script_rules[name], backend_id=name)
-                bindings[role] = scripted[name]
-        return bindings
+        """Each role's backend for one question run."""
+        run: dict[str, LlmBackend] = {}
+        for name in self.config.roles.values():
+            if name not in run:
+                backend = self._backends[name]
+                run[name] = backend.fresh() if isinstance(backend, ScriptedBackend) else backend
+        return {role: run[name] for role, name in self.config.roles.items()}
 
     def runner(
         self, pipeline: str = PIPELINE_RESP, top_k: int | None = None

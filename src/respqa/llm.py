@@ -18,6 +18,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol
 
@@ -57,15 +58,11 @@ def truncate_to_token_estimate(text: str, max_tokens: int) -> str:
     """
     if whitespace_token_estimate(text) <= max_tokens:
         return text
-    ends = [m.end() for m in _WORD.finditer(text)]
-    lo, hi = 0, len(ends)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if whitespace_token_estimate(text[: ends[mid - 1]]) <= max_tokens:
-            lo = mid
-        else:
-            hi = mid - 1
-    return text[: ends[lo - 1]] if lo else ""
+    # The most words m with m * 1.3 <= max_tokens; exact for integer caps.
+    words = int(max_tokens / _WORDS_PER_TOKEN)
+    if words <= 0:
+        return ""
+    return text[: next(islice(_WORD.finditer(text), words - 1, None)).end()]
 
 
 @dataclass(frozen=True)
@@ -97,8 +94,8 @@ class LlmResponse:
 
 class LlmBackend(Protocol):
     """A completion backend. One whose replies depend on the order of its
-    calls says so with a true ``order_dependent`` class attribute; its calls
-    are then never sent ahead of time (``BackendRouter.start``)."""
+    calls says so with a true ``order_dependent`` class attribute;
+    ``BackendRouter.start`` then sends none of its calls ahead of time."""
 
     backend_id: str
 
@@ -166,15 +163,20 @@ class ScriptedBackend(_CompletionBase):
 
     def __init__(self, rules: Iterable[ScriptedRule], backend_id: str = "scripted") -> None:
         self.backend_id = backend_id
-        self._rules = list(rules)
         self._ordinal: dict[int, ScriptedRule] = {}
-        for rule in self._rules:
-            if isinstance(rule.match, int) and rule.match not in self._ordinal:
-                self._ordinal[rule.match] = rule
-        self._substring = [rule for rule in self._rules if isinstance(rule.match, str)]
+        self._substring: list[ScriptedRule] = []
+        for rule in rules:
+            if isinstance(rule.match, str):
+                self._substring.append(rule)
+            else:
+                self._ordinal.setdefault(rule.match, rule)
         self._calls = 0
         self._lock = threading.Lock()
         self.history: list[ScriptedCall] = []
+
+    def fresh(self) -> ScriptedBackend:
+        """A new conversation, at call 0, over the same rules."""
+        return ScriptedBackend([*self._ordinal.values(), *self._substring], self.backend_id)
 
     def _generate(self, request: LlmRequest) -> str:
         with self._lock:
@@ -386,13 +388,13 @@ class BackendRouter:
     def complete(self, request: LlmRequest) -> LlmResponse:
         return self.backend_for(request.role_tag).complete(request)
 
-    def order_dependent(self, role_tag: str) -> bool:
-        """Whether the role's backend replies by call order."""
-        return getattr(self.backend_for(role_tag), "order_dependent", False)
-
     def start(self, request: LlmRequest) -> Future[LlmResponse] | None:
         """``complete(request)`` on a helper thread, started if none is idle;
         the future holds its reply or its error. Cancelling the future before
-        it has begun sends nothing. None, and nothing sent, only when the
-        system refuses a thread. Callers leave order-dependent backends out."""
+        it has begun sends nothing. None, and nothing sent, when the role's
+        backend replies by call order (``order_dependent``), whose calls must
+        go in the order the caller makes them, or when the system refuses a
+        thread."""
+        if getattr(self.backend_for(request.role_tag), "order_dependent", False):
+            return None
         return _HELPERS.submit(self.complete, request)

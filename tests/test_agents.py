@@ -181,13 +181,18 @@ class TestAssemblePrompt:
             assemble_prompt(self.TEMPLATE, self.bindings(), docs=docs, max_input_tokens=100)
         assert excinfo.value.cap == 100
         assert excinfo.value.estimate > 100
+        assert "exceeds cap 100 even with 1 document(s)" in str(excinfo.value)
 
     def test_error_when_memory_only_prompt_exceeds_cap(self):
+        # A prompt with no documents is the zero-document case: same check, same message.
         big = " ".join(f"m{i}" for i in range(200))
-        with pytest.raises(PromptTooLargeError):
+        with pytest.raises(PromptTooLargeError) as excinfo:
             assemble_prompt(
                 "Memory: {Combined memory queues}", {SLOT_MEMORY: big}, max_input_tokens=50
             )
+        message = "prompt estimate 261 tokens exceeds cap 50 even with 0 document(s)"
+        assert str(excinfo.value) == message
+        assert (excinfo.value.estimate, excinfo.value.cap) == (pytest.approx(261.3), 50)
 
     def test_empty_docs_list_renders_empty_slot(self):
         prompt = assemble_prompt(

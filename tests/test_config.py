@@ -123,6 +123,34 @@ class TestPrecedence:
         assert backends["mock"] == load_app_config(path).backends["mock"]
         assert backends["mock"].model is None
 
+    def test_endpoint_flag_overrides_the_one_file_backend(self, tmp_path):
+        path = write_yaml(
+            tmp_path, {"backends": {"main": {"kind": "http", "endpoint": "http://file/v1"}}}
+        )
+        config = load_app_config(path, CliOverrides(endpoint="http://flag.example/v1"))
+        assert config.backends["main"].endpoint == "http://flag.example/v1"
+        assert list(config.backends) == ["main"]
+        assert config.roles == {role: "main" for role in config.roles}
+
+    def test_endpoint_flag_overrides_file_http_backends(self, tmp_path, script_path):
+        path = write_yaml(
+            tmp_path,
+            {
+                "backends": {
+                    "small": {"kind": "http", "endpoint": "http://x/v1", "model": "m-small"},
+                    "large": {"kind": "http", "endpoint": "http://y/v1"},
+                    "mock": {"kind": "scripted", "script": str(script_path)},
+                },
+                "roles": {"reasoner": "small", "summarizer": "mock", "generator": "large"},
+            },
+        )
+        overrides = CliOverrides(endpoint="http://flag.example/v1")
+        backends = load_app_config(path, overrides).backends
+        assert sorted(backends) == ["large", "mock", "small"]
+        assert backends["small"].endpoint == backends["large"].endpoint == "http://flag.example/v1"
+        assert backends["small"].model == "m-small"
+        assert backends["mock"] == load_app_config(path).backends["mock"]
+
     def test_api_key_env_resolved(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MY_SECRET", "s3cret")
         path = write_yaml(

@@ -306,6 +306,22 @@ def test_wire_requests_confined_to_gateway_modules():
     assert offenders == []
 
 
+def test_order_dependence_read_only_in_the_gateway():
+    # BackendRouter.start is the one gate on early sends: no other module
+    # may decide by itself whether a backend's calls can go ahead of time.
+    import pathlib
+
+    import respqa
+
+    root = pathlib.Path(respqa.__file__).parent
+    offenders = [
+        path.name
+        for path in root.rglob("*.py")
+        if path.name != "llm.py" and "order_dependent" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
 @pytest.mark.parametrize("endpoint", ["http://x/v1", "http://x/v1/", "http://x/v1/embeddings"])
 def test_the_path_is_appended_once(endpoint):
     url = llm.JsonEndpoint(endpoint, "/embeddings", session=FakeSession([])).url
@@ -461,11 +477,16 @@ class TestBackendRouter:
             BackendRouter(bindings)
 
     def test_only_the_scripted_backend_is_order_dependent(self):
-        http = HttpChatBackend("http://x/v1", model="m", session=FakeSession([]))
-        router = BackendRouter(
-            {"reasoner": ScriptedBackend([]), "summarizer": http, "generator": http}
-        )
-        assert [router.order_dependent(role) for role in ROLE_TAGS] == [True, False, False]
+        # start sends nothing ahead for a backend that replies by call order.
+        scripted = ScriptedBackend([ScriptedRule("hello", "scripted")])
+        session = FakeSession([FakeResponse(200, completion("over http"))])
+        http = HttpChatBackend("http://x/v1", model="m", session=session)
+        router = BackendRouter({"reasoner": scripted, "summarizer": http, "generator": http})
+        assert router.start(req("hello", role="reasoner")) is None
+        assert scripted.history == []
+        reply = router.start(req("hello", role="generator"))
+        assert reply.result(timeout=5).text == "over http"
+        assert len(session.calls) == 1
 
     def test_start_completes_on_a_helper_thread(self):
         class Recording:

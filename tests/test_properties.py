@@ -21,7 +21,7 @@ from respqa.agents import (
     parse_plan_surface,
 )
 from respqa.errors import CorpusError, PromptTooLargeError
-from respqa.llm import whitespace_token_estimate
+from respqa.llm import truncate_to_token_estimate, whitespace_token_estimate
 from respqa.memory import NO_ANSWER_MARKER
 from respqa.retrieval import BM25Index, Document, load_vectors
 
@@ -102,6 +102,16 @@ def test_assembled_prompt_fits_the_cap_with_a_ranked_prefix(question, docs, data
     # The prefix is the longest one that fits: one more document would not.
     if kept[-1] < len(docs):
         assert whitespace_token_estimate(with_first(kept[-1] + 1)) > cap
+
+
+@settings(max_examples=400)
+@given(text=st.text(alphabet="ab \n\t\u2003", max_size=60), cap=st.integers(0, 60))
+def test_truncation_keeps_the_longest_word_prefix_that_fits(text, cap):
+    # Brute force: the whole text, then each word-end prefix from the longest down.
+    ends = [0] + [match.end() for match in re.finditer(r"\S+", text)]
+    prefixes = [text] + [text[:end] for end in reversed(ends)]
+    longest = next(prefix for prefix in prefixes if whitespace_token_estimate(prefix) <= cap)
+    assert truncate_to_token_estimate(text, cap) == longest
 
 
 # Few distinct words make repeated terms, shared document frequencies and tied scores common.
