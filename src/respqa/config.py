@@ -1,7 +1,9 @@
 """Application configuration: YAML file, environment, CLI overrides, wiring.
 
-Precedence is flag > environment > file. Validation is total and happens at
-startup: a missing role binding, backend, or path fails before any LLM call.
+Precedence is flag > file > environment: the environment fills only what
+neither sets. Validation is total and happens at startup: a missing role
+binding, backend, or path, or an LLM flag that no HTTP backend takes, fails
+before any LLM call.
 
 Environment variables: ``RESPQA_LLM_ENDPOINT``, ``RESPQA_LLM_MODEL``, and
 ``RESPQA_API_KEY`` (or the per-backend ``api_key_env`` named in the file).
@@ -305,6 +307,9 @@ def _load_backends(section: dict, overrides: CliOverrides) -> dict[str, BackendS
         backends["scripted"] = BackendSpec(name="scripted", kind="scripted", script=script_path)
     elif not backends and (overrides.endpoint or os.environ.get(ENV_ENDPOINT)):
         backends["default"] = _http_backend("default", {}, overrides)
+    if not any(spec.kind == "http" for spec in backends.values()):
+        for flag, value in (("--llm-endpoint", overrides.endpoint), ("--model", overrides.model)):
+            _require(not value, f"{flag} is set, but no HTTP backend is configured to use it")
     return backends
 
 

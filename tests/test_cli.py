@@ -242,6 +242,19 @@ class TestFlagErrors:
         assert main(argv) == EXIT_CONFIG
         assert "configuration error: question must be non-empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--llm-endpoint", "http://flag.example/v1"), ("--model", "m")]
+    )
+    def test_llm_flag_no_backend_takes(
+        self, flag, value, index_dir, script_path, tmp_path, complete_calls, capsys
+    ):
+        config = tmp_path / "config.yaml"
+        config.write_text(f"backends: {{mock: {{kind: scripted, script: {script_path}}}}}\n")
+        argv = ["ask", OVERPLANNING_QUESTION, "--config", str(config)]
+        assert main([*argv, "--index-dir", str(index_dir), flag, value]) == EXIT_CONFIG
+        assert f"{flag} is set, but no HTTP backend" in capsys.readouterr().err
+        assert complete_calls == []
+
     def test_non_http_endpoint_flag(self, index_dir, capsys):
         argv = ["ask", "q?", "--index-dir", str(index_dir), "--llm-endpoint", "localhost:9/v1"]
         assert main(argv) == EXIT_CONFIG

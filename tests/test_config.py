@@ -62,6 +62,18 @@ class TestPrecedence:
         config = load_app_config(path)
         assert config.backends["main"].endpoint == "http://env.example/v1"
 
+    def test_file_endpoint_beats_env(self, tmp_path, monkeypatch):
+        # flag > file > environment: the variable fills only a missing endpoint.
+        monkeypatch.setenv(ENV_ENDPOINT, "http://env.example/v1")
+        monkeypatch.setenv(ENV_MODEL, "env-model")
+        path = write_yaml(
+            tmp_path,
+            {"backends": {"main": {"kind": "http", "endpoint": "http://file.example/v1",
+                                   "model": "file-model"}}},
+        )
+        backend = load_app_config(path).backends["main"]
+        assert (backend.endpoint, backend.model) == ("http://file.example/v1", "file-model")
+
     def test_script_flag_overrides_everything(self, tmp_path, script_path, monkeypatch):
         monkeypatch.setenv(ENV_ENDPOINT, "http://env.example/v1")
         path = write_yaml(
@@ -174,6 +186,25 @@ class TestValidation:
         path = write_yaml(tmp_path, {"backends": {"main": {"kind": "http"}}})
         with pytest.raises(ConfigurationError, match="endpoint"):
             load_app_config(path)
+
+    @pytest.mark.parametrize(
+        "overrides, flag",
+        [
+            ({"endpoint": "http://flag.example/v1"}, "--llm-endpoint"),
+            ({"model": "flag-model"}, "--model"),
+        ],
+    )
+    @pytest.mark.parametrize("script_flag", [False, True])
+    def test_llm_flag_without_an_http_backend_is_refused(
+        self, tmp_path, script_path, overrides, flag, script_flag
+    ):
+        path = write_yaml(
+            tmp_path, {"backends": {"mock": {"kind": "scripted", "script": str(script_path)}}}
+        )
+        if script_flag:
+            overrides = {**overrides, "script": str(script_path)}
+        with pytest.raises(ConfigurationError, match=f"^{flag} is set, but no HTTP backend"):
+            load_app_config(path, CliOverrides(**overrides))
 
     def test_role_bound_to_undefined_backend(self, tmp_path, script_path):
         path = write_yaml(

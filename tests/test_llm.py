@@ -322,6 +322,22 @@ def test_order_dependence_read_only_in_the_gateway():
     assert offenders == []
 
 
+def test_threads_started_only_in_the_gateway():
+    # The early-call helpers in llm.py are the package's own threads; batch
+    # parallelism goes through an executor. No other module starts one.
+    import pathlib
+
+    import respqa
+
+    root = pathlib.Path(respqa.__file__).parent
+    offenders = [
+        path.name
+        for path in root.rglob("*.py")
+        if path.name != "llm.py" and "threading.Thread(" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
 @pytest.mark.parametrize("endpoint", ["http://x/v1", "http://x/v1/", "http://x/v1/embeddings"])
 def test_the_path_is_appended_once(endpoint):
     url = llm.JsonEndpoint(endpoint, "/embeddings", session=FakeSession([])).url

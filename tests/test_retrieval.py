@@ -1059,3 +1059,19 @@ def test_dense_from_a_vectors_file_equals_brute_force_cosine(tmp_path):
         assert hit_ids.isdisjoint({"d30", "d31", "d32"})
     with pytest.raises(CorpusError, match="one length"):
         EmbeddingRetriever([*docs, Document("not-in-corpus", "t", "x")], vectors, lambda _: query)
+
+
+def test_unit_rows_build_no_matrix_sized_temporary():
+    from respqa.retrieval import _unit_rows
+
+    matrix = np.random.default_rng(7).standard_normal((1000, 384))
+    expected = matrix / np.linalg.norm(matrix, axis=-1, keepdims=True)
+    tracemalloc.start()
+    try:
+        units = _unit_rows(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert units is matrix and units.tobytes() == expected.tobytes()
+    # Squaring the whole matrix at once would peak at its own size, 2.9 MiB.
+    assert peak < matrix.nbytes / 8
