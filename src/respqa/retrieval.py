@@ -640,6 +640,9 @@ def load_vectors(path: str | Path) -> dict[str, np.ndarray]:
     again with ``json.loads``, and that parse decides: orjson reads an
     integer beyond 64 bits as a float and takes nesting of any depth. So
     every row accepted and every message are the ones ``json.loads`` gives.
+    A row whose line ends in ``]}`` with no ``"``, ``u`` or ``l`` after its
+    last ``[`` holds only numbers or containers: one ``np.array`` call
+    converts it if that gives 1-D. Other rows are checked component by component.
     """
     import orjson  # deferred: BM25-only runs never load it
 
@@ -648,7 +651,7 @@ def load_vectors(path: str | Path) -> dict[str, np.ndarray]:
         try:
             row = orjson.loads(line)
             if type(row) is dict and row.keys() == _VECTOR_KEY_SET:
-                vectors[row["id"]] = _checked_vector(where, row, vectors)
+                vectors[row["id"]] = _checked_vector(where, row, vectors, _numbers_only(line))
                 continue
         except (orjson.JSONDecodeError, CorpusError, RecursionError):
             # RecursionError: the repr, for a message, of a value nested
@@ -660,7 +663,22 @@ def load_vectors(path: str | Path) -> dict[str, np.ndarray]:
     return vectors
 
 
-def _checked_vector(where: str, row: dict, vectors: Mapping[str, np.ndarray]) -> np.ndarray:
+def _numbers_only(line: bytes) -> bool:
+    """Whether an orjson-parsed {"id": str, "vector": list} row's line proves
+    that the vector holds no string, boolean or null."""
+    # As id is a string, a line ending in ]} ends with the vector array, the
+    # value both parsers keep of a duplicated key (the last); its last [ lies
+    # within that array. Every string, true, false and null holds a ", u or l.
+    # A nested array or an object makes np.array raise or give ndim != 1.
+    if not line.rstrip().endswith(b"]}"):
+        return False
+    start = line.rfind(b"[")
+    return line.find(b'"', start) < 0 and line.find(b"u", start) < 0 and line.find(b"l", start) < 0
+
+
+def _checked_vector(
+    where: str, row: dict, vectors: Mapping[str, np.ndarray], numbers_only: bool = False
+) -> np.ndarray:
     """The row's vector as float64, or CorpusError naming the line and what is wrong."""
     doc_id = row["id"]
     if not isinstance(doc_id, str):
@@ -670,14 +688,19 @@ def _checked_vector(where: str, row: dict, vectors: Mapping[str, np.ndarray]) ->
     raw = row["vector"]
     if not isinstance(raw, list):
         raise CorpusError(f"{where}: 'vector' must be a JSON array, got {type(raw).__name__}")
-    try:
-        _check_numbers(raw, "vector")
-        # Converts each component as float() does, so each value is unchanged.
-        vector = np.fromiter(raw, dtype=np.float64, count=len(raw))
-    except ValueError as exc:
-        raise CorpusError(f"{where}: {exc}") from None
-    except OverflowError as exc:  # an integer beyond the float range
-        raise CorpusError(f"{where}: vector has a component out of range ({exc})") from None
+    try:  # one call when the line proves it; float() per component either way
+        vector = np.array(raw, dtype=np.float64) if numbers_only else None
+    except (ValueError, TypeError, OverflowError, RecursionError):
+        vector = None
+    if vector is None or vector.ndim != 1:
+        try:
+            _check_numbers(raw, "vector")
+            # Converts each component as float() does, so each value is unchanged.
+            vector = np.fromiter(raw, dtype=np.float64, count=len(raw))
+        except ValueError as exc:
+            raise CorpusError(f"{where}: {exc}") from None
+        except OverflowError as exc:  # an integer beyond the float range
+            raise CorpusError(f"{where}: vector has a component out of range ({exc})") from None
     if not np.isfinite(vector).all():
         raise CorpusError(f"{where}: vector has a non-finite component")
     return vector

@@ -1,6 +1,6 @@
 """Property tests: the reply parsers are total, the input cap holds for any cap,
 a saved index keeps its documents and ranks like the one it was saved from, and
-the vectors file parses to the rows json.loads gives."""
+the vectors file parses to the rows json.loads gives, whatever its values."""
 
 import json
 import math
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import orjson
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from respqa.agents import (
@@ -220,4 +220,79 @@ def test_vectors_parse_to_the_rows_json_loads_gives(literals):
             got = load_vectors(path)["a"].tobytes()
         except CorpusError as exc:
             got = str(exc).removeprefix(f"{path}:1: ")
+    assert got == expected
+
+
+def stdlib_row(line: bytes) -> bytes | str:
+    """stdlib_vector, for a vector that may hold any JSON value: a component
+    that json.loads does not give as an int or a float is named first."""
+    for value in json.loads(line.decode("utf-8"))["vector"]:
+        if type(value) not in (int, float):
+            return f"vector component {value!r} is not a number"
+    return stdlib_vector(line)
+
+
+def _json_string(text: str) -> str:
+    return json.dumps(text, ensure_ascii=False)
+
+
+# Strings holding the bytes the one-call test looks for, or closing a row early,
+# and strings that float() would take.
+tricky_strings = st.one_of(
+    st.text(st.sampled_from('[]}ul"\\a 1,'), max_size=6), number_literals
+).map(_json_string)
+# Values that must keep a vector off the one-call conversion: keywords, strings,
+# empty objects and arrays nested to any depth, of numbers among the rest.
+odd_scalars = st.one_of(st.sampled_from(["true", "false", "null", "{}"]), tricky_strings)
+json_values = st.recursive(
+    st.one_of(number_literals, odd_scalars),
+    lambda inner: st.lists(inner, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]"),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    components=st.one_of(
+        st.lists(number_literals, max_size=6),
+        # One value among numbers, where it is hardest to see.
+        st.builds(
+            lambda numbers, value, at: numbers[:at] + [value] + numbers[at:],
+            st.lists(number_literals, max_size=5),
+            st.one_of(odd_scalars, json_values),
+            st.integers(0, 5),
+        ),
+        st.lists(json_values, min_size=1, max_size=6),
+    ),
+    doc_id=st.text(st.sampled_from('[u"l]a'), max_size=4),
+    vector_first=st.booleans(),
+    compact=st.booleans(),
+    ending=st.sampled_from(["\n", "\r\n", " \n", "  \r\n", "", " "]),
+)
+# Each of ", u and l alone keeps one of these off the one-call conversion.
+@example(components=["1.5", "true"], doc_id="a", vector_first=False, compact=False, ending="\n")
+@example(components=["false", "2"], doc_id="a", vector_first=False, compact=True, ending="\n")
+@example(components=['"3"'], doc_id="a", vector_first=False, compact=False, ending="\r\n")
+def test_vectors_with_any_values_parse_to_the_rows_json_loads_gives(
+    components, doc_id, vector_first, compact, ending
+):
+    comma, colon = (",", ":") if compact else (", ", ": ")
+    members = [
+        f'"id"{colon}{_json_string(doc_id)}',
+        f'"vector"{colon}[{comma.join(components)}]',
+    ]
+    if vector_first:
+        members.reverse()
+    line = ("{" + comma.join(members) + "}" + ending).encode()
+    expected = stdlib_row(line)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vectors.jsonl"
+        path.write_bytes(line)
+        try:
+            loaded = load_vectors(path)
+        except CorpusError as exc:
+            got = str(exc).removeprefix(f"{path}:1: ")
+        else:
+            assert list(loaded) == [doc_id]
+            got = loaded[doc_id].tobytes()
     assert got == expected

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import sys
@@ -771,6 +772,51 @@ def test_load_vectors_refuses_deep_nesting(tmp_path, line):
     path.write_bytes(b'{"id": "b", "vector": [1.0]}\n' + line)
     with pytest.raises(CorpusError, match=r":2: JSON nested too deeply to parse$"):
         load_vectors(path)
+
+
+class CheckReached(Exception):
+    pass
+
+
+def test_load_vectors_converts_number_rows_in_one_call(tmp_path, monkeypatch):
+    from respqa import retrieval
+
+    def refuse(values, name):
+        raise CheckReached
+
+    monkeypatch.setattr(retrieval, "_check_numbers", refuse)
+    rng = random.Random(7)
+    rows = {f"d{i}": [rng.uniform(-1.0, 1.0) for _ in range(8)] + [i, -0.0] for i in range(20)}
+    path = tmp_path / "vectors.jsonl"
+    # json.dumps's layout ends each line with the vector, and the id is a string.
+    path.write_text("".join(json.dumps({"id": k, "vector": v}) + "\n" for k, v in rows.items()))
+    loaded = retrieval.load_vectors(path)
+    assert {k: v.tobytes() for k, v in loaded.items()} == {
+        k: np.array(v, dtype=np.float64).tobytes() for k, v in rows.items()
+    }
+    # With the vector first, the line cannot prove its vector holds only numbers.
+    path.write_text(json.dumps({"vector": [1.0, 2.0], "id": "a"}) + "\n")
+    with pytest.raises(CheckReached):
+        retrieval.load_vectors(path)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"id": "a"}\n' + b"x" * 200_000 + b"\n\n" + b"y" * 70_000 + b"\r\nlast\n",
+        b"first\n" + b"z" * 200_000,
+    ],
+    ids=["200-kb-line", "no-final-newline"],
+)
+def test_jsonl_lines_yields_each_line_and_its_number(tmp_path, content):
+    from respqa.jsonl import jsonl_lines
+
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(content)
+    lines = io.BytesIO(content).readlines()
+    assert list(jsonl_lines(path, CorpusError)) == [
+        (f"{path}:{lineno}", line) for lineno, line in enumerate(lines, start=1)
+    ]
 
 
 def test_bm25_runs_do_not_import_orjson(tmp_path):
