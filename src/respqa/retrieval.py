@@ -1,14 +1,16 @@
 """Corpus ingestion, a persistent BM25 inverted index, and top-k retrieval.
 
 The corpus is JSONL with keys ``id``, ``title``, ``contents`` (one document
-per line). The index lives in a directory (format v4): a JSON manifest tagged
+per line). The index lives in a directory (format v5): a JSON manifest tagged
 with a format version; ``documents.txt``, every document's id, title and text
-concatenated as UTF-8; ``terms.txt``, the vocabulary joined by newlines; and
+concatenated as UTF-8; ``terms.txt``, the vocabulary in ascending UTF-8 byte
+order joined by newlines, a term's id being its place in that order; and
 ``postings.bin``, little-endian unsigned arrays, each in the narrowest of 1, 2,
 4 or 8 bytes that holds its largest value: the postings and the byte offsets
-of the document fields. Opening an index parses no document: it keeps
-``documents.txt`` as bytes and decodes a document only when a query returns
-it. Nor does it score any posting: a term's BM25 gains are computed by the
+of the document fields. Opening an index builds no Python object per document
+or per term: it keeps ``documents.txt`` and ``terms.txt`` as bytes, decodes a
+document only when a query returns it and finds a query term by binary
+search. Nor does it score any posting: a term's BM25 gains are computed by the
 first query that uses the term. A rebuilt or reopened index returns
 byte-identical rankings.
 
@@ -30,6 +32,7 @@ import unicodedata
 import uuid
 import zlib
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,7 +57,7 @@ if TYPE_CHECKING:
     from .llm import Session
 
 INDEX_FORMAT_TAG = "respqa-bm25"
-INDEX_FORMAT_VERSION = 4
+INDEX_FORMAT_VERSION = 5
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -175,18 +178,14 @@ class _DocumentStore:
 
     Document i's id, title and text lie between offsets 3i and 3i + 3. Both
     retrievers hold their documents here and decode only the hits they
-    return. The store owns the tie-break: ``id_ranks`` gives each document
-    its position in ascending doc_id order, sorted from the undecoded ids
-    (UTF-8 bytes sort in code-point order, as ``str`` does).
+    return. The store owns the tie-break, by ascending doc_id: it compares
+    ids only among candidates whose scores tie within the top k, as UTF-8
+    bytes, which sort in code-point order, as ``str`` does.
     """
 
     def __init__(self, data: bytes, bounds: np.ndarray) -> None:
         self.data = data
         self.bounds = bounds
-        ids = [data[i:j] for i, j in zip(bounds[0:-1:3].tolist(), bounds[1::3].tolist())]
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        self.id_ranks = np.empty(len(ids), dtype=np.int64)
-        self.id_ranks[order] = np.arange(len(ids))
 
     @classmethod
     def pack(cls, documents: Iterable[Document]) -> "_DocumentStore":
@@ -232,24 +231,151 @@ class _DocumentStore:
     def ranked_hits(self, scores: np.ndarray, k: int) -> list[RetrievedDocument]:
         """Hits for the k highest positive scores, ties by ascending doc_id.
 
-        One gather reads the hits' offsets; only the hits are decoded.
+        One gather reads the hits' offsets; only the hits are decoded. Of the
+        documents tied with the k-th score, ``_smallest_ids`` picks the ones
+        that fit without decoding them.
         """
         candidates = np.flatnonzero(scores > 0.0)
         if len(candidates) > k:
             kth = np.partition(scores[candidates], len(candidates) - k)[len(candidates) - k]
-            # Keep every candidate tied with the k-th score; the sort settles them.
             candidates = candidates[scores[candidates] >= kth]
-        order = np.lexsort((self.id_ranks[candidates], -scores[candidates]))
-        top = candidates[order[:k]]
-        data, cuts = self.data, self.bounds[3 * top[:, np.newaxis] + np.arange(4)].tolist()
-        hits = zip(cuts, scores[top].tolist())
-        return [
-            RetrievedDocument(
-                data[start:title].decode(), data[title:text].decode(), data[text:end].decode(),
-                score, rank,
-            )
-            for rank, ((start, title, text, end), score) in enumerate(hits, start=1)
+            if len(candidates) > k:  # more documents tie with the k-th score than fit
+                above = scores[candidates] > kth
+                tied = self._smallest_ids(candidates[~above], k - int(np.count_nonzero(above)))
+                candidates = np.concatenate((candidates[above], tied))
+        # Descending score first, so the sort below has only ties to move.
+        candidates = candidates[np.argsort(-scores[candidates], kind="stable")]
+        data, cuts = self.data, self.bounds[3 * candidates[:, np.newaxis] + np.arange(4)].tolist()
+        rows = [
+            (-score, data[start:title].decode(), data[title:text].decode(), data[text:end].decode())
+            for (start, title, text, end), score in zip(cuts, scores[candidates].tolist())
         ]
+        rows.sort()  # ids are unique, so a tie in score is settled by the id
+        return [
+            RetrievedDocument(doc_id, title, text, -negated, rank)
+            for rank, (negated, doc_id, title, text) in enumerate(rows[:k], start=1)
+        ]
+
+    def _smallest_ids(self, group: np.ndarray, need: int) -> np.ndarray:
+        """Documents of ``group`` that include the ``need`` with the smallest ids.
+
+        The group is narrowed 8 bytes of id at a time: a document whose next
+        word is below the ``need``-th smallest is kept, one above it is
+        dropped, and the ones equal to it go on to the next word. Only ids that
+        agree in every word so far, and so differ in length alone, can be left
+        over beyond ``need``; the caller sorts the few that remain.
+        """
+        buf = np.frombuffer(self.data, dtype=np.uint8)
+        # Signed: a saved index's offsets may be narrow unsigned ints, and an
+        # id that has ended is read past its end.
+        starts, ends = self.bounds[3 * group].astype(np.int64), self.bounds[3 * group + 1]
+        kept = []
+        while len(group) > need and (starts < ends).any():
+            words = _prefix_words(buf, starts, ends)
+            cut = np.partition(words, need - 1)[need - 1]
+            below, at = words < cut, words == cut
+            kept.append(group[below])
+            need -= int(np.count_nonzero(below))
+            group, starts, ends = group[at], starts[at] + 8, ends[at]
+        return np.concatenate((*kept, group))
+
+
+# _LEADING_BYTES[n] keeps the first n bytes of a big-endian word.
+_LEADING_BYTES = np.array(
+    [((1 << 8 * n) - 1) << (64 - 8 * n) for n in range(9)], dtype=np.uint64
+)
+
+
+def _prefix_words(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The 8 bytes of ``buf`` from each start, zero past its end, as big-endian uint64.
+
+    Two byte strings whose words differ sort as their words do; equal words
+    leave them to their later bytes, or to their lengths.
+    """
+    if len(buf) < 8:
+        buf = np.concatenate((buf, np.zeros(8 - len(buf), dtype=np.uint8)))
+    last = len(buf) - 8
+    # A view: the big-endian word at each byte offset of buf that has 8 bytes.
+    at_offset = np.ndarray((last + 1,), dtype=">u8", buffer=buf, strides=(1,))
+    words = at_offset[np.minimum(starts, last)].astype(np.uint64)
+    # A start past the last full word was read from there: shift its extra bytes
+    # out. A start past the end keeps none, as the length mask below takes them all.
+    late = np.flatnonzero(starts > last)
+    words[late] <<= np.minimum(starts[late] - last, 7).astype(np.uint64) * np.uint64(8)
+    words &= _LEADING_BYTES[np.clip(ends - starts, 0, 8)]
+    return words
+
+
+class _Lexicon:
+    """The vocabulary: its terms as UTF-8 in ascending byte order, joined by newlines.
+
+    A term's id is its place in that order. The lexicon holds the bytes,
+    each term's start offset and each term's first 8 bytes as a zero-padded
+    big-endian word, in numpy arrays: no Python object per term. ``find``
+    bisects the words, then compares bytes only among the terms that share
+    the query term's word.
+    """
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        buf = np.frombuffer(data, dtype=np.uint8)
+        # Term i spans starts[i] to starts[i + 1] - 1, as if data ended in a newline.
+        cuts = np.flatnonzero(buf == ord("\n")) + 1
+        self._starts = (
+            np.concatenate(([0], cuts, [len(data) + 1])) if data else np.zeros(1, dtype=np.int64)
+        )
+        self._words = _prefix_words(buf, self._starts[:-1], self._starts[1:] - 1)
+        # Python ints on indexing, for a bisection per new query term.
+        self._start_at = memoryview(self._starts)
+        self._word_at = memoryview(self._words)
+
+    @classmethod
+    def read(cls, data: bytes, count: int) -> "_Lexicon":
+        """The lexicon of a saved index's terms.txt.
+
+        Raises ValueError unless the data is UTF-8 and lists ``count`` terms
+        in strictly ascending byte order, which rules out duplicates.
+        """
+        data.decode("utf-8")
+        lexicon = cls(data)
+        if len(lexicon) != count:
+            raise ValueError("term counts disagree with the manifest")
+        words = lexicon._words
+        order = f"{_TERMS_FILE} does not list its terms in ascending byte order"
+        if (words[1:] < words[:-1]).any():
+            raise ValueError(order)
+        for i in np.flatnonzero(words[1:] == words[:-1]).tolist():
+            first, second = lexicon._term(i), lexicon._term(i + 1)
+            if first == second:
+                raise ValueError(f"{_TERMS_FILE} lists a term more than once")
+            if first > second:
+                raise ValueError(order)
+        return lexicon
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def _term(self, term_id: int) -> bytes:
+        return self.data[self._start_at[term_id] : self._start_at[term_id + 1] - 1]
+
+    def find(self, term: str) -> int | None:
+        """The term's id, or None if the vocabulary lacks it."""
+        key = term.encode("utf-8")
+        word = int.from_bytes(key[:8].ljust(8, b"\0"), "big")
+        low = bisect_left(self._word_at, word)
+        if low == len(self) or self._word_at[low] != word:
+            return None
+        high = bisect_right(self._word_at, word, low)
+        while low < high:  # among the terms that share the word, bisect on their bytes
+            middle = (low + high) // 2
+            found = self._term(middle)
+            if found == key:
+                return middle
+            if found < key:
+                low = middle + 1
+            else:
+                high = middle
+        return None
 
 
 class BM25Index:
@@ -260,8 +386,9 @@ class BM25Index:
     in the narrowest unsigned dtype that holds it, and ``open`` keeps them so.
     Build and open compute one value per document, its length norm
     ``k1 * (1 - b + b * dl / avgdl)``; a term's BM25 gains are computed by its
-    first query and kept for later ones. The documents sit in a
-    ``_DocumentStore`` and are built only for the hits.
+    first query and kept for later ones, keyed by the term. The vocabulary
+    sits in a ``_Lexicon`` and the documents in a ``_DocumentStore``, which
+    builds only the hits.
 
     Concurrent retrieval is safe: the postings never change after build, and
     two queries that meet a new term at once compute equal arrays, of which
@@ -276,7 +403,7 @@ class BM25Index:
         self,
         store: _DocumentStore,
         doc_lengths: np.ndarray,
-        term_ids: dict[str, int],
+        lexicon: _Lexicon,
         offsets: np.ndarray,
         doc_indices: np.ndarray,
         term_freqs: np.ndarray,
@@ -285,7 +412,7 @@ class BM25Index:
     ) -> None:
         self._store = store
         self._doc_lengths = doc_lengths
-        self._term_ids = term_ids
+        self._lexicon = lexicon
         self._offsets = offsets
         self._doc_indices = doc_indices
         self._term_freqs = term_freqs
@@ -296,13 +423,13 @@ class BM25Index:
         # k1 and b are read here only, so every term's gains use the same values.
         self._k1_plus_1 = k1 + 1.0
         self._k1_norms = k1 * (1.0 - b + b * doc_lengths / (self._avgdl or 1.0))
-        self._gains: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._gains: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def stats(self) -> IndexStats:
         return IndexStats(
             num_documents=len(self._doc_lengths),
-            num_terms=len(self._term_ids),
+            num_terms=len(self._lexicon),
             avg_doc_length=self._avgdl,
         )
 
@@ -346,7 +473,14 @@ class BM25Index:
 
         # The store encodes each document as add has checked and counted it.
         store = _DocumentStore.pack(map(add, documents))
-        term_of_pair = np.array(term_ids, dtype=np.int32)
+        # Term ids become places in byte order (code-point order, as str sorts).
+        terms = sorted(vocabulary)
+        places = np.empty(len(terms), dtype=np.int32)
+        places[np.array([vocabulary[term] for term in terms], dtype=np.intp)] = range(len(terms))
+        # tokenize splits on whitespace, so no term holds a newline.
+        lexicon = _Lexicon("\n".join(terms).encode("utf-8"))
+        # Views of the pair arrays, not copies, which would add to the peak memory.
+        term_of_pair = places[np.frombuffer(term_ids, dtype=np.intc)]
         # A stable sort groups pairs by term and keeps document order within a term.
         order = np.argsort(term_of_pair, kind="stable")
         doc_of_pair = np.repeat(np.arange(len(lengths), dtype=np.int32), distinct_terms)
@@ -355,25 +489,26 @@ class BM25Index:
         return cls(
             store,
             np.array(lengths, dtype=np.int32),
-            dict(vocabulary),
+            lexicon,
             offsets,
             doc_of_pair[order],
-            np.array(term_freqs, dtype=np.int32)[order],
+            np.frombuffer(term_freqs, dtype=np.intc)[order],
             k1=k1,
             b=b,
         )
 
-    def _term_gains(self, term_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """The term's document indices, as intp, and the BM25 gain of each.
+    def _term_gains(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """The term's document indices, as intp, and the BM25 gain of each;
+        None if the vocabulary lacks the term.
 
         Computed at the term's first query. The IDF uses ``math.log`` and the
         gain keeps the scalar formula's operation order, so each gain, and
         each query's sum of gains in query-term order, equals the scalar
         computation bit for bit.
         """
-        cached = self._gains.get(term_id)
-        if cached is not None:
-            return cached
+        term_id = self._lexicon.find(term)
+        if term_id is None:
+            return None
         start, end = self._offsets[term_id : term_id + 2].tolist()
         df, n = end - start, len(self._doc_lengths)
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
@@ -387,7 +522,7 @@ class BM25Index:
         denominators = self._k1_norms[doc_indices]
         denominators += tf
         gains /= denominators
-        return self._gains.setdefault(term_id, (doc_indices, gains))
+        return self._gains.setdefault(term, (doc_indices, gains))
 
     def retrieve(self, query: str, k: int) -> list[RetrievedDocument]:
         """Top-k documents by BM25 score over the tokenized query.
@@ -400,10 +535,10 @@ class BM25Index:
             raise ValueError(f"k must be >= 1, got {k}")
         scores = np.zeros(len(self._doc_lengths))
         for term in tokenize(query):
-            term_id = self._term_ids.get(term)
-            if term_id is None:
+            kept = self._gains.get(term) or self._term_gains(term)
+            if kept is None:
                 continue
-            doc_indices, gains = self._term_gains(term_id)
+            doc_indices, gains = kept
             # A term lists each document once, so this fancy-indexed add is exact.
             scores[doc_indices] += gains
         return self._store.ranked_hits(scores, k)
@@ -431,8 +566,7 @@ class BM25Index:
         dtypes = [np.min_scalar_type(part.max(initial=0)).newbyteorder("<") for part in arrays]
         payloads = {
             _DOCUMENTS_FILE: self._store.data,
-            # tokenize splits on whitespace, so no term holds a newline.
-            _TERMS_FILE: "\n".join(self._term_ids).encode("utf-8"),
+            _TERMS_FILE: self._lexicon.data,
             _POSTINGS_FILE: b"".join(
                 part.astype(dtype).tobytes() for part, dtype in zip(arrays, dtypes)
             ),
@@ -441,7 +575,7 @@ class BM25Index:
             "format_tag": INDEX_FORMAT_TAG,
             "format_version": INDEX_FORMAT_VERSION,
             "num_documents": len(self._doc_lengths),
-            "num_terms": len(self._term_ids),
+            "num_terms": len(self._lexicon),
             "num_postings": len(self._doc_indices),
             "avg_doc_length": self._avgdl,
             "postings_dtypes": dict(zip(_POSTING_ARRAYS, (dtype.str for dtype in dtypes))),
@@ -478,7 +612,7 @@ class BM25Index:
         Validates the format tag and version, each data file's size and
         CRC-32 against the manifest, the manifest's counts, the postings
         dtypes and byte lengths, the postings' document indices and term
-        offsets, the document field offsets and the vocabulary. Any missing,
+        offsets, the document field offsets and the vocabulary's order. Any missing,
         truncated or malformed file raises CorpusError.
         """
         index_dir = Path(index_dir)
@@ -513,18 +647,12 @@ class BM25Index:
             if offsets[0] != 0 or offsets[-1] != p or (offsets[1:] < offsets[:-1]).any():
                 raise ValueError(f"the term offsets decrease or do not span the {p} postings")
             store = _DocumentStore.read(data[_DOCUMENTS_FILE], bounds)
-            vocabulary = data[_TERMS_FILE].decode("utf-8")
-            terms = vocabulary.split("\n") if vocabulary else []
-            if len(terms) != t:
-                raise ValueError("term counts disagree with the manifest")
-            term_ids = dict(zip(terms, range(t)))
-            if len(term_ids) != t:
-                raise ValueError(f"{_TERMS_FILE} lists a term more than once")
+            lexicon = _Lexicon.read(data[_TERMS_FILE], t)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CorpusError(
                 f"corrupt index in {index_dir}: {exc}; rebuild it with `respqa index`"
             ) from exc
-        return cls(store, lengths, term_ids, offsets, doc_indices, term_freqs, k1=k1, b=b)
+        return cls(store, lengths, lexicon, offsets, doc_indices, term_freqs, k1=k1, b=b)
 
 
 class _Vocabulary(dict):
@@ -640,9 +768,10 @@ def load_vectors(path: str | Path) -> dict[str, np.ndarray]:
     again with ``json.loads``, and that parse decides: orjson reads an
     integer beyond 64 bits as a float and takes nesting of any depth. So
     every row accepted and every message are the ones ``json.loads`` gives.
-    A row whose line ends in ``]}`` with no ``"``, ``u`` or ``l`` after its
-    last ``[`` holds only numbers or containers: one ``np.array`` call
-    converts it if that gives 1-D. Other rows are checked component by component.
+    A row whose line has no ``"``, ``u`` or ``l`` from its last ``[`` on
+    ends with its vector, which holds only numbers or containers: one
+    ``np.array`` call converts it if that gives 1-D. Other rows are checked
+    component by component.
     """
     import orjson  # deferred: BM25-only runs never load it
 
@@ -666,12 +795,11 @@ def load_vectors(path: str | Path) -> dict[str, np.ndarray]:
 def _numbers_only(line: bytes) -> bool:
     """Whether an orjson-parsed {"id": str, "vector": list} row's line proves
     that the vector holds no string, boolean or null."""
-    # As id is a string, a line ending in ]} ends with the vector array, the
-    # value both parsers keep of a duplicated key (the last); its last [ lies
-    # within that array. Every string, true, false and null holds a ", u or l.
-    # A nested array or an object makes np.array raise or give ndim != 1.
-    if not line.rstrip().endswith(b"]}"):
-        return False
+    # Every string, true, false and null holds a ", u or l. A member after the
+    # vector holds a " (its key), so a line with none of the three from its
+    # last [ on ends with the vector array, the value both parsers keep of a
+    # duplicated key (the last), and that [ lies within it. A nested array or
+    # an object makes np.array raise or give ndim != 1.
     start = line.rfind(b"[")
     return line.find(b'"', start) < 0 and line.find(b"u", start) < 0 and line.find(b"l", start) < 0
 

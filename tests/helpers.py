@@ -247,6 +247,13 @@ def edit_postings_array(index_dir, name, edit):
     rewrite_index_file(index_dir, "postings.bin", b"".join(a.tobytes() for a in arrays.values()))
 
 
+def swap_terms(index_dir, first, second):
+    """Swap two lines of terms.txt, keeping its CRC-32 right."""
+    terms = (index_dir / "terms.txt").read_bytes().split(b"\n")
+    terms[first], terms[second] = terms[second], terms[first]
+    rewrite_index_file(index_dir, "terms.txt", b"\n".join(terms))
+
+
 def swap_second_and_third(bounds):
     bounds[[1, 2]] = bounds[[2, 1]]
 

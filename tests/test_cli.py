@@ -14,6 +14,7 @@ from helpers import (
     overplanning_rules,
     point_past_the_documents,
     swap_second_and_third,
+    swap_terms,
 )
 
 
@@ -647,8 +648,9 @@ class TestDamagedIndex:
             (lambda data: data.pop("postings_dtypes"), "postings_dtypes"),
             (lambda data: data["postings_dtypes"].update(term_freqs="<f8"), "'<f8'"),
             (lambda data: data.update(format_version=3), "version 3"),
+            (lambda data: data.update(format_version=4), "version 4"),
         ],
-        ids=["version-2", "no-dtypes", "unknown-dtype", "version-3"],
+        ids=["version-2", "no-dtypes", "unknown-dtype", "version-3", "version-4"],
     )
     def test_manifest_this_version_cannot_read_is_io_error_naming_the_fix(
         self, index_dir, script_path, capsys, edit, fragment
@@ -676,6 +678,12 @@ class TestDamagedIndex:
         assert self.ask(index_dir, script_path) == EXIT_IO
         err = capsys.readouterr().err
         assert fragment in err and "respqa index" in err
+
+    def test_terms_out_of_order_are_io_error(self, index_dir, script_path, capsys):
+        swap_terms(index_dir, 0, 1)
+        assert self.ask(index_dir, script_path) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "terms.txt" in err and "ascending byte order" in err and "respqa index" in err
 
     def test_reindex_replaces_the_index(self, corpus_path, index_dir, script_path, capsys):
         (index_dir / "postings.bin").write_bytes(b"")

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import random
@@ -8,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import respqa.retrieval
 from respqa.errors import CorpusError, RetrieverError
 from respqa.retrieval import (
     BM25Index,
@@ -26,6 +28,7 @@ from helpers import (
     point_past_the_documents,
     rewrite_index_file,
     swap_second_and_third,
+    swap_terms,
 )
 
 
@@ -352,6 +355,16 @@ class TestPersistence:
             (TEN_DOCS, duplicate_the_first_term, "terms.txt lists a term more than once"),
             (
                 TEN_DOCS,
+                lambda idx: swap_terms(idx, 0, 1),
+                "terms.txt does not list its terms in ascending byte order",
+            ),
+            (
+                [doc(0, "internationalism internationalization"), doc(1, "cat")],
+                lambda idx: swap_terms(idx, 1, 2),
+                "terms.txt does not list its terms in ascending byte order",
+            ),
+            (
+                TEN_DOCS,
                 lambda idx: edit_postings_array(idx, "doc_indices", point_past_the_documents),
                 "a posting's document index is not below 10 documents",
             ),
@@ -372,7 +385,8 @@ class TestPersistence:
             ),
         ],
         ids=["fields-decrease", "fields-end-short", "field-inside-a-character", "invalid-utf8",
-             "duplicate-term", "doc-index-past-the-end", "offsets-decrease", "offsets-start-late",
+             "duplicate-term", "terms-out-of-order", "terms-out-of-order-past-8-bytes",
+             "doc-index-past-the-end", "offsets-decrease", "offsets-start-late",
              "offsets-end-short"],
     )
     def test_open_rejects_files_that_disagree(self, tmp_path, docs, damage, fragment):
@@ -420,6 +434,119 @@ class TestPersistence:
         manifest.write_text(json.dumps(data))
         with pytest.raises(CorpusError, match="format tag"):
             BM25Index.open(tmp_path / "idx")
+
+
+def random_ids(rng: random.Random, count: int) -> list[str]:
+    """Distinct ids built from pieces that tie under an 8-byte, zero-padded
+    prefix: shared long prefixes, NULs and multi-byte characters."""
+    pieces = ["a", "b", "\u0000", "\u00e9", "\U00010000", "prefix-l", "ong-"]
+    ids: set[str] = set()
+    while len(ids) < count:
+        ids.add("".join(rng.choices(pieces, k=rng.randint(1, 5))))
+    return sorted(ids, key=lambda _: rng.random())
+
+
+TIE_IDS = {
+    "byte-prefixes": ["ab", "a", "abc", "b", "aa", "abcdefghij", "abcdefgh", "abcdefghi"],
+    # Zero padding alone would make each of these equal to "a" or to "".
+    "nul-bytes": ["a\u0000", "a", "\u0000", "a\u0000\u0000", "\u0000\u0000", "a\u0000b",
+                  "a" + "\u0000" * 8, "a" + "\u0000" * 9, "a" + "\u0000" * 8 + "b"],
+    "shared-8-bytes": ["prefix-long-10", "prefix-long-1", "prefix-lon", "prefix-long-2",
+                       "prefix-l", "prefix-long", "prefix-long-1\u00e9", "prefix-long-\U00010000",
+                       "prefix-long-1\u0000"],
+    "random-120": random_ids(random.Random(11), 120),
+}
+
+
+@pytest.mark.parametrize("all_tied", [False, True], ids=["tie-groups", "all-tied"])
+@pytest.mark.parametrize("retriever", ["bm25", "reopened", "dense"])
+@pytest.mark.parametrize("name", list(TIE_IDS))
+def test_ties_follow_doc_id_bytes_like_brute_force(tmp_path, name, retriever, all_tied):
+    ids = TIE_IDS[name]
+    # Shorter texts score higher for "same"; each text is one group of equal
+    # scores, and its members are spread over the corpus, so at some k a
+    # group straddles the k-th place.
+    texts = ["same words"] if all_tied else ["same", "same words", "same words here"]
+    group = {doc_id: i % len(texts) for i, doc_id in enumerate(ids)}
+    docs = [Document(doc_id, "t", texts[group[doc_id]]) for doc_id in ids]
+    if retriever == "dense":
+        vectors = {doc_id: [1.0, 0.5 * group[doc_id]] for doc_id in ids}
+        ranker = EmbeddingRetriever(docs, vectors, lambda _: [1.0, 0.0])
+    else:
+        ranker = BM25Index.build(docs)
+        if retriever == "reopened":
+            ranker.save(tmp_path / "idx")
+            ranker = BM25Index.open(tmp_path / "idx")
+    for k in sorted({*range(1, 12), len(ids) // 2, len(ids) - 1, len(ids), len(ids) + 1}):
+        if retriever == "dense":
+            expected = cosine_brute_force(docs, vectors, [1.0, 0.0], k)
+        else:
+            expected = bm25_brute_force(docs, "same", k)
+        hits = ranker.retrieve("same", k)
+        assert [hit.doc_id for hit in hits] == [doc_id for doc_id, _ in expected]
+        assert [hit.rank for hit in hits] == list(range(1, len(hits) + 1))
+        if retriever != "dense":
+            assert [hit.score for hit in hits] == [score for _, score in expected]
+
+
+VOCABULARY_DOCS = {
+    "long-and-non-ascii": [
+        Document("v0", "t", "internationalization international internationalism b"),
+        Document("v1", "t", "internat internatio caf\u00e9 cafe caf\u00e9s c"),
+        Document("v2", "t", "\u65e5\u672c\u8a9e a\u0000 a\u0000\u0000 a\u0000b internationale"),
+        Document("v3", "t", "b c b cafe \U00010000 \uff61 internationalism"),
+    ],
+    # terms.txt is "x\ny": shorter than one 8-byte word.
+    "under-8-bytes": [Document("v0", "t", "x y"), Document("v1", "t", "y")],
+}
+
+
+@pytest.mark.parametrize("name", list(VOCABULARY_DOCS))
+def test_vocabulary_lookups_match_brute_force(tmp_path, name):
+    docs = VOCABULARY_DOCS[name]
+    vocabulary = {term for d in docs for term in tokenize(d.text)}
+    absent = [
+        "0", "a", "\u0000", "aa", "\U0010ffff", "zzz", "\u00ff\u00ff", "internationa", "internationalizations", "internationalisation", "internat\u00e9",
+        "caf", "caf\u00e8", "\u65e5\u672c", "a\u0000\u0000\u0000", "a\u0000c", "w",
+    ]
+    assert vocabulary.isdisjoint(absent)
+    # Query terms before the first term and after the last (str order is byte order).
+    assert min(absent) < min(vocabulary) and max(absent) > max(vocabulary)
+    built = BM25Index.build(docs)
+    built.save(tmp_path / "idx")
+    reopened = BM25Index.open(tmp_path / "idx")
+    terms = (tmp_path / "idx" / "terms.txt").read_bytes().split(b"\n")
+    assert terms == sorted(term.encode() for term in vocabulary)
+    for query in [*sorted(vocabulary), *absent, " ".join(sorted(vocabulary)), "b " + absent[0]]:
+        expected = bm25_brute_force(docs, query, 10)
+        for index in (built, reopened):
+            assert [(hit.doc_id, hit.score) for hit in index.retrieve(query, 10)] == expected
+
+
+def held_blocks(index_dir) -> int:
+    """Memory blocks allocated by retrieval code that an opened index still holds."""
+    BM25Index.open(index_dir)  # any one-time cache is filled before the count
+    gc.collect()
+    tracemalloc.start(64)
+    try:
+        index = BM25Index.open(index_dir)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert index.stats.num_terms > 0
+    own = tracemalloc.Filter(True, respqa.retrieval.__file__, all_frames=True)
+    return len(snapshot.filter_traces([own]).traces)
+
+
+def test_an_opened_index_holds_no_object_per_document_or_term(tmp_path):
+    held = {}
+    for n in (1000, 4000):
+        docs = [Document(f"doc-{i}", "t", f"w{i} x{i} shared") for i in range(n)]
+        BM25Index.build(docs).save(tmp_path / str(n))
+        held[n] = held_blocks(tmp_path / str(n))
+    # 3000 more documents and 6000 more terms: one object each would add thousands.
+    assert held[4000] <= held[1000], held
 
 
 class TestReadCorpus:
@@ -1066,7 +1193,7 @@ def test_dense_retriever_holds_its_documents_as_utf8():
         tracemalloc.stop()
     assert len(retriever.retrieve("q", 3)) == 3
     # A list of decoded Documents held ~1.57 times their UTF-8 size; the store
-    # holds the bytes plus their offsets, the tie-break ranks and the unit rows.
+    # holds the bytes plus their offsets, and the unit rows.
     assert held < 1.25 * utf8_bytes
 
 
