@@ -273,26 +273,27 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class EarlyCall:
-    """A request sent before its reply is needed: its prompt and the reply."""
+class AgentCall:
+    """An agent's request, its prompt-log key, and its reply if it was started."""
 
-    prompt: str
-    reply: Future[LlmResponse]
+    key: str
+    request: LlmRequest
+    reply: Future[LlmResponse] | None
 
 
 @dataclass(frozen=True)
 class PipelineAgents:
     """Agent frontend: (router, templates, config) in, parsed results out.
 
-    Each method makes at most two LLM calls (plan retry). Every call
-    assembles its prompt under the input cap, appends ``(key, prompt)`` to
-    ``prompt_log`` if there is one, and goes through the router. The token
-    caps and the generator temperature come from ``config``; the reasoner and
-    summarizer always run at 0.0. ``start_generate`` sends the generate
-    request from a helper thread, so a caller can have it in flight while it
-    makes another call; ``generate`` then takes its reply. Agents without a
-    log are safe to share across threads; a run gives its own copy a fresh
-    log.
+    Each method makes at most two LLM calls (plan retry). Every call goes one
+    way: ``_start`` assembles its prompt under the input cap and builds the
+    request, and ``_take`` appends ``(key, prompt)`` to ``prompt_log`` if
+    there is one, then returns the reply. The token caps and the generator
+    temperature come from ``config``; the reasoner and summarizer always run
+    at 0.0. ``start_generate`` starts the generate call ahead, on a helper
+    thread, so a caller can have it in flight while it makes another call;
+    ``generate`` then takes its reply. Agents without a log are safe to share
+    across threads; a run gives its own copy a fresh log.
     """
 
     router: BackendRouter
@@ -300,39 +301,33 @@ class PipelineAgents:
     config: PipelineConfig = field(default_factory=PipelineConfig)
     prompt_log: list[tuple[str, str]] | None = field(default=None, compare=False)
 
-    def _prompt(
-        self, template: str, bindings: dict[str, str],
-        docs: list[str] | None = None, doc_slot: str = SLOT_DOCS,
-    ) -> str:
-        return assemble_prompt(
-            template,
-            bindings,
-            docs=docs,
-            doc_slot=doc_slot,
+    def _start(
+        self, key: str, role_tag: str, template: str, bindings: dict[str, str],
+        docs: list[str] | None = None, doc_slot: str = SLOT_DOCS, ahead: bool = False,
+    ) -> AgentCall:
+        """The call, its prompt assembled under the input cap; with ``ahead``,
+        started now if the router starts it (``BackendRouter.start``)."""
+        prompt = assemble_prompt(
+            template, bindings, docs=docs, doc_slot=doc_slot,
             max_input_tokens=self.config.max_input_tokens,
         )
+        temperature = self.config.generator_temperature if role_tag == "generator" else 0.0
+        request = LlmRequest(prompt, self.config.max_output_tokens, temperature, role_tag)
+        return AgentCall(key, request, self.router.start(request) if ahead else None)
 
-    def _request(self, role_tag: str, prompt: str) -> LlmRequest:
-        return LlmRequest(
-            prompt=prompt,
-            max_output_tokens=self.config.max_output_tokens,
-            temperature=self.config.generator_temperature if role_tag == "generator" else 0.0,
-            role_tag=role_tag,
-        )
-
-    def _log(self, key: str, prompt: str) -> None:
+    def _take(self, call: AgentCall) -> str:
+        """The call's reply text, its prompt logged first; sent from here if not begun."""
         if self.prompt_log is not None:
-            self.prompt_log.append((key, prompt))
-
-    def _send(self, key: str, role_tag: str, prompt: str) -> str:
-        self._log(key, prompt)
-        return self.router.complete(self._request(role_tag, prompt)).text
+            self.prompt_log.append((call.key, call.request.prompt))
+        if call.reply is None or call.reply.cancel():
+            return self.router.complete(call.request).text
+        return call.reply.result().text
 
     def _call(
         self, key: str, role_tag: str, template: str, bindings: dict[str, str],
         docs: list[str] | None = None, doc_slot: str = SLOT_DOCS,
     ) -> str:
-        return self._send(key, role_tag, self._prompt(template, bindings, docs, doc_slot))
+        return self._take(self._start(key, role_tag, template, bindings, docs, doc_slot))
 
     def summarize_global(self, docs: list[RetrievedDocument], overarching_question: str) -> str:
         """Summary of support for the overarching question found in ``docs``."""
@@ -394,39 +389,32 @@ class PipelineAgents:
         forced = not normalized or normalized in forbidden
         return PlanResult(sub_question=question, attempts=2, forced_termination=forced)
 
-    def start_generate(self, overarching_question: str, memory: MemoryState) -> EarlyCall | None:
-        """Send ``generate``'s request now, from a helper thread, for a later
-        ``generate(overarching_question, memory, early)`` over the same memory.
-
-        Never raises. None, and nothing sent, when the prompt does not
-        assemble or the router does not start the call (``BackendRouter.start``);
-        ``generate`` then makes the call, and raises the error, itself.
+    def start_generate(self, overarching_question: str, memory: MemoryState) -> AgentCall | None:
+        """``generate``'s call over this memory, started now if the router starts
+        it. Never raises: None when the prompt does not assemble (``generate``
+        then raises the error), and a reply of None when the call was not started.
         """
         try:
-            prompt = self._prompt(
-                self.templates.generate, _memory_bindings(overarching_question, memory)
+            return self._start(
+                "generate", "generator", self.templates.generate,
+                _memory_bindings(overarching_question, memory), ahead=True,
             )
         except PromptError:
             return None
-        reply = self.router.start(self._request("generator", prompt))
-        return None if reply is None else EarlyCall(prompt, reply)
 
     def generate(
-        self, overarching_question: str, memory: MemoryState, early: EarlyCall | None = None
+        self, overarching_question: str, memory: MemoryState, early: AgentCall | None = None
     ) -> str:
         """Final answer from the memory queues, trimmed.
 
-        With ``early`` from ``start_generate``, waits for that request's reply
-        instead of sending it again; a request that has not begun yet is
-        cancelled and sent from here. Either way the prompt is logged here.
+        With ``early`` from ``start_generate``, takes that call in place of a new
+        one: its reply if it was started and has begun, else it is sent from here.
         """
-        if early is None:
-            bindings = _memory_bindings(overarching_question, memory)
-            return self._call("generate", "generator", self.templates.generate, bindings).strip()
-        if early.reply.cancel():
-            return self._send("generate", "generator", early.prompt).strip()
-        self._log("generate", early.prompt)
-        return early.reply.result().text.strip()
+        call = early or self._start(
+            "generate", "generator", self.templates.generate,
+            _memory_bindings(overarching_question, memory),
+        )
+        return self._take(call).strip()
 
     def generate_standard(self, overarching_question: str, docs: list[RetrievedDocument]) -> str:
         """Single-shot baseline: trimmed answer from the raw documents."""

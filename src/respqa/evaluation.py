@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .errors import DatasetError
 from .files import replaced_on_success
 from .jsonl import read_jsonl
-from .retrieval import strip_punctuation, tokenize
+from .retrieval import strip_punctuation
 
 if TYPE_CHECKING:
     from .pipeline import RunTrace
@@ -74,8 +74,9 @@ def normalize_answer(text: str) -> str:
 
 
 def _f1_single(prediction: str, gold: str) -> float:
-    pred_tokens = tokenize(normalize_answer(prediction))
-    gold_tokens = tokenize(normalize_answer(gold))
+    # normalize_answer's words are already tokens: lowercase, no punctuation.
+    pred_tokens = normalize_answer(prediction).split()
+    gold_tokens = normalize_answer(gold).split()
     if not pred_tokens and not gold_tokens:
         return 1.0
     overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())

@@ -380,10 +380,7 @@ class BackendRouter:
         self._bindings = dict(bindings)
 
     def backend_for(self, role_tag: str) -> LlmBackend:
-        try:
-            return self._bindings[role_tag]
-        except KeyError:
-            raise ConfigurationError(f"no backend bound for role: {role_tag!r}") from None
+        return self._bindings[role_tag]
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         return self.backend_for(request.role_tag).complete(request)

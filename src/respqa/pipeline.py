@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .agents import (
     NO_INFO_SENTINEL,
-    EarlyCall,
+    AgentCall,
     Judgement,
     LocalAnswer,
     PipelineAgents,
@@ -102,9 +102,9 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
     and the generator temperature are ``config``'s, whatever ``agents`` holds.
 
     The last allowed round generates whatever the judge says, from the memory
-    the judge reads, so its generate request is sent alongside the judge's:
-    a question can have two LLM calls in flight. A backend that replies by
-    call order gets them one at a time, in the order of the other rounds.
+    the judge reads, so its generate call is started before the judge's: a
+    question can have two LLM calls in flight. A backend that replies by call
+    order gets the same request after the judge's, as in the other rounds.
     A judge failure is the error raised, and the generator's reply is dropped.
     """
     if not question.strip():
@@ -116,7 +116,7 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
     anomalies: list[str] = []
     sub_question = question
     stop_reason = STOP_MAX_ITERATIONS
-    early: EarlyCall | None = None
+    early: AgentCall | None = None
 
     try:
         for round_index in range(config.max_iterations):
@@ -190,7 +190,7 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
     except BackendError as exc:
         raise _round_failure(exc, round_index) from exc
     finally:
-        if early is not None:
+        if early is not None and early.reply is not None:
             early.reply.cancel()  # a failed run sends no request it has not begun
     _, generate_prompt = log[-1]
     if config.log_prompts:

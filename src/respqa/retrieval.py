@@ -145,21 +145,23 @@ class Retriever(Protocol):
 def read_corpus(path: str | Path) -> Iterator[Document]:
     """Yield documents from a JSONL corpus file.
 
-    Each line must be an object with non-empty string values for ``id``,
-    ``title`` may be empty, and ``contents`` must be non-empty after
-    trimming. No field may hold a lone surrogate (a JSON ``\\ud800``
-    escape), which UTF-8 cannot encode. Malformed lines raise CorpusError
-    naming the line number.
+    Each line must be an object with string values for ``id`` (non-empty),
+    ``title`` (may be empty) and ``contents`` (non-empty after trimming). No
+    field may hold a lone surrogate (a JSON ``\\ud800`` escape), which UTF-8
+    cannot encode. Malformed lines raise CorpusError naming the line number.
     """
     keys = ("id", "title", "contents")
     for where, row in read_jsonl(path, CorpusError, keys):
         doc_id = row["id"]
         if not isinstance(doc_id, str) or not doc_id:
             raise CorpusError(f"{where}: 'id' must be a non-empty string")
+        title = row["title"]
+        if not isinstance(title, str):
+            raise CorpusError(f"{where}: 'title' must be a string")
         text = row["contents"]
         if not isinstance(text, str) or not text.strip():
             raise CorpusError(f"{where}: 'contents' must be non-empty")
-        doc = Document(doc_id=doc_id, title=str(row["title"]), text=text)
+        doc = Document(doc_id=doc_id, title=title, text=text)
         for key, field in zip(keys, doc):
             if field.isascii():  # no surrogate; CPython reads this from a flag
                 continue

@@ -10,7 +10,7 @@ from respqa.agents import (
     NO_INFO_SENTINEL,
     SLOT_MEMORY,
     SLOT_OVERARCHING,
-    EarlyCall,
+    AgentCall,
     PipelineAgents,
     PipelineConfig,
     PromptTemplateSet,
@@ -25,7 +25,7 @@ from respqa.agents import (
 )
 from respqa import llm
 from respqa.errors import ConfigurationError, PromptError, PromptTooLargeError
-from respqa.llm import LlmResponse, ScriptedRule, whitespace_token_estimate
+from respqa.llm import LlmRequest, LlmResponse, ScriptedRule, whitespace_token_estimate
 from respqa.memory import NO_ANSWER_MARKER, MemoryState, normalize_question
 from respqa.retrieval import RetrievedDocument
 
@@ -532,8 +532,8 @@ class TestEarlyGenerate:
         early = agents.start_generate("q?", memory)
         assert early.reply.result(timeout=5).text == "  early answer "
         assert agents.generate("q?", memory, early) == "early answer"
-        assert [r.prompt for r in backend.requests] == [early.prompt]
-        assert log == [("generate", early.prompt)]
+        assert [r.prompt for r in backend.requests] == [early.request.prompt]
+        assert log == [("generate", early.request.prompt)]
         assert backend.requests[0].role_tag == "generator"
 
     @staticmethod
@@ -545,7 +545,8 @@ class TestEarlyGenerate:
         router, backend = capture_router("inline answer")
         log = []
         agents = replace(PipelineAgents(router), prompt_log=log)
-        never_begun = EarlyCall("the prompt", Future())
+        request = LlmRequest("the prompt", max_output_tokens=200, role_tag="generator")
+        never_begun = AgentCall("generate", request, Future())
         # A helper that takes the request up late, should generate wait for it.
         late = threading.Timer(5.0, self.reply_late, [never_begun.reply])
         late.start()
@@ -558,9 +559,17 @@ class TestEarlyGenerate:
         assert log == [("generate", "the prompt")]
 
     def test_order_dependent_backend_is_not_started(self):
-        agents, backend = scripted_agents([ScriptedRule(GENERATE_MARKER, "x")])
-        assert agents.start_generate("q?", memory_with(["ev"])) is None
+        agents, backend = scripted_agents([ScriptedRule(GENERATE_MARKER, " x ")])
+        log = []
+        agents = replace(agents, prompt_log=log)
+        memory = memory_with(["ev"])
+        early = agents.start_generate("q?", memory)
+        assert early.reply is None
         assert backend.history == []
+        # generate sends the call it was given, once, without a second prompt.
+        assert agents.generate("q?", memory, early) == "x"
+        assert [call.prompt for call in backend.history] == [early.request.prompt]
+        assert log == [("generate", early.request.prompt)]
 
     def test_prompt_over_the_cap_is_not_started(self):
         router, backend = capture_router()
@@ -579,5 +588,5 @@ class TestEarlyGenerate:
         monkeypatch.setattr(llm, "_HELPERS", llm._Helpers())
         monkeypatch.setattr(llm.threading, "Thread", Refused)
         router, backend = capture_router()
-        assert PipelineAgents(router).start_generate("q?", memory_with(["ev"])) is None
+        assert PipelineAgents(router).start_generate("q?", memory_with(["ev"])).reply is None
         assert backend.requests == []

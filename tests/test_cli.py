@@ -13,6 +13,7 @@ from helpers import (
     film_corpus,
     overplanning_rules,
     point_past_the_documents,
+    rewrite_index_file,
     swap_second_and_third,
     swap_terms,
 )
@@ -92,6 +93,13 @@ class TestIndexCommand:
         path.write_text(json.dumps(row) + "\n" + json.dumps(row) + "\n")
         assert main(["index", str(path), "--out", str(tmp_path / "idx")]) == EXIT_IO
         assert "dup-doc" in capsys.readouterr().err
+
+    def test_non_string_title_is_io_error_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({"id": "d1", "title": None, "contents": "text"}) + "\n")
+        assert main(["index", str(path), "--out", str(tmp_path / "idx")]) == EXIT_IO
+        assert f"{path}:1: 'title' must be a string" in capsys.readouterr().err
+        assert not (tmp_path / "idx").exists()
 
     def test_lone_surrogate_is_io_error_naming_the_line(self, tmp_path, capsys):
         path = tmp_path / "corpus.jsonl"
@@ -420,6 +428,13 @@ class TestUnreadableInput:
         assert f"{path}:2: not UTF-8 JSON ('utf-8' codec can't decode" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, code", CASES)
+    def test_line_that_is_not_an_object(self, kind, code, tmp_path, index_dir, script_path, capsys):
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text(json.dumps(self.FIRST_ROWS[kind]) + "\n[1, 2]\n")
+        assert self.run(kind, path, tmp_path, index_dir, script_path) == code
+        assert f"{path}:2: expected an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, code", CASES)
     def test_deeply_nested_line(self, kind, code, tmp_path, index_dir, script_path, capsys):
         path = tmp_path / f"{kind}.jsonl"
         deep = b"[" * 100_000 + b"]" * 100_000
@@ -606,6 +621,11 @@ class TestSweepCommand:
         )
         assert code == EXIT_CONFIG
 
+    def test_k_list_without_a_value(self, index_dir, script_path, dataset_path, capsys):
+        argv = ["sweep", str(dataset_path), "--k", ",", "--index-dir", str(index_dir)]
+        assert main([*argv, "--script", str(script_path)]) == EXIT_CONFIG
+        assert "--k must name at least one value" in capsys.readouterr().err
+
     def test_unknown_pipeline(self, index_dir, script_path, dataset_path):
         code = main(
             [
@@ -620,6 +640,12 @@ class TestSweepCommand:
             ]
         )
         assert code == EXIT_CONFIG
+
+
+def drop_the_last_term(index_dir):
+    """terms.txt one term short of the manifest's num_terms, its CRC-32 kept right."""
+    terms = (index_dir / "terms.txt").read_bytes()
+    rewrite_index_file(index_dir, "terms.txt", terms[: terms.rindex(b"\n")])
 
 
 class TestDamagedIndex:
@@ -678,6 +704,21 @@ class TestDamagedIndex:
         assert self.ask(index_dir, script_path) == EXIT_IO
         err = capsys.readouterr().err
         assert fragment in err and "respqa index" in err
+
+    @pytest.mark.parametrize(
+        "damage, fragment",
+        [
+            (lambda index: (index / "manifest.json").write_text("[1, 2]"), "not a JSON object"),
+            (drop_the_last_term, "term counts disagree with the manifest"),
+        ],
+        ids=["manifest-not-an-object", "num-terms-disagrees"],
+    )
+    def test_manifest_that_disagrees_is_io_error(
+        self, index_dir, script_path, capsys, damage, fragment
+    ):
+        damage(index_dir)
+        assert self.ask(index_dir, script_path) == EXIT_IO
+        assert fragment in capsys.readouterr().err
 
     def test_terms_out_of_order_are_io_error(self, index_dir, script_path, capsys):
         swap_terms(index_dir, 0, 1)

@@ -272,6 +272,7 @@ class TestValidation:
             ("pipeline", "generator_temperature", True),
             ("retriever", "k1", True),
             ("retriever", "b", False),
+            ("retriever", "k1", "abc"),
         ],
     )
     def test_out_of_range_numeric_setting(self, tmp_path, script_path, section, key, value):
@@ -409,6 +410,7 @@ class TestValidation:
             ({"backends": {"main": {"kind": "http", "endpoint": "localhost:9/v1"}}}, "'main'"),
             ({"backends": {"main": {"kind": "http", "endpoint": "ftp://x/v1"}}}, "'main'"),
             ({"retriever": {"kind": "embedding", "endpoint": "localhost:9/v1"}}, "retriever"),
+            ({"backends": {"main": {"kind": "http", "endpoint": "http://[::1"}}}, "'main'"),
         ],
     )
     def test_non_http_endpoint_in_file(self, tmp_path, script_path, data, named):

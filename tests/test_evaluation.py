@@ -102,6 +102,10 @@ class TestExactMatch:
     def test_any_gold(self):
         assert exact_match("42", ["41", "42"]) == 1.0
 
+    def test_requires_golds(self):
+        with pytest.raises(ValueError):
+            exact_match("x", [])
+
 
 class TestLoadDataset:
     def write(self, tmp_path, rows):
@@ -141,6 +145,12 @@ class TestLoadDataset:
         path.write_text(json.dumps(self.good_rows(1)[0]) + "\n{oops\n")
         with pytest.raises(DatasetError, match=":2:"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("question", ["", "  \t"])
+    def test_blank_question_names_line(self, tmp_path, question):
+        rows = [*self.good_rows(1), {"id": "q1", "question": question, "golden_answers": ["a"]}]
+        with pytest.raises(DatasetError, match=":2: 'question' must be non-empty"):
+            load_dataset(self.write(tmp_path, rows))
 
     def test_empty_golds_rejected(self, tmp_path):
         path = self.write(tmp_path, [{"id": "x", "question": "q?", "golden_answers": []}])

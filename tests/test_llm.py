@@ -322,6 +322,24 @@ def test_order_dependence_read_only_in_the_gateway():
     assert offenders == []
 
 
+def test_calls_started_ahead_only_in_agents_start():
+    # PipelineAgents._start is the one place an agent call is sent ahead of
+    # its use: a second path would build its request or log its prompt apart.
+    import inspect
+    import pathlib
+
+    import respqa
+    from respqa.agents import PipelineAgents
+
+    root = pathlib.Path(respqa.__file__).parent
+    counts = {
+        path.name: path.read_text(encoding="utf-8").count("router.start(")
+        for path in root.rglob("*.py")
+    }
+    assert {name: count for name, count in counts.items() if count} == {"agents.py": 1}
+    assert "router.start(" in inspect.getsource(PipelineAgents._start)
+
+
 def test_threads_started_only_in_the_gateway():
     # The early-call helpers in llm.py are the package's own threads; batch
     # parallelism goes through an executor. No other module starts one.

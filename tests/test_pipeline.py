@@ -209,6 +209,24 @@ class TestLoopDecisions:
         assert trace.stop_reason == STOP_MAX_ITERATIONS
         assert len(backend.history) == 3  # no plan call at the final round
 
+    def test_a_scripted_capped_question_assembles_its_generate_prompt_once(self, monkeypatch):
+        # The scripted backend is not started early; generate sends the call
+        # start_generate built, without assembling its prompt again.
+        templates = []
+        assemble = respqa.agents.assemble_prompt
+
+        def counting(template, *args, **kwargs):
+            templates.append(template)
+            return assemble(template, *args, **kwargs)
+
+        monkeypatch.setattr(respqa.agents, "assemble_prompt", counting)
+        index = BM25Index.build(TOPIC_DOCS)
+        agents, backend = scripted_agents(always_no_rules())
+        trace = run_resp(TOPIC_QUESTION, index, agents, PipelineConfig())
+        assert trace.stop_reason == STOP_MAX_ITERATIONS
+        assert templates.count(agents.templates.generate) == 1
+        assert backend.history[-1].role_tag == "generator"
+
     def test_no_duplicate_subquestions_across_trace(self):
         index = BM25Index.build(TOPIC_DOCS)
         agents, _ = scripted_agents(always_no_rules())
@@ -460,6 +478,13 @@ class TestStandardRag:
             )
             sizes.append(trace.generator_prompt_tokens)
         assert sizes[0] < sizes[1] < sizes[2]
+
+    def test_empty_question_rejected(self):
+        index = BM25Index.build(TOPIC_DOCS)
+        agents, backend = scripted_agents([])
+        with pytest.raises(ValueError):
+            run_standard_rag("   ", index, agents, PipelineConfig())
+        assert backend.history == []
 
     def test_zero_hits_generates_from_empty_reference(self):
         index = BM25Index.build(offtopic_corpus())

@@ -1,6 +1,7 @@
 """Property tests: the reply parsers are total, the input cap holds for any cap,
-a saved index keeps its documents and ranks like the one it was saved from, and
-the vectors file parses to the rows json.loads gives, whatever its values."""
+a saved index keeps its documents and ranks like the one it was saved from,
+the vectors file parses to the rows json.loads gives, whatever its values, and
+token F1 scores the tokens of the normalized answers."""
 
 import json
 import math
@@ -21,11 +22,12 @@ from respqa.agents import (
     parse_plan_surface,
 )
 from respqa.errors import CorpusError, PromptTooLargeError
+from respqa.evaluation import normalize_answer, token_f1
 from respqa.llm import truncate_to_token_estimate, whitespace_token_estimate
 from respqa.memory import NO_ANSWER_MARKER
-from respqa.retrieval import BM25Index, Document, load_vectors
+from respqa.retrieval import BM25Index, Document, load_vectors, tokenize
 
-from helpers import bm25_brute_force
+from helpers import bm25_brute_force, f1_brute_force
 
 # Replies near the parsers' prefixes are where a parse could go wrong.
 replies = st.one_of(
@@ -296,3 +298,27 @@ def test_vectors_with_any_values_parse_to_the_rows_json_loads_gives(
             assert list(loaded) == [doc_id]
             got = loaded[doc_id].tobytes()
     assert got == expected
+
+
+# Case pairs that change length or context (İ, ß, final sigma), articles and
+# punctuation are where skipping tokenize could change the tokens.
+answers = st.one_of(
+    st.text(),
+    st.builds(
+        "".join,
+        st.lists(
+            st.sampled_from(
+                ["İ", "ß", "Σ", "ς", "The", " a ", "an", "-", "!", "\u00a0", "x", " "]
+            ),
+            max_size=10,
+        ),
+    ),
+)
+
+
+@given(prediction=answers, gold=answers)
+def test_token_f1_scores_the_tokenized_normalized_answers(prediction, gold):
+    expected = f1_brute_force(
+        tokenize(normalize_answer(prediction)), tokenize(normalize_answer(gold))
+    )
+    assert token_f1(prediction, [gold]) == expected

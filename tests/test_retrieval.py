@@ -582,6 +582,23 @@ class TestReadCorpus:
         with pytest.raises(CorpusError, match="contents"):
             list(read_corpus(path))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("title", None, "'title' must be a string"),
+            ("title", 7, "'title' must be a string"),
+            ("title", ["x"], "'title' must be a string"),
+            ("id", "", "'id' must be a non-empty string"),
+            ("id", 7, "'id' must be a non-empty string"),
+        ],
+    )
+    def test_bad_field_value_names_line(self, tmp_path, field, value, message):
+        row = {"id": "a", "title": "t", "contents": "text", field: value}
+        first = {"id": "z", "title": "", "contents": "x"}
+        path = self.write(tmp_path, [json.dumps(first), json.dumps(row)])
+        with pytest.raises(CorpusError, match=f":2: {message}"):
+            list(read_corpus(path))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError, match="not found"):
             list(read_corpus(tmp_path / "nope.jsonl"))
@@ -630,6 +647,11 @@ class TestEmbeddingRetriever:
     def test_missing_vector(self):
         with pytest.raises(CorpusError, match="c"):
             EmbeddingRetriever(self.DOCS, {"a": [1.0], "b": [1.0]}, embed=lambda q: [1.0])
+
+    def test_k_must_be_positive(self):
+        retriever = EmbeddingRetriever(self.DOCS, self.VECTORS, embed=lambda q: [1.0, 0.0])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            retriever.retrieve("anything", 0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_query_vector(self, bad):
