@@ -40,11 +40,15 @@ class QAExample:
 def load_dataset(path: str | Path, limit: int | None = None) -> list[QAExample]:
     """First ``limit`` examples (file order) from a JSONL dataset.
 
-    Malformed rows raise DatasetError naming the line number.
+    A row's ``id`` must be a non-empty string. Malformed rows raise
+    DatasetError naming the line number.
     """
     examples: list[QAExample] = []
     rows = read_jsonl(path, DatasetError, ("id", "question", "golden_answers"))
     for where, row in islice(rows, limit):
+        example_id = row["id"]
+        if not isinstance(example_id, str) or not example_id:
+            raise DatasetError(f"{where}: 'id' must be a non-empty string")
         question = row["question"]
         golds = row["golden_answers"]
         if not isinstance(question, str) or not question.strip():
@@ -55,13 +59,7 @@ def load_dataset(path: str | Path, limit: int | None = None) -> list[QAExample]:
             or not all(isinstance(g, str) for g in golds)
         ):
             raise DatasetError(f"{where}: 'golden_answers' must be a non-empty list of strings")
-        examples.append(
-            QAExample(
-                example_id=str(row["id"]),
-                question=question,
-                golden_answers=tuple(golds),
-            )
-        )
+        examples.append(QAExample(example_id, question, tuple(golds)))
     return examples
 
 

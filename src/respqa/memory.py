@@ -22,14 +22,15 @@ _EMPTY_SECTION = "(none)"
 def normalize_question(text: str) -> str:
     """Canonical form for sub-question equality checks.
 
-    Lowercases, collapses whitespace, and strips trailing punctuation, so
-    "Who is X?" and "who is x" compare equal. Deliberately string-level:
-    paraphrase duplicates are out of scope.
+    Lowercases, collapses whitespace, and strips the trailing run of
+    punctuation and spaces, so "Who is X?", "Who is X ? !" and "who is x"
+    compare equal. Deliberately string-level: paraphrase duplicates are out
+    of scope.
     """
     collapsed = " ".join(text.split()).lower()
-    while collapsed and is_punctuation_char(collapsed[-1]):
+    while collapsed and (collapsed[-1] == " " or is_punctuation_char(collapsed[-1])):
         collapsed = collapsed[:-1]
-    return collapsed.rstrip()
+    return collapsed
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,18 @@
 """Corpus ingestion, a persistent BM25 inverted index, and top-k retrieval.
 
 The corpus is JSONL with keys ``id``, ``title``, ``contents`` (one document
-per line). The index lives in a directory (format v5): a JSON manifest tagged
+per line). The index lives in a directory (format v6): a JSON manifest tagged
 with a format version; ``documents.txt``, every document's id, title and text
-concatenated as UTF-8; ``terms.txt``, the vocabulary in ascending UTF-8 byte
-order joined by newlines, a term's id being its place in that order; and
-``postings.bin``, little-endian unsigned arrays, each in the narrowest of 1, 2,
-4 or 8 bytes that holds its largest value: the postings and the byte offsets
-of the document fields. Opening an index builds no Python object per document
-or per term: it keeps ``documents.txt`` and ``terms.txt`` as bytes, decodes a
-document only when a query returns it and finds a query term by binary
-search. Nor does it score any posting: a term's BM25 gains are computed by the
-first query that uses the term. A rebuilt or reopened index returns
-byte-identical rankings.
+concatenated as UTF-8, in ascending doc_id order; ``terms.txt``, the
+vocabulary in ascending UTF-8 byte order joined by newlines, a term's id being
+its place in that order; and ``postings.bin``, little-endian unsigned arrays,
+each in the narrowest of 1, 2, 4 or 8 bytes that holds its largest value: the
+postings and the byte offsets of the document fields. Opening an index builds
+no Python object per document or per term: it keeps ``documents.txt`` and
+``terms.txt`` as bytes, decodes a document only when a query returns it and
+finds a query term by binary search. Nor does it score any posting: a term's
+BM25 gains are computed by the first query that uses the term. A rebuilt or
+reopened index returns byte-identical rankings.
 
 An alternative dense retriever (cosine over externally computed vectors) is
 provided behind the same ``retrieve(query, k)`` surface. It holds its
@@ -32,9 +32,10 @@ import unicodedata
 import uuid
 import zlib
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -57,7 +58,7 @@ if TYPE_CHECKING:
     from .llm import Session
 
 INDEX_FORMAT_TAG = "respqa-bm25"
-INDEX_FORMAT_VERSION = 5
+INDEX_FORMAT_VERSION = 6
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -180,9 +181,10 @@ class _DocumentStore:
 
     Document i's id, title and text lie between offsets 3i and 3i + 3. Both
     retrievers hold their documents here and decode only the hits they
-    return. The store owns the tie-break, by ascending doc_id: it compares
-    ids only among candidates whose scores tie within the top k, as UTF-8
-    bytes, which sort in code-point order, as ``str`` does.
+    return. The documents lie in ascending doc_id order (UTF-8 byte order,
+    which is code-point order, as ``str`` sorts), so a document's index is
+    its place in id order, and the tie-break by ascending doc_id is a stable
+    sort by score.
     """
 
     def __init__(self, data: bytes, bounds: np.ndarray) -> None:
@@ -191,12 +193,17 @@ class _DocumentStore:
 
     @classmethod
     def pack(cls, documents: Iterable[Document]) -> "_DocumentStore":
-        """Encode a document stream; CorpusError if it is empty or a field is not UTF-8."""
+        """Encode a document stream; CorpusError if it is empty, if a document
+        has the id of the one before it or if a field is not UTF-8."""
         # One growing buffer: a bytes object per field, then their join, put
         # ~2 MB more on the peak RSS of a 5k-document build.
         data = bytearray()
         bounds = array("q", [0])
+        previous = None
         for doc in documents:
+            if doc.doc_id == previous:
+                raise CorpusError(f"duplicate doc_id in corpus: {doc.doc_id!r}")
+            previous = doc.doc_id
             try:
                 for field in doc:
                     data += field.encode("utf-8")
@@ -211,7 +218,8 @@ class _DocumentStore:
     def read(cls, data: bytes, bounds: np.ndarray) -> "_DocumentStore":
         """The store over a saved index's bytes.
 
-        Raises ValueError unless the offsets cut the data into whole UTF-8 fields.
+        Raises ValueError unless the offsets cut the data into whole UTF-8
+        fields and the ids strictly ascend.
         """
         if bounds[0] != 0 or bounds[-1] != len(data) or (bounds[1:] < bounds[:-1]).any():
             raise ValueError(
@@ -222,64 +230,61 @@ class _DocumentStore:
         starts = bounds[bounds < len(data)]
         if (np.frombuffer(data, dtype=np.uint8)[starts] & 0xC0 == 0x80).any():
             raise ValueError("a document field offset falls inside a UTF-8 character")
+        # Signed: a saved index's offsets may be narrow unsigned ints.
+        ids = bounds.astype(np.int64)
+        _check_ascending(data, ids[:-1:3], ids[1::3], _DOCUMENTS_FILE, "doc_id")
         return cls(data, bounds)
 
     def documents(self) -> list[Document]:
-        """Every document, in corpus order."""
+        """Every document, in doc_id order."""
         bounds = self.bounds.tolist()
         fields = [self.data[start:end].decode() for start, end in zip(bounds, bounds[1:])]
         return list(map(Document._make, zip(fields[0::3], fields[1::3], fields[2::3])))
 
+    def in_id_order(self) -> Iterator[Document]:
+        """Every document, decoded one at a time, in ascending doc_id order."""
+        data, bounds = self.data, self.bounds.tolist()
+        ids = [data[start:end] for start, end in zip(bounds[:-1:3], bounds[1::3])]
+        for i in sorted(range(len(ids)), key=ids.__getitem__):
+            cut = bounds[3 * i : 3 * i + 4]
+            yield Document._make(data[a:b].decode() for a, b in zip(cut, cut[1:]))
+
     def ranked_hits(self, scores: np.ndarray, k: int) -> list[RetrievedDocument]:
         """Hits for the k highest positive scores, ties by ascending doc_id.
 
-        One gather reads the hits' offsets; only the hits are decoded. Of the
-        documents tied with the k-th score, ``_smallest_ids`` picks the ones
-        that fit without decoding them.
+        The documents lie in doc_id order, so a stable sort by descending
+        score leaves tied candidates in id order; only the k hits are decoded.
         """
         candidates = np.flatnonzero(scores > 0.0)
         if len(candidates) > k:
             kth = np.partition(scores[candidates], len(candidates) - k)[len(candidates) - k]
             candidates = candidates[scores[candidates] >= kth]
-            if len(candidates) > k:  # more documents tie with the k-th score than fit
-                above = scores[candidates] > kth
-                tied = self._smallest_ids(candidates[~above], k - int(np.count_nonzero(above)))
-                candidates = np.concatenate((candidates[above], tied))
-        # Descending score first, so the sort below has only ties to move.
-        candidates = candidates[np.argsort(-scores[candidates], kind="stable")]
-        data, cuts = self.data, self.bounds[3 * candidates[:, np.newaxis] + np.arange(4)].tolist()
-        rows = [
-            (-score, data[start:title].decode(), data[title:text].decode(), data[text:end].decode())
-            for (start, title, text, end), score in zip(cuts, scores[candidates].tolist())
-        ]
-        rows.sort()  # ids are unique, so a tie in score is settled by the id
+        hits = candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
+        data, cuts = self.data, self.bounds[3 * hits[:, np.newaxis] + np.arange(4)].tolist()
         return [
-            RetrievedDocument(doc_id, title, text, -negated, rank)
-            for rank, (negated, doc_id, title, text) in enumerate(rows[:k], start=1)
+            RetrievedDocument(*(data[a:b].decode() for a, b in zip(cut, cut[1:])), score, rank)
+            for rank, (cut, score) in enumerate(zip(cuts, scores[hits].tolist()), start=1)
         ]
 
-    def _smallest_ids(self, group: np.ndarray, need: int) -> np.ndarray:
-        """Documents of ``group`` that include the ``need`` with the smallest ids.
 
-        The group is narrowed 8 bytes of id at a time: a document whose next
-        word is below the ``need``-th smallest is kept, one above it is
-        dropped, and the ones equal to it go on to the next word. Only ids that
-        agree in every word so far, and so differ in length alone, can be left
-        over beyond ``need``; the caller sorts the few that remain.
-        """
-        buf = np.frombuffer(self.data, dtype=np.uint8)
-        # Signed: a saved index's offsets may be narrow unsigned ints, and an
-        # id that has ended is read past its end.
-        starts, ends = self.bounds[3 * group].astype(np.int64), self.bounds[3 * group + 1]
-        kept = []
-        while len(group) > need and (starts < ends).any():
-            words = _prefix_words(buf, starts, ends)
-            cut = np.partition(words, need - 1)[need - 1]
-            below, at = words < cut, words == cut
-            kept.append(group[below])
-            need -= int(np.count_nonzero(below))
-            group, starts, ends = group[at], starts[at] + 8, ends[at]
-        return np.concatenate((*kept, group))
+def _check_ascending(
+    data: bytes, starts: np.ndarray, ends: np.ndarray, file: str, item: str
+) -> None:
+    """Raise ValueError unless the byte strings ``data[starts[i]:ends[i]]`` strictly ascend.
+
+    Their first 8 bytes are compared as words in one pass; only neighbours
+    whose words are equal are compared byte by byte.
+    """
+    words = _prefix_words(np.frombuffer(data, dtype=np.uint8), starts, ends)
+    order = f"{file} does not list its {item}s in ascending byte order"
+    if (words[1:] < words[:-1]).any():
+        raise ValueError(order)
+    for i in np.flatnonzero(words[1:] == words[:-1]).tolist():
+        first, second = data[starts[i] : ends[i]], data[starts[i + 1] : ends[i + 1]]
+        if first == second:
+            raise ValueError(f"{file} lists a {item} more than once")
+        if first > second:
+            raise ValueError(order)
 
 
 # _LEADING_BYTES[n] keeps the first n bytes of a big-endian word.
@@ -311,25 +316,20 @@ def _prefix_words(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.n
 class _Lexicon:
     """The vocabulary: its terms as UTF-8 in ascending byte order, joined by newlines.
 
-    A term's id is its place in that order. The lexicon holds the bytes,
-    each term's start offset and each term's first 8 bytes as a zero-padded
-    big-endian word, in numpy arrays: no Python object per term. ``find``
-    bisects the words, then compares bytes only among the terms that share
-    the query term's word.
+    A term's id is its place in that order. The lexicon holds the bytes and
+    each term's start offset, in a numpy array: no Python object per term.
+    ``find`` bisects the terms by their bytes.
     """
 
     def __init__(self, data: bytes) -> None:
         self.data = data
-        buf = np.frombuffer(data, dtype=np.uint8)
         # Term i spans starts[i] to starts[i + 1] - 1, as if data ended in a newline.
-        cuts = np.flatnonzero(buf == ord("\n")) + 1
+        cuts = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) + 1
         self._starts = (
             np.concatenate(([0], cuts, [len(data) + 1])) if data else np.zeros(1, dtype=np.int64)
         )
-        self._words = _prefix_words(buf, self._starts[:-1], self._starts[1:] - 1)
         # Python ints on indexing, for a bisection per new query term.
         self._start_at = memoryview(self._starts)
-        self._word_at = memoryview(self._words)
 
     @classmethod
     def read(cls, data: bytes, count: int) -> "_Lexicon":
@@ -342,20 +342,11 @@ class _Lexicon:
         lexicon = cls(data)
         if len(lexicon) != count:
             raise ValueError("term counts disagree with the manifest")
-        words = lexicon._words
-        order = f"{_TERMS_FILE} does not list its terms in ascending byte order"
-        if (words[1:] < words[:-1]).any():
-            raise ValueError(order)
-        for i in np.flatnonzero(words[1:] == words[:-1]).tolist():
-            first, second = lexicon._term(i), lexicon._term(i + 1)
-            if first == second:
-                raise ValueError(f"{_TERMS_FILE} lists a term more than once")
-            if first > second:
-                raise ValueError(order)
+        _check_ascending(data, lexicon._starts[:-1], lexicon._starts[1:] - 1, _TERMS_FILE, "term")
         return lexicon
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self._starts) - 1
 
     def _term(self, term_id: int) -> bytes:
         return self.data[self._start_at[term_id] : self._start_at[term_id + 1] - 1]
@@ -363,21 +354,8 @@ class _Lexicon:
     def find(self, term: str) -> int | None:
         """The term's id, or None if the vocabulary lacks it."""
         key = term.encode("utf-8")
-        word = int.from_bytes(key[:8].ljust(8, b"\0"), "big")
-        low = bisect_left(self._word_at, word)
-        if low == len(self) or self._word_at[low] != word:
-            return None
-        high = bisect_right(self._word_at, word, low)
-        while low < high:  # among the terms that share the word, bisect on their bytes
-            middle = (low + high) // 2
-            found = self._term(middle)
-            if found == key:
-                return middle
-            if found < key:
-                low = middle + 1
-            else:
-                high = middle
-        return None
+        term_id = bisect_left(range(len(self)), key, key=self._term)
+        return term_id if term_id < len(self) and self._term(term_id) == key else None
 
 
 class BM25Index:
@@ -448,10 +426,9 @@ class BM25Index:
     ) -> "BM25Index":
         """Build an in-memory index from a document stream.
 
-        Raises CorpusError for duplicate doc_ids, empty passages, or an
-        empty stream.
+        Documents are held in ascending doc_id order. Raises CorpusError for
+        duplicate doc_ids, empty passages, or an empty stream.
         """
-        doc_ids: set[str] = set()
         vocabulary = _Vocabulary()
         lengths = array("i")
         distinct_terms = array("i")
@@ -460,11 +437,8 @@ class BM25Index:
         term_freqs = array("i")
 
         def add(doc: Document) -> Document:
-            if doc.doc_id in doc_ids:
-                raise CorpusError(f"duplicate doc_id in corpus: {doc.doc_id!r}")
             if not doc.text.strip():
                 raise CorpusError(f"document {doc.doc_id!r} has empty text")
-            doc_ids.add(doc.doc_id)
             tokens = tokenize(doc.text)
             counts = Counter(tokens)
             lengths.append(len(tokens))
@@ -473,8 +447,11 @@ class BM25Index:
             term_freqs.extend(counts.values())
             return doc
 
-        # The store encodes each document as add has checked and counted it.
-        store = _DocumentStore.pack(map(add, documents))
+        # Encoded as they arrive, then decoded one at a time in doc_id order for add
+        # and the store: sorting the Documents held them all, which fragmented the
+        # heap (+1.4 MB peak RSS at 5k documents; later set-ups page-faulted more).
+        # Only the generator holds the first store, so it is freed once read.
+        store = _DocumentStore.pack(map(add, _DocumentStore.pack(documents).in_id_order()))
         # Term ids become places in byte order (code-point order, as str sorts).
         terms = sorted(vocabulary)
         places = np.empty(len(terms), dtype=np.int32)
@@ -614,8 +591,9 @@ class BM25Index:
         Validates the format tag and version, each data file's size and
         CRC-32 against the manifest, the manifest's counts, the postings
         dtypes and byte lengths, the postings' document indices and term
-        offsets, the document field offsets and the vocabulary's order. Any missing,
-        truncated or malformed file raises CorpusError.
+        offsets, the document field offsets, and the order of the doc ids and
+        of the vocabulary. Any missing, truncated or malformed file raises
+        CorpusError.
         """
         index_dir = Path(index_dir)
         manifest_path = index_dir / _MANIFEST_FILE
@@ -842,13 +820,13 @@ class EmbeddingRetriever:
     The pluggable dense alternative to BM25: query vectors come from an
     external embedding callable, document vectors are supplied up front as
     any mapping of doc_id to a sequence of numbers (``load_vectors`` gives
-    float64 arrays). The documents' rows are stacked, in document order, into
+    float64 arrays). The documents' rows are stacked, in doc_id order, into
     one n x d float64 matrix (8 B per component), which is scaled to unit rows
     in place; vectors of ids outside the corpus are ignored. The documents
     themselves sit in the same UTF-8 ``_DocumentStore`` as the index's, with
     its doc_id tie-break, and only the hits are decoded. Cosine scores are
     clamped at zero: only documents with a positive cosine are returned. An
-    empty document list raises CorpusError.
+    empty document list, or two documents with one id, raise CorpusError.
     """
 
     def __init__(
@@ -860,6 +838,8 @@ class EmbeddingRetriever:
         missing = [doc.doc_id for doc in documents if doc.doc_id not in vectors]
         if missing:
             raise CorpusError(f"missing vectors for document(s): {', '.join(missing[:5])}")
+        # O(n) for index.documents, which is already in doc_id order.
+        documents = sorted(documents, key=attrgetter("doc_id"))
         try:
             matrix = np.array([vectors[doc.doc_id] for doc in documents], dtype=np.float64)
         except ValueError as exc:

@@ -461,6 +461,15 @@ class TestUnreadableInput:
         assert self.run("vectors", path, tmp_path, index_dir, script_path) == EXIT_IO
         assert f"{path}:1: {fragment}" in capsys.readouterr().err
 
+    def test_non_string_dataset_id_is_io_error_naming_the_line(
+        self, tmp_path, index_dir, script_path, capsys
+    ):
+        path = tmp_path / "dataset.jsonl"
+        row = {"id": None, "question": "q?", "golden_answers": ["a"]}
+        path.write_text(json.dumps(self.FIRST_ROWS["dataset"]) + "\n" + json.dumps(row) + "\n")
+        assert self.run("dataset", path, tmp_path, index_dir, script_path) == EXIT_IO
+        assert f"{path}:2: 'id' must be a non-empty string" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind, code", CASES)
     def test_directory_as_path(self, kind, code, tmp_path, index_dir, script_path, capsys):
         path = tmp_path / f"{kind}-dir"
@@ -675,8 +684,9 @@ class TestDamagedIndex:
             (lambda data: data["postings_dtypes"].update(term_freqs="<f8"), "'<f8'"),
             (lambda data: data.update(format_version=3), "version 3"),
             (lambda data: data.update(format_version=4), "version 4"),
+            (lambda data: data.update(format_version=5), "version 5"),
         ],
-        ids=["version-2", "no-dtypes", "unknown-dtype", "version-3", "version-4"],
+        ids=["version-2", "no-dtypes", "unknown-dtype", "version-3", "version-4", "version-5"],
     )
     def test_manifest_this_version_cannot_read_is_io_error_naming_the_fix(
         self, index_dir, script_path, capsys, edit, fragment

@@ -152,6 +152,12 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=":2: 'question' must be non-empty"):
             load_dataset(self.write(tmp_path, rows))
 
+    @pytest.mark.parametrize("example_id", [None, [1], 1, 1.0, True, ""])
+    def test_id_that_is_not_a_non_empty_string_names_line(self, tmp_path, example_id):
+        rows = [*self.good_rows(1), {"id": example_id, "question": "q?", "golden_answers": ["a"]}]
+        with pytest.raises(DatasetError, match=":2: 'id' must be a non-empty string"):
+            load_dataset(self.write(tmp_path, rows))
+
     def test_empty_golds_rejected(self, tmp_path):
         path = self.write(tmp_path, [{"id": "x", "question": "q?", "golden_answers": []}])
         with pytest.raises(DatasetError, match="golden_answers"):

@@ -12,6 +12,10 @@ class TestNormalizeQuestion:
     def test_whitespace_collapse(self):
         assert normalize_question("  Who \n is\tX ?? ") == "who is x"
 
+    @pytest.mark.parametrize("text", ["Who is X? .", "Who is X ? !", "Who is X ?", "Who is X . ? "])
+    def test_punctuation_after_a_space_is_stripped(self, text):
+        assert normalize_question(text) == "who is x"
+
     def test_equal_after_normalization(self):
         assert normalize_question("Who is X?") == normalize_question("who is x")
 

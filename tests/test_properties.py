@@ -168,7 +168,8 @@ def test_saved_index_keeps_unicode_documents_and_rankings(fields, queries, k):
     with tempfile.TemporaryDirectory() as tmp:
         fresh.save(f"{tmp}/idx")
         reopened = BM25Index.open(f"{tmp}/idx")
-    assert reopened.documents == fresh.documents == docs
+    # Both hold their documents in doc_id order, whatever order they came in.
+    assert reopened.documents == fresh.documents == sorted(docs, key=lambda doc: doc.doc_id)
     for query in queries:
         want = [(hit.doc_id, hit.score) for hit in fresh.retrieve(query, k)]
         assert [(hit.doc_id, hit.score) for hit in reopened.retrieve(query, k)] == want

@@ -2,9 +2,11 @@ import gc
 import io
 import json
 import random
+import re
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +105,17 @@ class TestBuildIndex:
         with pytest.raises(CorpusError, match="same"):
             BM25Index.build(docs)
 
+    def test_duplicate_doc_id_apart_in_the_stream(self):
+        docs = [Document("same", "t", "x"), Document("other", "t", "y"), Document("same", "t", "z")]
+        with pytest.raises(CorpusError, match="duplicate doc_id in corpus: 'same'"):
+            BM25Index.build(docs)
+
+    def test_documents_are_held_in_doc_id_order(self):
+        docs = [doc(i, f"text {i}") for i in (3, 10, 1, 2)]
+        index = BM25Index.build(docs)
+        assert [d.doc_id for d in index.documents] == ["d1", "d10", "d2", "d3"]
+        assert sorted(index.documents) == sorted(docs)
+
     def test_empty_stream(self):
         with pytest.raises(CorpusError, match="empty"):
             BM25Index.build([])
@@ -186,6 +199,17 @@ def step_back_into_the_title(bounds):
 def break_the_utf8(index_dir):
     data = (index_dir / "documents.txt").read_bytes()
     rewrite_index_file(index_dir, "documents.txt", data.replace(b"cat", b"c\xfft", 1))
+
+
+def rename_the_second_document(new_id):
+    """Give the second document (id "d1", as long as new_id) another id, CRC-32 kept right."""
+
+    def damage(index_dir):
+        data = (index_dir / "documents.txt").read_bytes()
+        start = data.index(b"d1Title 1")
+        rewrite_index_file(index_dir, "documents.txt", data[:start] + new_id + data[start + 2 :])
+
+    return damage
 
 
 def duplicate_the_first_term(index_dir):
@@ -352,6 +376,16 @@ class TestPersistence:
                 "offset falls inside a UTF-8 character",
             ),
             (TEN_DOCS, break_the_utf8, "can't decode byte 0xff"),
+            (
+                TEN_DOCS,
+                rename_the_second_document(b"d0"),
+                "documents.txt lists a doc_id more than once",
+            ),
+            (
+                TEN_DOCS,
+                rename_the_second_document(b"d5"),
+                "documents.txt does not list its doc_ids in ascending byte order",
+            ),
             (TEN_DOCS, duplicate_the_first_term, "terms.txt lists a term more than once"),
             (
                 TEN_DOCS,
@@ -385,9 +419,9 @@ class TestPersistence:
             ),
         ],
         ids=["fields-decrease", "fields-end-short", "field-inside-a-character", "invalid-utf8",
-             "duplicate-term", "terms-out-of-order", "terms-out-of-order-past-8-bytes",
-             "doc-index-past-the-end", "offsets-decrease", "offsets-start-late",
-             "offsets-end-short"],
+             "repeated-doc-id", "doc-ids-out-of-order", "duplicate-term", "terms-out-of-order",
+             "terms-out-of-order-past-8-bytes", "doc-index-past-the-end", "offsets-decrease",
+             "offsets-start-late", "offsets-end-short"],
     )
     def test_open_rejects_files_that_disagree(self, tmp_path, docs, damage, fragment):
         BM25Index.build(docs).save(tmp_path / "idx")
@@ -455,6 +489,8 @@ TIE_IDS = {
                        "prefix-l", "prefix-long", "prefix-long-1\u00e9", "prefix-long-\U00010000",
                        "prefix-long-1\u0000"],
     "random-120": random_ids(random.Random(11), 120),
+    # A corpus that lists its ids in descending order: held in reverse.
+    "descending": [f"d{i:06d}" for i in reversed(range(40))],
 }
 
 
@@ -643,6 +679,11 @@ class TestEmbeddingRetriever:
     def test_empty_document_list(self):
         with pytest.raises(CorpusError, match="empty"):
             EmbeddingRetriever([], {}, embed=lambda q: [1.0, 0.0])
+
+    def test_duplicate_document(self):
+        docs = [*self.DOCS, Document("b", "B again", "beta again")]
+        with pytest.raises(CorpusError, match="duplicate doc_id in corpus: 'b'"):
+            EmbeddingRetriever(docs, self.VECTORS, embed=lambda q: [1.0, 0.0])
 
     def test_missing_vector(self):
         with pytest.raises(CorpusError, match="c"):
@@ -1270,3 +1311,11 @@ def test_unit_rows_build_no_matrix_sized_temporary():
     assert units is matrix and units.tobytes() == expected.tobytes()
     # Squaring the whole matrix at once would peak at its own size, 2.9 MiB.
     assert peak < matrix.nbytes / 8
+
+
+def test_readme_names_the_index_format_version():
+    # Each format bump edits these phrases by hand.
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").split())
+    version = respqa.retrieval.INDEX_FORMAT_VERSION
+    assert f"`respqa index` writes index format v{version}:" in readme
+    assert re.findall(r"v1 to v(\d+)", readme) == [str(version - 1)] * 2
