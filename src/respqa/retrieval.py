@@ -8,11 +8,12 @@ vocabulary in ascending UTF-8 byte order joined by newlines, a term's id being
 its place in that order; and ``postings.bin``, little-endian unsigned arrays,
 each in the narrowest of 1, 2, 4 or 8 bytes that holds its largest value: the
 postings and the byte offsets of the document fields. Opening an index builds
-no Python object per document or per term: it keeps ``documents.txt`` and
-``terms.txt`` as bytes, decodes a document only when a query returns it and
-finds a query term by binary search. Nor does it score any posting: a term's
-BM25 gains are computed by the first query that uses the term. A rebuilt or
-reopened index returns byte-identical rankings.
+no Python object per document or per term, and copies no file: it maps the
+data files read-only, checks that ``documents.txt`` and ``terms.txt`` are
+UTF-8 without decoding either whole, decodes a document only when a query
+returns it and finds a query term by binary search. Nor does it score any
+posting: a term's BM25 gains are computed by the first query that uses the
+term. A rebuilt or reopened index returns byte-identical rankings.
 
 An alternative dense retriever (cosine over externally computed vectors) is
 provided behind the same ``retrieve(query, k)`` surface. It holds its
@@ -23,8 +24,10 @@ the doc_id tie-break for both; its embeddings client goes through
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
+import mmap
 import os
 import shutil
 import time
@@ -75,6 +78,9 @@ _DATA_FILES = (_DOCUMENTS_FILE, _TERMS_FILE, _POSTINGS_FILE)
 # of each, the narrowest of _POSTING_DTYPES that holds its largest value.
 _POSTING_ARRAYS = ("doc_lengths", "offsets", "doc_indices", "term_freqs", "doc_fields")
 _POSTING_DTYPES = ("|u1", "<u2", "<u4", "<u8")
+# A data file's contents: built in memory, or an opened file's read-only map
+# (b"" for an empty file, which cannot be mapped). Slices of either are bytes.
+_FileData = bytes | mmap.mmap
 
 
 class _PunctuationTable(dict):
@@ -181,13 +187,14 @@ class _DocumentStore:
 
     Document i's id, title and text lie between offsets 3i and 3i + 3. Both
     retrievers hold their documents here and decode only the hits they
-    return. The documents lie in ascending doc_id order (UTF-8 byte order,
-    which is code-point order, as ``str`` sorts), so a document's index is
-    its place in id order, and the tie-break by ascending doc_id is a stable
-    sort by score.
+    return; an opened index's store holds the read-only map of its
+    ``documents.txt``, not a copy. The documents lie in ascending doc_id
+    order (UTF-8 byte order, which is code-point order, as ``str`` sorts), so
+    a document's index is its place in id order, and the tie-break by
+    ascending doc_id is a stable sort by score.
     """
 
-    def __init__(self, data: bytes, bounds: np.ndarray) -> None:
+    def __init__(self, data: _FileData, bounds: np.ndarray) -> None:
         self.data = data
         self.bounds = bounds
 
@@ -215,17 +222,17 @@ class _DocumentStore:
         return cls(bytes(data), np.array(bounds, dtype=np.int64))
 
     @classmethod
-    def read(cls, data: bytes, bounds: np.ndarray) -> "_DocumentStore":
+    def read(cls, data: _FileData, bounds: np.ndarray) -> "_DocumentStore":
         """The store over a saved index's bytes.
 
         Raises ValueError unless the offsets cut the data into whole UTF-8
-        fields and the ids strictly ascend.
+        fields and the ids strictly ascend. The UTF-8 check builds no ``str``.
         """
         if bounds[0] != 0 or bounds[-1] != len(data) or (bounds[1:] < bounds[:-1]).any():
             raise ValueError(
                 f"the document field offsets decrease or do not span {_DOCUMENTS_FILE}"
             )
-        data.decode("utf-8")
+        _check_utf8(data)
         # No field may start on a UTF-8 continuation byte (0b10xxxxxx).
         starts = bounds[bounds < len(data)]
         if (np.frombuffer(data, dtype=np.uint8)[starts] & 0xC0 == 0x80).any():
@@ -268,7 +275,7 @@ class _DocumentStore:
 
 
 def _check_ascending(
-    data: bytes, starts: np.ndarray, ends: np.ndarray, file: str, item: str
+    data: _FileData, starts: np.ndarray, ends: np.ndarray, file: str, item: str
 ) -> None:
     """Raise ValueError unless the byte strings ``data[starts[i]:ends[i]]`` strictly ascend.
 
@@ -316,12 +323,13 @@ def _prefix_words(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.n
 class _Lexicon:
     """The vocabulary: its terms as UTF-8 in ascending byte order, joined by newlines.
 
-    A term's id is its place in that order. The lexicon holds the bytes and
-    each term's start offset, in a numpy array: no Python object per term.
-    ``find`` bisects the terms by their bytes.
+    A term's id is its place in that order. The lexicon holds the bytes (an
+    opened index's read-only map of ``terms.txt``) and each term's start
+    offset, in a numpy array: no Python object per term. ``find`` bisects the
+    terms by their bytes.
     """
 
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: _FileData) -> None:
         self.data = data
         # Term i spans starts[i] to starts[i + 1] - 1, as if data ended in a newline.
         cuts = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) + 1
@@ -332,13 +340,14 @@ class _Lexicon:
         self._start_at = memoryview(self._starts)
 
     @classmethod
-    def read(cls, data: bytes, count: int) -> "_Lexicon":
+    def read(cls, data: _FileData, count: int) -> "_Lexicon":
         """The lexicon of a saved index's terms.txt.
 
-        Raises ValueError unless the data is UTF-8 and lists ``count`` terms
-        in strictly ascending byte order, which rules out duplicates.
+        Raises ValueError unless the data is UTF-8 (checked without building
+        a ``str``) and lists ``count`` terms in strictly ascending byte order,
+        which rules out duplicates.
         """
-        data.decode("utf-8")
+        _check_utf8(data)
         lexicon = cls(data)
         if len(lexicon) != count:
             raise ValueError("term counts disagree with the manifest")
@@ -594,6 +603,14 @@ class BM25Index:
         offsets, the document field offsets, and the order of the doc ids and
         of the vocabulary. Any missing, truncated or malformed file raises
         CorpusError.
+
+        Nothing is copied or decoded whole: each data file is mapped
+        read-only, and the documents, the vocabulary and the postings arrays
+        are views of the maps. Index files are write-once (``save`` swaps in
+        a new directory, which leaves an opened index intact on POSIX);
+        editing or truncating a file of an opened index in place is
+        unsupported, and may change the text it returns or kill the process
+        with SIGBUS.
         """
         index_dir = Path(index_dir)
         manifest_path = index_dir / _MANIFEST_FILE
@@ -643,15 +660,53 @@ class _Vocabulary(dict):
         return term_id
 
 
-def _read_checked(path: Path, expected: dict) -> bytes:
-    """File contents, or ValueError when size or CRC-32 differ from the manifest."""
-    data = path.read_bytes()
-    if len(data) != expected["bytes"] or zlib.crc32(data) != expected["crc32"]:
-        raise ValueError(f"{path.name} does not match the manifest (truncated or modified)")
+def _read_checked(path: Path, expected: dict) -> _FileData:
+    """The file mapped read-only, or ValueError when its size or CRC-32 differ
+    from the manifest, or CorpusError when it cannot be mapped.
+
+    Nothing is copied: the size is compared before mapping, so a truncated
+    file is refused unread, and the CRC-32 is taken over the map, whose pages
+    are the file cache's, shared with other readers and reclaimable. An empty
+    file, which cannot be mapped, is ``b""``. A mapped file must not be
+    edited in place: see ``BM25Index.open``.
+    """
+    mismatch = f"{path.name} does not match the manifest (truncated or modified)"
+    with open(path, "rb") as file:
+        size = os.fstat(file.fileno()).st_size
+        if size != expected["bytes"]:
+            raise ValueError(mismatch)
+        try:
+            data = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
+        except OSError as exc:
+            raise CorpusError(f"cannot map {path} read-only: {exc}") from exc
+    if zlib.crc32(data) != expected["crc32"]:
+        raise ValueError(mismatch)
     return data
 
 
-def _posting_arrays(data: bytes, dtypes: object, counts: tuple[int, ...]) -> list[np.ndarray]:
+# _check_utf8 decodes data this many bytes at a time.
+_UTF8_CHUNK = 1 << 16
+
+
+def _check_utf8(data: _FileData) -> None:
+    """Raise UnicodeDecodeError, with the message ``bytes.decode`` gives,
+    unless the data is UTF-8; no ``str`` of the whole data is built.
+
+    The data is decoded ``_UTF8_CHUNK`` bytes at a time; only data that
+    fails is decoded whole, for the error's position.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    with memoryview(data) as view:
+        try:
+            for start in range(0, len(view), _UTF8_CHUNK):
+                decoder.decode(view[start : start + _UTF8_CHUNK])
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError:
+            str(view, "utf-8")  # raises with the position in the whole data
+            raise
+
+
+def _posting_arrays(data: _FileData, dtypes: object, counts: tuple[int, ...]) -> list[np.ndarray]:
     """Views of the postings arrays stored back to back in ``data``.
 
     Raises ValueError unless the manifest gives each array one of

@@ -1,5 +1,6 @@
 """Property tests: the reply parsers are total, the input cap holds for any cap,
 a saved index keeps its documents and ranks like the one it was saved from,
+its UTF-8 check accepts and refuses what bytes.decode does,
 the vectors file parses to the rows json.loads gives, whatever its values, and
 token F1 scores the tokens of the normalized answers."""
 
@@ -8,12 +9,14 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import orjson
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import respqa.retrieval
 from respqa.agents import (
     SLOT_DOCS,
     assemble_prompt,
@@ -25,7 +28,7 @@ from respqa.errors import CorpusError, PromptTooLargeError
 from respqa.evaluation import normalize_answer, token_f1
 from respqa.llm import truncate_to_token_estimate, whitespace_token_estimate
 from respqa.memory import NO_ANSWER_MARKER
-from respqa.retrieval import BM25Index, Document, load_vectors, tokenize
+from respqa.retrieval import BM25Index, Document, _check_utf8, load_vectors, tokenize
 
 from helpers import bm25_brute_force, f1_brute_force
 
@@ -175,6 +178,51 @@ def test_saved_index_keeps_unicode_documents_and_rankings(fields, queries, k):
         assert [(hit.doc_id, hit.score) for hit in reopened.retrieve(query, k)] == want
         # Ties fall in str order of the doc ids, which the index sorts as UTF-8 bytes.
         assert want == bm25_brute_force(docs, query, k)
+
+
+# UTF-8 pieces: whole characters of one to four bytes, and the sequences a
+# decoder must refuse, which chunk edges may split.
+utf8_pieces = st.one_of(
+    # Any code points, lone surrogates too, which "surrogatepass" writes as ED xx xx.
+    st.text(st.characters(exclude_categories=()), min_size=1, max_size=3).map(
+        lambda text: text.encode("utf-8", "surrogatepass")
+    ),
+    st.sampled_from(["a", "\u00e9", "\u20ac", "\U0001f600", "\U0010ffff"]).map(str.encode),
+    st.sampled_from([
+        b"\xed\xa0\x80",  # a surrogate, U+D800
+        b"\xc0\xaf",  # an overlong "/"
+        b"\xe0\x80\xaf",  # an overlong three-byte "/"
+        b"\xf4\x90\x80\x80",  # above U+10FFFF
+        b"\xff",
+        b"\x80",  # a continuation byte with no lead
+        b"\xe2\x82",  # a truncated three-byte character
+        b"\xf0\x9f\x98",  # a truncated four-byte character
+    ]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    head=st.lists(st.sampled_from([b"a", "\u00e9".encode()]), max_size=12).map(b"".join),
+    pieces=st.lists(utf8_pieces, max_size=10).map(b"".join),
+    chunk=st.integers(1, 7),
+)
+@example(head=b"abc", pieces="\u00e9".encode()[:1], chunk=1)  # a truncated tail
+@example(head=b"abcdefgh", pieces=b"\xed\xa0\x80", chunk=3)  # a surrogate past the first chunk
+def test_utf8_check_refuses_what_bytes_decode_refuses(head, pieces, chunk):
+    data = head + pieces
+    try:
+        data.decode("utf-8")
+        expected = None
+    except UnicodeDecodeError as exc:
+        expected = str(exc)
+    with mock.patch.object(respqa.retrieval, "_UTF8_CHUNK", chunk):
+        try:
+            _check_utf8(data)
+            message = None
+        except UnicodeDecodeError as exc:
+            message = str(exc)
+    assert message == expected
 
 
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False)

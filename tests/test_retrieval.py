@@ -1,3 +1,4 @@
+import errno
 import gc
 import io
 import json
@@ -251,6 +252,39 @@ class TestPersistence:
         monkeypatch.undo()
         assert BM25Index.open(tmp_path / "idx").stats.num_documents == 10
         assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+
+    def test_an_index_without_terms_opens(self, tmp_path):
+        # Punctuation tokenizes to nothing, so terms.txt is empty, which mmap refuses.
+        docs = [doc(0, "!!!"), doc(1, "... --")]
+        BM25Index.build(docs).save(tmp_path / "idx")
+        assert (tmp_path / "idx" / "terms.txt").read_bytes() == b""
+        reopened = BM25Index.open(tmp_path / "idx")
+        assert reopened.stats.num_terms == 0
+        assert reopened.retrieve("cat", 5) == []
+        assert reopened.documents == docs
+
+    def test_save_over_the_open_index_keeps_its_rankings(self, tmp_path):
+        queries = ["the cat", "dog yard patience", "quantum", "wheat sky"]
+        BM25Index.build(TEN_DOCS).save(tmp_path / "idx")
+        opened = BM25Index.open(tmp_path / "idx")
+        before = [opened.retrieve(q, 4) for q in queries]
+        # save reads the mapped files of the directory it swaps out.
+        opened.save(tmp_path / "idx")
+        assert [opened.retrieve(q, 4) for q in queries] == before
+        assert [BM25Index.open(tmp_path / "idx").retrieve(q, 4) for q in queries] == before
+        assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+
+    def test_a_file_that_cannot_be_mapped_is_not_called_corrupt(self, tmp_path, monkeypatch):
+        BM25Index.build(TEN_DOCS).save(tmp_path / "idx")
+
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENODEV, "No such device")
+
+        monkeypatch.setattr(respqa.retrieval.mmap, "mmap", refuse)
+        with pytest.raises(CorpusError, match="cannot map .*No such device") as caught:
+            BM25Index.open(tmp_path / "idx")
+        assert "corrupt" not in str(caught.value)
+        assert "rebuild" not in str(caught.value)
 
     def test_save_refuses_a_directory_that_is_not_an_index(self, tmp_path):
         keep = tmp_path / "notes.txt"
@@ -583,6 +617,39 @@ def test_an_opened_index_holds_no_object_per_document_or_term(tmp_path):
         held[n] = held_blocks(tmp_path / str(n))
     # 3000 more documents and 6000 more terms: one object each would add thousands.
     assert held[4000] <= held[1000], held
+
+
+def test_open_copies_and_decodes_no_file(tmp_path):
+    # ~700 bytes of accented text per document, a Wikipedia paragraph's length.
+    docs = [
+        Document(f"d{i:04d}", f"Caf\u00e9 {i}", f"cr\u00e8me br\u00fbl\u00e9e w{i} " * 32)
+        for i in range(2000)
+    ]
+    BM25Index.build(docs).save(tmp_path / "idx")
+    file_bytes = sum(path.stat().st_size for path in (tmp_path / "idx").iterdir())
+    BM25Index.open(tmp_path / "idx")  # any one-time cache is filled before the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        index = BM25Index.open(tmp_path / "idx")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index.stats.num_documents == 2000
+    # A copy of documents.txt and its decoded str would each be most of the index.
+    assert peak < file_bytes / 4, (peak, file_bytes)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_a_dropped_index_releases_its_file_descriptors(tmp_path):
+    BM25Index.build(TEN_DOCS).save(tmp_path / "idx")
+    gc.collect()
+    before = len(list(Path("/proc/self/fd").iterdir()))
+    index = BM25Index.open(tmp_path / "idx")
+    assert index.retrieve("cat", 3)
+    del index
+    gc.collect()
+    assert len(list(Path("/proc/self/fd").iterdir())) == before
 
 
 class TestReadCorpus:
