@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -28,27 +29,20 @@ EXIT_RUNTIME = 4
 def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="YAML config file")
     parser.add_argument("--index-dir", help="index directory (overrides config)")
-    parser.add_argument("--llm-endpoint", help="chat-completion endpoint URL")
+    parser.add_argument("--llm-endpoint", dest="endpoint", help="chat-completion endpoint URL")
     parser.add_argument("--model", help="model name for the completion endpoint")
     parser.add_argument("--script", help="scripted-backend rules file (JSONL); binds all roles")
     parser.add_argument("--templates-dir", help="directory of prompt template overrides")
-    parser.add_argument("--max-iters", type=int, help="iteration cap override")
+    parser.add_argument(
+        "--max-iters", dest="max_iterations", type=int, help="iteration cap override"
+    )
     parser.add_argument("--log-prompts", action="store_true", help="record prompts in traces")
     parser.add_argument("--parallelism", type=int, help="concurrent runs for batch commands")
 
 
-def _overrides(args: argparse.Namespace, top_k: int | None = None) -> CliOverrides:
-    return CliOverrides(
-        endpoint=args.llm_endpoint,
-        model=args.model,
-        script=args.script,
-        index_dir=args.index_dir,
-        top_k=top_k,
-        max_iterations=args.max_iters,
-        log_prompts=args.log_prompts,
-        templates_dir=args.templates_dir,
-        parallelism=args.parallelism,
-    )
+def _overrides(args: argparse.Namespace) -> CliOverrides:
+    fields = dataclasses.fields(CliOverrides)
+    return CliOverrides(**{f.name: getattr(args, f.name) for f in fields if hasattr(args, f.name)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ask.add_argument(
         "--pipeline", choices=[PIPELINE_RESP, PIPELINE_STANDARD], default=PIPELINE_RESP
     )
-    p_ask.add_argument("--k", type=int, help="documents retrieved per iteration")
+    p_ask.add_argument("--k", dest="top_k", type=int, help="documents retrieved per iteration")
     p_ask.add_argument("--trace", help="write the full run trace JSON here")
     _add_runtime_flags(p_ask)
     p_ask.set_defaults(func=cmd_ask)
@@ -80,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--pipeline", choices=[PIPELINE_RESP, PIPELINE_STANDARD], default=PIPELINE_RESP
     )
-    p_eval.add_argument("--k", type=int, help="documents retrieved per iteration")
+    p_eval.add_argument("--k", dest="top_k", type=int, help="documents retrieved per iteration")
     p_eval.add_argument("--out-dir", default=".", help="where report files go")
     _add_runtime_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
@@ -120,7 +114,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 def cmd_ask(args: argparse.Namespace) -> int:
     if not args.question.strip():
         raise ConfigurationError("question must be non-empty")
-    config = load_app_config(args.config, _overrides(args, top_k=args.k))
+    config = load_app_config(args.config, _overrides(args))
     run = AppRuntime(config).runner(pipeline=args.pipeline)
     if not args.trace:
         print(run(args.question).final_answer)
@@ -135,7 +129,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     _check_limit(args.limit)
-    config = load_app_config(args.config, _overrides(args, top_k=args.k))
+    config = load_app_config(args.config, _overrides(args))
     runtime = AppRuntime(config)
     examples = load_dataset(args.dataset, limit=args.limit)
     out_dir = Path(args.out_dir)

@@ -12,7 +12,7 @@ import json
 import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -109,21 +109,12 @@ class ExampleResult:
     em: float
     rounds: int
     stop_reason: str | None
-    prompt_tokens: float
+    generator_prompt_tokens: float
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.example_id,
-            "question": self.question,
-            "prediction": self.prediction,
-            "f1": self.f1,
-            "em": self.em,
-            "rounds": self.rounds,
-            "stop_reason": self.stop_reason,
-            "generator_prompt_tokens": self.prompt_tokens,
-            "error": self.error,
-        }
+        row = asdict(self)
+        return {"id": row.pop("example_id"), **row}
 
 
 @dataclass(frozen=True)
@@ -178,7 +169,7 @@ def evaluate(
                 em=0.0,
                 rounds=0,
                 stop_reason=None,
-                prompt_tokens=0.0,
+                generator_prompt_tokens=0.0,
                 error=str(exc),
             )
         return ExampleResult(
@@ -189,7 +180,7 @@ def evaluate(
             em=exact_match(trace.final_answer, example.golden_answers),
             rounds=len(trace.iterations),
             stop_reason=trace.stop_reason,
-            prompt_tokens=trace.generator_prompt_tokens,
+            generator_prompt_tokens=trace.generator_prompt_tokens,
         )
 
     if parallelism > 1 and len(examples) > 1:
@@ -210,7 +201,7 @@ def evaluate(
         mean_em=sum(row.em for row in rows) / n if n else 0.0,
         mean_rounds=sum(row.rounds for row in completed) / len(completed) if completed else 0.0,
         mean_prompt_tokens=(
-            sum(row.prompt_tokens for row in completed) / len(completed) if completed else 0.0
+            sum(r.generator_prompt_tokens for r in completed) / len(completed) if completed else 0.0
         ),
         stop_reasons=stop_reasons,
         errors=n - len(completed),
