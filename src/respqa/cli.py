@@ -17,6 +17,7 @@ from .config import AppRuntime, CliOverrides, load_app_config
 from .errors import ConfigurationError, CorpusError, DatasetError, RespqaError
 from .evaluation import evaluate, load_dataset, write_report
 from .files import replaced_on_success
+from .jsonl import require_utf8
 from .pipeline import PIPELINE_RESP, PIPELINE_STANDARD, sweep_k
 from .retrieval import BM25Index, read_corpus
 
@@ -41,6 +42,7 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _overrides(args: argparse.Namespace) -> CliOverrides:
+    # sweep's --k is a list, not the one top_k: sweep_k sets top_k per cell.
     fields = dataclasses.fields(CliOverrides)
     return CliOverrides(**{f.name: getattr(args, f.name) for f in fields if hasattr(args, f.name)})
 
@@ -114,6 +116,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 def cmd_ask(args: argparse.Namespace) -> int:
     if not args.question.strip():
         raise ConfigurationError("question must be non-empty")
+    require_utf8(args.question, "the question", ConfigurationError)
     config = load_app_config(args.config, _overrides(args))
     run = AppRuntime(config).runner(pipeline=args.pipeline)
     if not args.trace:
@@ -165,6 +168,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for name in pipelines:
         if name not in (PIPELINE_RESP, PIPELINE_STANDARD):
             raise ConfigurationError(f"unknown pipeline in --pipelines: {name!r}")
+    for flag, values in (("--k", k_values), ("--pipelines", pipelines)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigurationError(f"{flag} repeats {value!r}")
 
     config = load_app_config(args.config, _overrides(args))
     runtime = AppRuntime(config)

@@ -75,7 +75,9 @@ class AppConfig:
 
 @dataclass(frozen=True)
 class CliOverrides:
-    """Values from command-line flags; highest precedence. A field named after a
+    """Values from command-line flags; highest precedence. Each field is named
+    after the setting it overrides and is its flag's dest, so the CLI fills the
+    fields from the parsed arguments by name. A field named after a
     PipelineConfig setting overrides that setting."""
 
     endpoint: str | None = None

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DatasetError
 from .files import replaced_on_success
-from .jsonl import read_jsonl
+from .jsonl import read_jsonl, require_utf8
 from .retrieval import strip_punctuation
 
 if TYPE_CHECKING:
@@ -40,15 +40,21 @@ class QAExample:
 def load_dataset(path: str | Path, limit: int | None = None) -> list[QAExample]:
     """First ``limit`` examples (file order) from a JSONL dataset.
 
-    A row's ``id`` must be a non-empty string. Malformed rows raise
-    DatasetError naming the line number.
+    A row's ``id`` must be a non-empty string that no earlier row holds. No
+    id, question or gold answer may hold a lone surrogate (a JSON ``\\ud800``
+    escape), which UTF-8 cannot encode. Malformed rows raise DatasetError
+    naming the line number.
     """
     examples: list[QAExample] = []
+    seen: set[str] = set()
     rows = read_jsonl(path, DatasetError, ("id", "question", "golden_answers"))
     for where, row in islice(rows, limit):
         example_id = row["id"]
         if not isinstance(example_id, str) or not example_id:
             raise DatasetError(f"{where}: 'id' must be a non-empty string")
+        if example_id in seen:
+            raise DatasetError(f"{where}: duplicate id {example_id!r}")
+        seen.add(example_id)
         question = row["question"]
         golds = row["golden_answers"]
         if not isinstance(question, str) or not question.strip():
@@ -59,6 +65,10 @@ def load_dataset(path: str | Path, limit: int | None = None) -> list[QAExample]:
             or not all(isinstance(g, str) for g in golds)
         ):
             raise DatasetError(f"{where}: 'golden_answers' must be a non-empty list of strings")
+        require_utf8(example_id, f"{where}: 'id'", DatasetError)
+        require_utf8(question, f"{where}: 'question'", DatasetError)
+        for gold in golds:
+            require_utf8(gold, f"{where}: 'golden_answers'", DatasetError)
         examples.append(QAExample(example_id, question, tuple(golds)))
     return examples
 
@@ -102,6 +112,9 @@ def exact_match(prediction: str, golds: Sequence[str]) -> float:
 
 @dataclass(frozen=True)
 class ExampleResult:
+    """One row of ``eval_examples.jsonl``. Each field is written under its own
+    name and in field order, except ``example_id``, which is written as ``id``."""
+
     example_id: str
     question: str
     prediction: str

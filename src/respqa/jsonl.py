@@ -1,10 +1,11 @@
-"""The one reader of the package's JSONL inputs: corpus, dataset, vectors and scripts."""
+"""The one reader of the package's JSONL inputs: corpus, dataset, vectors and scripts,
+and the one check that a string read from outside the package is UTF-8 text."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import RespqaError
 
@@ -67,3 +68,19 @@ def parse_row(
     if missing:
         raise error(f"{where}: missing key(s): {', '.join(missing)}")
     return row
+
+
+def require_utf8(text: str, name: str, error: Callable[[str], Exception]) -> None:
+    """Raise ``error`` if ``text`` holds a lone surrogate, which UTF-8 cannot encode.
+
+    JSON reads one from a ``\\ud800`` escape, and an argv byte that is not
+    UTF-8 decodes to one. ``name`` says where the text came from.
+    """
+    if text.isascii():  # no surrogate; CPython reads this from a flag
+        return
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise error(
+            f"{name} holds a lone surrogate {exc.object[exc.start]!r}, which UTF-8 cannot encode"
+        ) from None

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol
 
 from .errors import BackendError, ConfigurationError, ScriptError
-from .jsonl import read_jsonl
+from .jsonl import read_jsonl, require_utf8
 
 if TYPE_CHECKING:
     from requests import Session
@@ -134,8 +134,11 @@ def load_script(path: str | Path) -> list[ScriptedRule]:
         match = row["match"]
         if isinstance(match, bool) or not isinstance(match, (str, int)):
             raise ConfigurationError(f"{where}: 'match' must be a string or integer")
+        if isinstance(match, str):
+            require_utf8(match, f"{where}: 'match'", ConfigurationError)
         if not isinstance(row["response"], str):
             raise ConfigurationError(f"{where}: 'response' must be a string")
+        require_utf8(row["response"], f"{where}: 'response'", ConfigurationError)
         rules.append(ScriptedRule(match=match, response=row["response"]))
     return rules
 
@@ -317,9 +320,10 @@ class HttpChatBackend(_CompletionBase):
             content = reply["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError(f"message content is {type(content).__name__}, not a string")
-            return content
         except (KeyError, IndexError, TypeError) as exc:
             raise fail(f"malformed completion response: {exc}") from exc
+        require_utf8(content, "the reply's message content", fail)
+        return content
 
 
 class _Helpers:

@@ -54,7 +54,7 @@ from typing import (
 import numpy as np
 
 from .errors import CorpusError, RetrieverError
-from .jsonl import jsonl_lines, parse_row, read_jsonl
+from .jsonl import jsonl_lines, parse_row, read_jsonl, require_utf8
 from .llm import HTTP_POOL_SIZE, JsonEndpoint
 
 if TYPE_CHECKING:
@@ -170,15 +170,7 @@ def read_corpus(path: str | Path) -> Iterator[Document]:
             raise CorpusError(f"{where}: 'contents' must be non-empty")
         doc = Document(doc_id=doc_id, title=title, text=text)
         for key, field in zip(keys, doc):
-            if field.isascii():  # no surrogate; CPython reads this from a flag
-                continue
-            try:
-                field.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise CorpusError(
-                    f"{where}: {key!r} holds a lone surrogate {exc.object[exc.start]!r}, "
-                    "which UTF-8 cannot encode"
-                ) from None
+            require_utf8(field, f"{where}: {key!r}", CorpusError)
         yield doc
 
 

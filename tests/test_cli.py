@@ -234,6 +234,11 @@ class TestFlagErrors:
             (["sweep", "--limit", "-1", "--out", "sweep.csv"], "--limit"),
             (["eval", "--parallelism", "0", "--out-dir", "."], "parallelism"),
             (["sweep", "--pipelines", ",", "--out", "sweep.csv"], "--pipelines"),
+            (["sweep", "--k", "2,5,2", "--out", "sweep.csv"], "--k repeats 2"),
+            (
+                ["sweep", "--pipelines", "resp,standard,resp", "--out", "sweep.csv"],
+                "--pipelines repeats 'resp'",
+            ),
         ],
     )
     def test_exit_config(
@@ -250,6 +255,14 @@ class TestFlagErrors:
         argv = ["ask", "   ", "--index-dir", str(index_dir), "--script", str(script_path)]
         assert main(argv) == EXIT_CONFIG
         assert "configuration error: question must be non-empty" in capsys.readouterr().err
+
+    def test_question_utf8_cannot_encode(self, index_dir, script_path, complete_calls, capsys):
+        # A shell argument holding the byte 0xff reaches sys.argv as "\udcff".
+        argv = ["ask", "alpha \udcff?", "--index-dir", str(index_dir), "--script", str(script_path)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: the question holds a lone surrogate '\\udcff'" in err
+        assert complete_calls == []
 
     @pytest.mark.parametrize(
         "flag, value", [("--llm-endpoint", "http://flag.example/v1"), ("--model", "m")]
@@ -469,6 +482,40 @@ class TestUnreadableInput:
         path.write_text(json.dumps(self.FIRST_ROWS["dataset"]) + "\n" + json.dumps(row) + "\n")
         assert self.run("dataset", path, tmp_path, index_dir, script_path) == EXIT_IO
         assert f"{path}:2: 'id' must be a non-empty string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, code, row, key",
+        [
+            (
+                "dataset",
+                EXIT_IO,
+                {"id": "e2", "question": "alpha \ud800?", "golden_answers": ["a"]},
+                "question",
+            ),
+            ("script", EXIT_CONFIG, {"match": "q?", "response": "Yes. x \ud800"}, "response"),
+        ],
+    )
+    def test_lone_surrogate_names_line_and_key(
+        self, kind, code, row, key, tmp_path, index_dir, script_path, complete_calls, capsys
+    ):
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text(json.dumps(self.FIRST_ROWS[kind]) + "\n" + json.dumps(row) + "\n")
+        assert self.run(kind, path, tmp_path, index_dir, script_path) == code
+        err = capsys.readouterr().err
+        assert f"{path}:2: '{key}' holds a lone surrogate '\\ud800', which UTF-8 cannot encode" in err
+        assert complete_calls == []
+        assert not (tmp_path / "reports").exists()
+
+    def test_repeated_dataset_id_is_io_error_naming_the_line(
+        self, tmp_path, index_dir, script_path, complete_calls, capsys
+    ):
+        path = tmp_path / "dataset.jsonl"
+        row = json.dumps(self.FIRST_ROWS["dataset"])
+        path.write_text(row + "\n" + row + "\n")
+        assert self.run("dataset", path, tmp_path, index_dir, script_path) == EXIT_IO
+        assert f"{path}:2: duplicate id 'e1'" in capsys.readouterr().err
+        assert complete_calls == []
+        assert not (tmp_path / "reports").exists()
 
     @pytest.mark.parametrize("kind, code", CASES)
     def test_directory_as_path(self, kind, code, tmp_path, index_dir, script_path, capsys):

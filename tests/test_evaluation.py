@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 import string
 
 import pytest
@@ -156,6 +157,23 @@ class TestLoadDataset:
     def test_id_that_is_not_a_non_empty_string_names_line(self, tmp_path, example_id):
         rows = [*self.good_rows(1), {"id": example_id, "question": "q?", "golden_answers": ["a"]}]
         with pytest.raises(DatasetError, match=":2: 'id' must be a non-empty string"):
+            load_dataset(self.write(tmp_path, rows))
+
+    @pytest.mark.parametrize("key", ["id", "question", "golden_answers"])
+    def test_lone_surrogate_names_line_and_key(self, tmp_path, key):
+        row = {"id": "q1", "question": "alpha?", "golden_answers": ["a"]}
+        if key == "golden_answers":
+            row[key] = ["a", "b \ud800"]
+        else:
+            row[key] += " \ud800"
+        path = self.write(tmp_path, [*self.good_rows(1), row])
+        message = f":2: '{key}' holds a lone surrogate '\\ud800', which UTF-8 cannot encode"
+        with pytest.raises(DatasetError, match=re.escape(message)):
+            load_dataset(path)
+
+    def test_repeated_id_names_line_and_id(self, tmp_path):
+        rows = [*self.good_rows(2), {"id": "q1", "question": "again?", "golden_answers": ["a"]}]
+        with pytest.raises(DatasetError, match=":3: duplicate id 'q1'"):
             load_dataset(self.write(tmp_path, rows))
 
     def test_empty_golds_rejected(self, tmp_path):

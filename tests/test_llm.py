@@ -151,6 +151,8 @@ class TestLoadScript:
             (json.dumps({"match": "x"}), "response"),
             (json.dumps({"match": True, "response": "x"}), "match"),
             (json.dumps({"match": "x", "response": 3}), "response"),
+            (json.dumps({"match": "x \ud800", "response": "y"}), ":1: 'match' holds a lone"),
+            (json.dumps({"match": "x", "response": "y \ud800"}), ":1: 'response' holds a lone"),
         ],
     )
     def test_malformed(self, tmp_path, line, fragment):
@@ -280,6 +282,15 @@ class TestHttpChatBackend:
             assert len(session.calls) == 1
             assert sleeps == []
 
+    def test_a_reply_utf8_cannot_encode(self):
+        # json.loads, which requests uses, reads the escape as a lone surrogate.
+        body = json.loads(b'{"choices": [{"message": {"content": "Yes. x \\ud800"}}]}')
+        backend, session, _ = self.make([FakeResponse(200, body)])
+        with pytest.raises(BackendError, match="lone surrogate") as excinfo:
+            backend.complete(req("ping", role="reasoner"))
+        assert excinfo.value.role_tag == "reasoner"
+        assert len(session.calls) == 1
+
     def test_output_cap_applied(self):
         long_text = " ".join(f"t{i}" for i in range(400))
         backend, _, _ = self.make([FakeResponse(200, completion(long_text))])
@@ -354,6 +365,28 @@ def test_threads_started_only_in_the_gateway():
         if path.name != "llm.py" and "threading.Thread(" in path.read_text(encoding="utf-8")
     ]
     assert offenders == []
+
+
+def test_every_override_is_a_runtime_flag_dest():
+    # The CLI fills CliOverrides by name from the parsed arguments, so a flag
+    # whose dest is not a field, or a field no flag sets, would be dropped.
+    import argparse
+    import dataclasses
+
+    from respqa import cli
+    from respqa.config import CliOverrides
+
+    fields = {field.name for field in dataclasses.fields(CliOverrides)}
+    commands = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    for name in ("ask", "eval"):
+        assert fields - {action.dest for action in commands.choices[name]._actions} == set()
+    runtime = argparse.ArgumentParser(add_help=False)
+    cli._add_runtime_flags(runtime)
+    # --config names the file the overrides take precedence over.
+    assert {action.dest for action in runtime._actions} - fields == {"config"}
 
 
 @pytest.mark.parametrize("endpoint", ["http://x/v1", "http://x/v1/", "http://x/v1/embeddings"])
