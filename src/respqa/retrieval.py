@@ -79,8 +79,8 @@ _DATA_FILES = (_DOCUMENTS_FILE, _TERMS_FILE, _POSTINGS_FILE)
 _POSTING_ARRAYS = ("doc_lengths", "offsets", "doc_indices", "term_freqs", "doc_fields")
 _POSTING_DTYPES = ("|u1", "<u2", "<u4", "<u8")
 # A data file's contents: built in memory, or an opened file's read-only map
-# (b"" for an empty file, which cannot be mapped). Slices of either are bytes.
-_FileData = bytes | mmap.mmap
+# (b"" for an empty file, which cannot be mapped). Slices decode as bytes do.
+_FileData = bytes | bytearray | mmap.mmap
 
 
 class _PunctuationTable(dict):
@@ -240,13 +240,25 @@ class _DocumentStore:
         fields = [self.data[start:end].decode() for start, end in zip(bounds, bounds[1:])]
         return list(map(Document._make, zip(fields[0::3], fields[1::3], fields[2::3])))
 
-    def in_id_order(self) -> Iterator[Document]:
-        """Every document, decoded one at a time, in ascending doc_id order."""
-        data, bounds = self.data, self.bounds.tolist()
-        ids = [data[start:end] for start, end in zip(bounds[:-1:3], bounds[1::3])]
-        for i in sorted(range(len(ids)), key=ids.__getitem__):
-            cut = bounds[3 * i : 3 * i + 4]
-            yield Document._make(data[a:b].decode() for a, b in zip(cut, cut[1:]))
+    def by_id(self) -> "_DocumentStore":
+        """The documents in ascending doc_id order, equal ids in stream order.
+
+        Nothing is decoded: each document's bytes are copied once, straight
+        into a buffer of the store's size. The field offsets are held in the
+        dtype ``save`` writes.
+        """
+        data, cuts = self.data, memoryview(self.bounds)
+        ids = [data[start:end] for start, end in zip(cuts[:-1:3], cuts[1::3])]
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        del ids
+        ordered, end = bytearray(len(data)), 0
+        with memoryview(data) as view:
+            for i in order:
+                start, end = end, end + cuts[3 * i + 3] - cuts[3 * i]
+                ordered[start:end] = view[cuts[3 * i] : cuts[3 * i + 3]]
+        bounds = np.zeros(len(cuts), dtype=np.int64)
+        np.cumsum(np.diff(self.bounds).reshape(-1, 3)[order], out=bounds[1:])
+        return _DocumentStore(ordered, _narrowed(bounds))
 
     def ranked_hits(self, scores: np.ndarray, k: int) -> list[RetrievedDocument]:
         """Hits for the k highest positive scores, ties by ascending doc_id.
@@ -264,6 +276,12 @@ class _DocumentStore:
             RetrievedDocument(*(data[a:b].decode() for a, b in zip(cut, cut[1:])), score, rank)
             for rank, (cut, score) in enumerate(zip(cuts, scores[hits].tolist()), start=1)
         ]
+
+
+def _narrowed(values: np.ndarray) -> np.ndarray:
+    """Non-negative integers in the narrowest unsigned dtype of 1, 2, 4 or 8
+    bytes that holds the largest; the array itself if it has that dtype."""
+    return values.astype(np.min_scalar_type(values.max(initial=0)), copy=False)
 
 
 def _check_ascending(
@@ -429,50 +447,67 @@ class BM25Index:
 
         Documents are held in ascending doc_id order. Raises CorpusError for
         duplicate doc_ids, empty passages, or an empty stream.
+
+        The stream is encoded once; each document's bytes are then copied
+        once into doc_id order, and each text is decoded from that store
+        only to be tokenized. Each intermediate is freed as soon as the next
+        exists, and every array is held in the dtype ``save`` writes, so a
+        built index holds what ``open`` returns.
         """
+        store = _DocumentStore.pack(documents).by_id()
         vocabulary = _Vocabulary()
         lengths = array("i")
         distinct_terms = array("i")
         # One entry per (document, term) pair, in document order.
         term_ids = array("i")
         term_freqs = array("i")
-
-        def add(doc: Document) -> Document:
-            if not doc.text.strip():
-                raise CorpusError(f"document {doc.doc_id!r} has empty text")
-            tokens = tokenize(doc.text)
+        data, cuts = store.data, memoryview(store.bounds)
+        previous = None
+        for start, id_end, text_start, end in zip(cuts[:-1:3], cuts[1::3], cuts[2::3], cuts[3::3]):
+            doc_id, text = data[start:id_end], data[text_start:end].decode()
+            if not text.strip():
+                raise CorpusError(f"document {doc_id.decode()!r} has empty text")
+            if doc_id == previous:
+                raise CorpusError(f"duplicate doc_id in corpus: {doc_id.decode()!r}")
+            previous = doc_id
+            tokens = tokenize(text)
             counts = Counter(tokens)
             lengths.append(len(tokens))
             distinct_terms.append(len(counts))
             term_ids.extend(map(vocabulary.__getitem__, counts))
             term_freqs.extend(counts.values())
-            return doc
-
-        # Encoded as they arrive, then decoded one at a time in doc_id order for add
-        # and the store: sorting the Documents held them all, which fragmented the
-        # heap (+1.4 MB peak RSS at 5k documents; later set-ups page-faulted more).
-        # Only the generator holds the first store, so it is freed once read.
-        store = _DocumentStore.pack(map(add, _DocumentStore.pack(documents).in_id_order()))
+        freqs = _narrowed(np.frombuffer(term_freqs, dtype=np.intc))
+        del term_freqs
         # Term ids become places in byte order (code-point order, as str sorts).
         terms = sorted(vocabulary)
-        places = np.empty(len(terms), dtype=np.int32)
-        places[np.array([vocabulary[term] for term in terms], dtype=np.intp)] = range(len(terms))
+        places = np.empty(len(terms), dtype=np.min_scalar_type(len(terms)))
+        first_seen = np.fromiter(map(vocabulary.__getitem__, terms), dtype=np.intp, count=len(terms))
+        places[first_seen] = np.arange(len(terms), dtype=places.dtype)
+        del vocabulary, first_seen
         # tokenize splits on whitespace, so no term holds a newline.
         lexicon = _Lexicon("\n".join(terms).encode("utf-8"))
-        # Views of the pair arrays, not copies, which would add to the peak memory.
+        del terms
         term_of_pair = places[np.frombuffer(term_ids, dtype=np.intc)]
+        del places, term_ids
+        offsets = np.zeros(len(lexicon) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(term_of_pair, minlength=len(lexicon)), out=offsets[1:])
         # A stable sort groups pairs by term and keeps document order within a term.
         order = np.argsort(term_of_pair, kind="stable")
-        doc_of_pair = np.repeat(np.arange(len(lengths), dtype=np.int32), distinct_terms)
-        offsets = np.zeros(len(vocabulary) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(term_of_pair, minlength=len(vocabulary)), out=offsets[1:])
+        del term_of_pair
+        freqs = freqs[order]
+        doc_of_pair = np.repeat(
+            np.arange(len(lengths), dtype=np.min_scalar_type(len(lengths) - 1)),
+            np.frombuffer(distinct_terms, dtype=np.intc),
+        )
+        doc_indices = doc_of_pair[order]
+        del doc_of_pair, order
         return cls(
             store,
-            np.array(lengths, dtype=np.int32),
+            _narrowed(np.frombuffer(lengths, dtype=np.intc)),
             lexicon,
-            offsets,
-            doc_of_pair[order],
-            np.frombuffer(term_freqs, dtype=np.intc)[order],
+            _narrowed(offsets),
+            doc_indices,
+            freqs,
             k1=k1,
             b=b,
         )

@@ -230,6 +230,22 @@ class TestPersistence:
         assert before == after
         assert reopened.stats == index.stats
 
+    # 256 documents: the largest document index, 255, fits one byte.
+    @pytest.mark.parametrize("n_docs, itemsizes", [(256, {1, 2}), (600, {1, 2, 4})])
+    def test_a_built_index_holds_what_open_returns(self, tmp_path, n_docs, itemsizes):
+        built = BM25Index.build(zipf_corpus(n_docs, seed=3))
+        built.save(tmp_path / "idx")
+        opened = BM25Index.open(tmp_path / "idx")
+        pairs = [
+            (getattr(built, name), getattr(opened, name))
+            for name in ("_doc_lengths", "_offsets", "_doc_indices", "_term_freqs")
+        ]
+        pairs.append((built._store.bounds, opened._store.bounds))
+        for ours, theirs in pairs:
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+        assert {ours.dtype.itemsize for ours, _ in pairs} == itemsizes
+        assert bytes(built._store.data) == bytes(opened._store.data)
+
     def test_open_missing_manifest(self, tmp_path):
         with pytest.raises(CorpusError, match="manifest"):
             BM25Index.open(tmp_path)
@@ -638,6 +654,24 @@ def test_open_copies_and_decodes_no_file(tmp_path):
     assert index.stats.num_documents == 2000
     # A copy of documents.txt and its decoded str would each be most of the index.
     assert peak < file_bytes / 4, (peak, file_bytes)
+
+
+def test_build_peaks_under_three_times_its_files(tmp_path):
+    docs = zipf_corpus(3000, seed=1)
+    BM25Index.build(docs[:10])  # any one-time cache is filled before the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        index = BM25Index.build(docs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    index.save(tmp_path / "idx")
+    file_bytes = sum(path.stat().st_size for path in (tmp_path / "idx").iterdir())
+    # The index itself holds about its files' bytes. Decoding every document
+    # again, and holding int32 and int64 pair arrays and the int64 sort
+    # permutation all at once, peaked at 4.4 times them.
+    assert peak < 3 * file_bytes, (peak, file_bytes)
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
