@@ -571,42 +571,46 @@ class BM25Index:
             (target / _MANIFEST_FILE).is_file() or (target.is_dir() and not any(target.iterdir()))
         ):
             raise CorpusError(f"refusing to replace {target}: not empty and not an index directory")
-        arrays = (
-            self._doc_lengths,
-            self._offsets,
-            self._doc_indices,
-            self._term_freqs,
-            self._store.bounds,
-        )
-        dtypes = [np.min_scalar_type(part.max(initial=0)).newbyteorder("<") for part in arrays]
-        payloads = {
-            _DOCUMENTS_FILE: self._store.data,
-            _TERMS_FILE: self._lexicon.data,
-            _POSTINGS_FILE: b"".join(
-                part.astype(dtype).tobytes() for part, dtype in zip(arrays, dtypes)
+        arrays = map(
+            _narrowed,
+            (
+                self._doc_lengths,
+                self._offsets,
+                self._doc_indices,
+                self._term_freqs,
+                self._store.bounds,
             ),
-        }
-        manifest = {
-            "format_tag": INDEX_FORMAT_TAG,
-            "format_version": INDEX_FORMAT_VERSION,
-            "num_documents": len(self._doc_lengths),
-            "num_terms": len(self._lexicon),
-            "num_postings": len(self._doc_indices),
-            "avg_doc_length": self._avgdl,
-            "postings_dtypes": dict(zip(_POSTING_ARRAYS, (dtype.str for dtype in dtypes))),
-            "files": {
-                name: {"bytes": len(data), "crc32": zlib.crc32(data)}
-                for name, data in payloads.items()
-            },
-        }
-        payloads[_MANIFEST_FILE] = json.dumps(manifest, indent=2).encode("utf-8")
+        )
+        # A built or opened index holds them narrow already, so nothing is
+        # copied, but on a big-endian machine, which swaps to the files' order.
+        arrays = [part.astype(part.dtype.newbyteorder("<"), copy=False) for part in arrays]
+        files = {}
         target.parent.mkdir(parents=True, exist_ok=True)
         staging = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
         retired = staging.with_suffix(".old")
         staging.mkdir()
         try:
-            for name, data in payloads.items():
+            for name, data in ((_DOCUMENTS_FILE, self._store.data), (_TERMS_FILE, self._lexicon.data)):
                 (staging / name).write_bytes(data)
+                files[name] = {"bytes": len(data), "crc32": zlib.crc32(data)}
+            # Each array's buffer is written as it is; the CRC-32 runs across them.
+            crc = 0
+            with open(staging / _POSTINGS_FILE, "wb") as postings:
+                for part in arrays:
+                    postings.write(part)
+                    crc = zlib.crc32(part, crc)
+            files[_POSTINGS_FILE] = {"bytes": sum(part.nbytes for part in arrays), "crc32": crc}
+            manifest = {
+                "format_tag": INDEX_FORMAT_TAG,
+                "format_version": INDEX_FORMAT_VERSION,
+                "num_documents": len(self._doc_lengths),
+                "num_terms": len(self._lexicon),
+                "num_postings": len(self._doc_indices),
+                "avg_doc_length": self._avgdl,
+                "postings_dtypes": dict(zip(_POSTING_ARRAYS, (part.dtype.str for part in arrays))),
+                "files": files,
+            }
+            (staging / _MANIFEST_FILE).write_bytes(json.dumps(manifest, indent=2).encode("utf-8"))
             if target.exists():
                 os.replace(target, retired)
             os.replace(staging, target)

@@ -2,6 +2,7 @@ import errno
 import gc
 import io
 import json
+import os
 import random
 import re
 import sys
@@ -672,6 +673,23 @@ def test_build_peaks_under_three_times_its_files(tmp_path):
     # again, and holding int32 and int64 pair arrays and the int64 sort
     # permutation all at once, peaked at 4.4 times them.
     assert peak < 3 * file_bytes, (peak, file_bytes)
+
+
+def test_save_copies_no_postings_array(tmp_path):
+    index = BM25Index.build(zipf_corpus(3000, seed=1))
+    index.save(tmp_path / "first")  # any one-time cache is filled before the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        index.save(tmp_path / "idx")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    postings = (tmp_path / "idx" / "postings.bin").stat().st_size
+    # A narrowed copy of each array, then their join, would be twice the file.
+    assert peak < postings / 4, (peak, postings)
+    first, second = tmp_path / "first", tmp_path / "idx"
+    assert all((first / f).read_bytes() == (second / f).read_bytes() for f in os.listdir(first))
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
