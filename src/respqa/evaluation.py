@@ -9,6 +9,7 @@ best score over the gold answers.
 from __future__ import annotations
 
 import json
+import logging
 import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -17,13 +18,15 @@ from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .errors import DatasetError
+from .errors import DatasetError, RespqaError
 from .files import replaced_on_success
 from .jsonl import read_jsonl, require_utf8
 from .retrieval import strip_punctuation
 
 if TYPE_CHECKING:
     from .pipeline import RunTrace
+
+logger = logging.getLogger(__name__)
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
 
@@ -166,14 +169,17 @@ def evaluate(
     """Run the pipeline on every example and score the final answers.
 
     A failed run scores 0 and is counted in ``errors``; the batch always
-    completes. Row order follows dataset order regardless of parallelism,
-    so identical inputs produce identical reports.
+    completes. An exception that is not a package error also has its
+    traceback logged once at ERROR. Row order follows dataset order
+    regardless of parallelism, so identical inputs produce identical reports.
     """
 
     def run_one(example: QAExample) -> ExampleResult:
         try:
             trace = run_fn(example.question)
         except Exception as exc:  # per-run failures must not sink the batch
+            if not isinstance(exc, RespqaError):
+                logger.exception("example %r failed", example.example_id)
             return ExampleResult(
                 example_id=example.example_id,
                 question=example.question,
@@ -183,7 +189,7 @@ def evaluate(
                 rounds=0,
                 stop_reason=None,
                 generator_prompt_tokens=0.0,
-                error=str(exc),
+                error=_describe(exc),
             )
         return ExampleResult(
             example_id=example.example_id,
@@ -220,6 +226,17 @@ def evaluate(
         errors=n - len(completed),
         rows=rows,
     )
+
+
+def _describe(exc: Exception) -> str:
+    """A failed row's error: the exception's message, led by its type name
+    where the message alone names nothing (empty, as a bare
+    ``ZeroDivisionError()``'s, or only its argument's repr, as a
+    ``KeyError``'s). A package error's message is kept as it is."""
+    message = str(exc)
+    if isinstance(exc, RespqaError) or (message and [message] != list(map(repr, exc.args))):
+        return message
+    return f"{type(exc).__name__}: {message}" if message else type(exc).__name__
 
 
 def write_report(report: EvalReport, summary_path: str | Path, rows_path: str | Path) -> None:

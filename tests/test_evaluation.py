@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import logging
 import random
 import re
 import string
 
 import pytest
 
-from respqa.errors import DatasetError
+from respqa.errors import BackendError, DatasetError, PipelineError, ScriptError
 from respqa.evaluation import (
     QAExample,
     evaluate,
@@ -237,6 +238,46 @@ class TestEvaluate:
         assert failed.error == "backend exploded"
         assert failed.f1 == 0.0
         assert report.stop_reasons == {"judged_sufficient": 2}
+
+    @pytest.mark.parametrize(
+        "exc, error",
+        [
+            (ZeroDivisionError(), "ZeroDivisionError"),
+            (KeyError("k"), "KeyError: 'k'"),
+            (ValueError(5), "ValueError: 5"),
+            (IndexError("list index out of range"), "list index out of range"),
+        ],
+    )
+    def test_a_bug_is_named_and_its_traceback_logged_once(self, caplog, exc, error):
+        def run(question):
+            if question == "q2?":
+                raise exc
+            return canned_trace(question, "Charlie Murphy")
+
+        with caplog.at_level(logging.ERROR, logger="respqa.evaluation"):
+            report = evaluate(run, self.EXAMPLES, parallelism=2)
+        assert [row.error for row in report.rows] == [None, error, None]
+        assert report.errors == 1
+        [record] = caplog.records
+        assert record.levelno == logging.ERROR and "'e2'" in record.getMessage()
+        assert record.exc_info[1] is exc
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            BackendError("'x'", role_tag="reasoner"),
+            PipelineError("", round_index=1),
+            ScriptError("no rule matches"),
+        ],
+    )
+    def test_a_package_error_keeps_its_text_and_logs_nothing(self, caplog, exc):
+        def run(question):
+            raise exc
+
+        with caplog.at_level(logging.DEBUG, logger="respqa.evaluation"):
+            report = evaluate(run, self.EXAMPLES[:1])
+        assert report.rows[0].error == str(exc)
+        assert caplog.records == []
 
     def test_mean_rounds_over_completed_runs(self):
         rounds = {"q1?": 1, "q2?": 3, "q3?": 2}
