@@ -2,7 +2,6 @@ import errno
 import gc
 import io
 import json
-import os
 import random
 import re
 import sys
@@ -111,6 +110,32 @@ class TestBuildIndex:
         docs = [Document("same", "t", "x"), Document("other", "t", "y"), Document("same", "t", "z")]
         with pytest.raises(CorpusError, match="duplicate doc_id in corpus: 'same'"):
             BM25Index.build(docs)
+
+    @pytest.mark.parametrize(
+        "docs, message",
+        [
+            # A repeat of the id before it is refused while the stream is read.
+            ([Document("a", "", "x"), Document("a", "", " ")], "duplicate doc_id in corpus: 'a'"),
+            ([Document("a", "", " "), Document("b", "\ud800", "x")], "document 'b' is not UTF-8 text"),
+            # Then documents are checked in id order, each one's text before its id.
+            (
+                [Document("b", "", "x"), Document("a", "", "y"), Document("b", "", " ")],
+                "document 'b' has empty text",
+            ),
+            (
+                [Document("c", "", "x"), Document("a", "", " "), Document("c", "", "x")],
+                "document 'a' has empty text",
+            ),
+            (
+                [Document("a", "", "x"), Document("c", "", "x"), Document("a", "", "x"), Document("d", "", " ")],
+                "duplicate doc_id in corpus: 'a'",
+            ),
+        ],
+    )
+    def test_the_first_corpus_error_is_reported(self, docs, message):
+        with pytest.raises(CorpusError) as raised:
+            BM25Index.build(iter(docs))
+        assert str(raised.value).startswith(message)
 
     def test_documents_are_held_in_doc_id_order(self):
         docs = [doc(i, f"text {i}") for i in (3, 10, 1, 2)]
@@ -669,9 +694,9 @@ def test_build_peaks_under_three_times_its_files(tmp_path):
         tracemalloc.stop()
     index.save(tmp_path / "idx")
     file_bytes = sum(path.stat().st_size for path in (tmp_path / "idx").iterdir())
-    # The index itself holds about its files' bytes. Decoding every document
-    # again, and holding int32 and int64 pair arrays and the int64 sort
-    # permutation all at once, peaked at 4.4 times them.
+    # An index holds about its files' bytes. A build that decodes every
+    # document twice, or keeps its wide pair arrays and its sort permutation
+    # alive together, peaks above four times them.
     assert peak < 3 * file_bytes, (peak, file_bytes)
 
 
@@ -688,8 +713,8 @@ def test_save_copies_no_postings_array(tmp_path):
     postings = (tmp_path / "idx" / "postings.bin").stat().st_size
     # A narrowed copy of each array, then their join, would be twice the file.
     assert peak < postings / 4, (peak, postings)
-    first, second = tmp_path / "first", tmp_path / "idx"
-    assert all((first / f).read_bytes() == (second / f).read_bytes() for f in os.listdir(first))
+    for path in (tmp_path / "first").iterdir():
+        assert path.read_bytes() == (tmp_path / "idx" / path.name).read_bytes()
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
