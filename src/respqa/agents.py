@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -159,14 +160,13 @@ def assemble_prompt(
             estimate=estimate,
             cap=max_input_tokens,
         )
-    lo, hi = floor, len(docs)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if whitespace_token_estimate(prompt_with(mid)) <= max_input_tokens:
-            lo = mid
-        else:
-            hi = mid - 1
-    return prompt if lo == floor else prompt_with(lo)
+    # The estimate never shrinks as documents are added, so the counts that fit are a prefix.
+    added = bisect_right(
+        range(floor + 1, len(docs) + 1),
+        max_input_tokens,
+        key=lambda count: whitespace_token_estimate(prompt_with(count)),
+    )
+    return prompt_with(floor + added) if added else prompt
 
 
 @dataclass(frozen=True)

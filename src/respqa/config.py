@@ -22,6 +22,7 @@ import yaml
 
 from .agents import PipelineAgents, PipelineConfig, PromptTemplateSet
 from .errors import ConfigurationError
+from .jsonl import require_utf8
 from .llm import (
     ROLE_TAGS,
     BackendRouter,
@@ -127,10 +128,7 @@ def _bool(value: object, key: str) -> bool:
 def _utf8(value: object, key: str) -> object:
     """``value``, unless it is a string UTF-8 cannot encode (a lone surrogate)."""
     if isinstance(value, str):
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ConfigurationError(f"{key} is not UTF-8 text: {value!r}") from None
+        require_utf8(value, key, ConfigurationError)
     return value
 
 

@@ -194,7 +194,8 @@ class _DocumentStore:
 
     @classmethod
     def pack(cls, documents: Iterable[Document]) -> "_DocumentStore":
-        """Encode a document stream; CorpusError if it is empty, if a document
+        """Encode a document stream into a buffer and offsets that the store
+        holds as filled, uncopied; CorpusError if it is empty, if a document
         has the id of the one before it or if a field is not UTF-8."""
         # One growing buffer: a bytes object per field, then their join, put
         # ~2 MB more on the peak RSS of a 5k-document build.
@@ -213,7 +214,7 @@ class _DocumentStore:
                 raise CorpusError(f"document {doc.doc_id!r} is not UTF-8 text: {exc}") from None
         if len(bounds) == 1:
             raise CorpusError("corpus is empty: at least one document is required")
-        return cls(bytes(data), np.array(bounds, dtype=np.int64))
+        return cls(data, np.frombuffer(bounds, dtype=np.int64))
 
     @classmethod
     def read(cls, data: _FileData, bounds: np.ndarray) -> "_DocumentStore":
@@ -283,7 +284,8 @@ class _DocumentStore:
 
 def _narrowed(values: np.ndarray) -> np.ndarray:
     """Non-negative integers in the narrowest unsigned dtype of 1, 2, 4 or 8
-    bytes that holds the largest; the array itself if it has that dtype."""
+    bytes that holds the largest; the array itself if it has that dtype.
+    ``build`` applies it to every stored array of an index; ``save`` does not."""
     return values.astype(np.min_scalar_type(values.max(initial=0)), copy=False)
 
 
@@ -455,8 +457,8 @@ class BM25Index:
         The stream is encoded once; each document's bytes are then copied
         once into doc_id order, and each text is decoded from that store
         only to be tokenized. Each intermediate is freed as soon as the next
-        exists, and every array is held in the dtype ``save`` writes, so a
-        built index holds what ``open`` returns. The traced peak is about
+        exists, and every stored array is ``_narrowed`` here, once, so a built
+        index holds what ``open`` returns, dtypes too. The traced peak is about
         twice the saved files' bytes (7 MB at 5,000 documents of ~80 tokens).
         """
         store = _DocumentStore.pack(documents).by_id()
@@ -504,7 +506,7 @@ class BM25Index:
             np.arange(len(lengths), dtype=np.min_scalar_type(len(lengths) - 1)),
             np.frombuffer(distinct_terms, dtype=np.intc),
         )
-        doc_indices = doc_of_pair[order]
+        doc_indices = _narrowed(doc_of_pair[order])
         del doc_of_pair, order
         return cls(
             store,
@@ -566,18 +568,20 @@ class BM25Index:
     def save(self, index_dir: str | Path) -> None:
         """Persist to a directory (manifest, documents, vocabulary, postings).
 
-        The files are written to a sibling temporary directory that then
-        replaces ``index_dir``, so a failed save never leaves a directory that
-        opens as an index. A non-empty ``index_dir`` without a manifest is
-        refused rather than replaced.
+        Each data file is written from the buffers the index holds, its CRC-32
+        run across them. The files are written to a sibling temporary
+        directory that then replaces ``index_dir``, so a failed save never
+        leaves a directory that opens as an index. A non-empty ``index_dir``
+        without a manifest is refused rather than replaced.
         """
         target = Path(os.path.abspath(index_dir))
         if target.exists() and not (
             (target / _MANIFEST_FILE).is_file() or (target.is_dir() and not any(target.iterdir()))
         ):
             raise CorpusError(f"refusing to replace {target}: not empty and not an index directory")
+        # As held: an array is copied only on a big-endian machine, to swap its bytes.
         arrays = [
-            _narrowed(part)
+            part.astype(part.dtype.newbyteorder("<"), copy=False)
             for part in (
                 self._doc_lengths,
                 self._offsets,
@@ -586,25 +590,19 @@ class BM25Index:
                 self._store.bounds,
             )
         ]
-        # A built or opened index holds them narrow already, so nothing is
-        # copied, but on a big-endian machine, which swaps to the files' order.
-        arrays = [part.astype(part.dtype.newbyteorder("<"), copy=False) for part in arrays]
         files = {}
         target.parent.mkdir(parents=True, exist_ok=True)
         staging = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
         retired = staging.with_suffix(".old")
         staging.mkdir()
         try:
-            for name, data in ((_DOCUMENTS_FILE, self._store.data), (_TERMS_FILE, self._lexicon.data)):
-                (staging / name).write_bytes(data)
-                files[name] = {"bytes": len(data), "crc32": zlib.crc32(data)}
-            # Each array's buffer is written as it is; the CRC-32 runs across them.
-            crc = 0
-            with open(staging / _POSTINGS_FILE, "wb") as postings:
-                for part in arrays:
-                    postings.write(part)
-                    crc = zlib.crc32(part, crc)
-            files[_POSTINGS_FILE] = {"bytes": sum(part.nbytes for part in arrays), "crc32": crc}
+            for name, parts in zip(_DATA_FILES, ([self._store.data], [self._lexicon.data], arrays)):
+                crc = 0
+                with open(staging / name, "wb") as file:
+                    for part in parts:
+                        file.write(part)
+                        crc = zlib.crc32(part, crc)
+                    files[name] = {"bytes": file.tell(), "crc32": crc}
             manifest = {
                 "format_tag": INDEX_FORMAT_TAG,
                 "format_version": INDEX_FORMAT_VERSION,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -108,6 +109,29 @@ class TestIndexCommand:
         assert main(["index", str(path), "--out", str(tmp_path / "idx")]) == EXIT_IO
         assert f"{path}:1: 'contents' holds a lone surrogate" in capsys.readouterr().err
         assert not (tmp_path / "idx").exists()
+
+    def test_writes_the_pinned_index_bytes(self, tmp_path):
+        # Accented ids, an empty title and a document of punctuation only. The
+        # manifest carries each file's size and CRC-32, the dtypes and the
+        # counts, so its digest pins every byte `respqa index` writes. A format
+        # change updates the digest here.
+        rows = [
+            ("caf\u00e9-2", "Caf\u00e9", "Cr\u00e8me br\u00fbl\u00e9e at the caf\u00e9, twice."),
+            ("caf\u00e9-1", "", "An untitled note on the caf\u00e9 and its cr\u00e8me."),
+            ("\u00e9t\u00e9", "\u00c9t\u00e9", "Summer: the caf\u00e9 opens its terrace " * 6),
+            ("z-punct", "Marks", "!!! ... -- ?"),
+            ("abc", "ABC", "Plain ASCII text about a caf\u00e9 and a terrace."),
+        ]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            "".join(json.dumps({"id": i, "title": t, "contents": c}) + "\n" for i, t, c in rows)
+        )
+        assert main(["index", str(path), "--out", str(tmp_path / "idx")]) == EXIT_OK
+        manifest = (tmp_path / "idx" / "manifest.json").read_bytes()
+        assert json.loads(manifest)["postings_dtypes"]["doc_fields"] == "<u2"
+        assert hashlib.sha256(manifest).hexdigest() == (
+            "312f66c46104f9333853b178a8265ca893fce31e1297a9a3d3e99529f0eec96d"
+        ), manifest.decode()
 
 
 class TestAskCommand:

@@ -18,6 +18,7 @@ from respqa.retrieval import (
     BM25Index,
     Document,
     EmbeddingRetriever,
+    _DocumentStore,
     _posting_arrays,
     _POSTING_ARRAYS,
     read_corpus,
@@ -256,10 +257,21 @@ class TestPersistence:
         assert before == after
         assert reopened.stats == index.stats
 
-    # 256 documents: the largest document index, 255, fits one byte.
-    @pytest.mark.parametrize("n_docs, itemsizes", [(256, {1, 2}), (600, {1, 2, 4})])
-    def test_a_built_index_holds_what_open_returns(self, tmp_path, n_docs, itemsizes):
-        built = BM25Index.build(zipf_corpus(n_docs, seed=3))
+    # 256 documents: the largest document index, 255, fits one byte. The third
+    # case adds a 257th document, last by id, that holds only punctuation: no
+    # posting names it, so the postings' largest document index is still 255.
+    @pytest.mark.parametrize(
+        "n_docs, itemsizes, last",
+        [
+            (256, {1, 2}, None),
+            (600, {1, 2, 4}, None),
+            (256, {1, 2}, Document("~", "", "!!! ...")),
+        ],
+        ids=["256-itemsizes0", "600-itemsizes1", "257-punctuation-last"],
+    )
+    def test_a_built_index_holds_what_open_returns(self, tmp_path, n_docs, itemsizes, last):
+        docs = zipf_corpus(n_docs, seed=3)
+        built = BM25Index.build(docs + [last] if last else docs)
         built.save(tmp_path / "idx")
         opened = BM25Index.open(tmp_path / "idx")
         pairs = [
@@ -698,6 +710,25 @@ def test_build_peaks_under_three_times_its_files(tmp_path):
     # document twice, or keeps its wide pair arrays and its sort permutation
     # alive together, peaks above four times them.
     assert peak < 3 * file_bytes, (peak, file_bytes)
+
+
+def test_pack_copies_its_buffer_once():
+    # Accented documents in shuffled id order, as a corpus stream comes.
+    docs = [
+        Document(f"d{i:04d}", f"Caf\u00e9 {i}", f"cr\u00e8me br\u00fbl\u00e9e w{i} " * 12)
+        for i in range(3000)
+    ]
+    random.Random(5).shuffle(docs)
+    _DocumentStore.pack(docs[:10])  # any one-time cache is filled before the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        store = _DocumentStore.pack(docs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A copy of the finished buffer would peak above twice the store.
+    assert peak < 1.5 * len(store.data), (peak, len(store.data))
 
 
 def test_save_copies_no_postings_array(tmp_path):
