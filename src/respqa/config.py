@@ -236,7 +236,7 @@ def load_app_config(path: str | Path | None, overrides: CliOverrides | None = No
         _require(templates_dir.is_dir(), f"templates directory not found: {templates_dir}")
     flag = overrides.parallelism
     parallelism = parsed.get("eval", {}).get("parallelism", 1) if flag is None else flag
-    _require(parallelism >= 1, f"parallelism must be >= 1, got {parallelism}")
+    _require(parallelism >= 1, f"eval.parallelism must be >= 1, got {parallelism}")
     k1, b = retriever.get("k1", DEFAULT_K1), retriever.get("b", DEFAULT_B)
     _require(0 <= k1 < math.inf, f"retriever.k1 must be finite and >= 0, got {k1}")
     _require(0 <= b <= 1, f"retriever.b must be between 0 and 1, got {b}")

@@ -116,16 +116,17 @@ def exact_match(prediction: str, golds: Sequence[str]) -> float:
 @dataclass(frozen=True)
 class ExampleResult:
     """One row of ``eval_examples.jsonl``. Each field is written under its own
-    name and in field order, except ``example_id``, which is written as ``id``."""
+    name and in field order, except ``example_id``, which is written as ``id``.
+    A failed row is the defaults plus ``error``."""
 
     example_id: str
     question: str
-    prediction: str
-    f1: float
-    em: float
-    rounds: int
-    stop_reason: str | None
-    generator_prompt_tokens: float
+    prediction: str = ""
+    f1: float = 0.0
+    em: float = 0.0
+    rounds: int = 0
+    stop_reason: str | None = None
+    generator_prompt_tokens: float = 0.0
     error: str | None = None
 
     def to_dict(self) -> dict:
@@ -180,17 +181,7 @@ def evaluate(
         except Exception as exc:  # per-run failures must not sink the batch
             if not isinstance(exc, RespqaError):
                 logger.exception("example %r failed", example.example_id)
-            return ExampleResult(
-                example_id=example.example_id,
-                question=example.question,
-                prediction="",
-                f1=0.0,
-                em=0.0,
-                rounds=0,
-                stop_reason=None,
-                generator_prompt_tokens=0.0,
-                error=_describe(exc),
-            )
+            return ExampleResult(example.example_id, example.question, error=_describe(exc))
         return ExampleResult(
             example_id=example.example_id,
             question=example.question,
@@ -202,6 +193,10 @@ def evaluate(
             generator_prompt_tokens=trace.generator_prompt_tokens,
         )
 
+    # At parallelism 1 the questions run in the caller's thread, so Ctrl-C
+    # stops the batch at once. A pool's ``with`` exit would first wait for the
+    # question that is running, which on an HTTP backend can mean minutes of
+    # retries.
     if parallelism > 1 and len(examples) > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             rows = list(pool.map(run_one, examples))
@@ -210,10 +205,6 @@ def evaluate(
 
     n = len(rows)
     completed = [row for row in rows if row.error is None]
-    stop_reasons: dict[str, int] = {}
-    for row in completed:
-        assert row.stop_reason is not None
-        stop_reasons[row.stop_reason] = stop_reasons.get(row.stop_reason, 0) + 1
     return EvalReport(
         n=n,
         mean_f1=sum(row.f1 for row in rows) / n if n else 0.0,
@@ -222,7 +213,7 @@ def evaluate(
         mean_prompt_tokens=(
             sum(r.generator_prompt_tokens for r in completed) / len(completed) if completed else 0.0
         ),
-        stop_reasons=stop_reasons,
+        stop_reasons=Counter(row.stop_reason for row in completed),
         errors=n - len(completed),
         rows=rows,
     )

@@ -8,7 +8,7 @@ entry, so after round r the queues hold r+1 and r entries respectively.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 
 from .retrieval import is_punctuation_char
 
@@ -28,9 +28,10 @@ def normalize_question(text: str) -> str:
     of scope.
     """
     collapsed = " ".join(text.split()).lower()
-    while collapsed and (collapsed[-1] == " " or is_punctuation_char(collapsed[-1])):
-        collapsed = collapsed[:-1]
-    return collapsed
+    end = len(collapsed)
+    while end and (collapsed[end - 1] == " " or is_punctuation_char(collapsed[end - 1])):
+        end -= 1
+    return collapsed[:end]
 
 
 @dataclass(frozen=True)
@@ -47,20 +48,14 @@ class LocalPathwayEntry:
     answered: bool
 
 
+@dataclass(eq=False)
 class MemoryState:
-    """Append-only queues; one instance per question run, mutated single-threaded."""
+    """The paper's two append-only queues for one question run, mutated
+    single-threaded. The pushes are the only way in, so every entry passes
+    their checks; instances compare by identity."""
 
-    def __init__(self) -> None:
-        self._global: list[GlobalEvidenceEntry] = []
-        self._local: list[LocalPathwayEntry] = []
-
-    @property
-    def global_evidence(self) -> tuple[GlobalEvidenceEntry, ...]:
-        return tuple(self._global)
-
-    @property
-    def local_pathway(self) -> tuple[LocalPathwayEntry, ...]:
-        return tuple(self._local)
+    global_evidence: tuple[GlobalEvidenceEntry, ...] = field(default=(), init=False)
+    local_pathway: tuple[LocalPathwayEntry, ...] = field(default=(), init=False)
 
     def push_global(self, round_index: int, summary_text: str) -> None:
         """Append a round's evidence summary; rounds must arrive as 0, 1, 2, ...
@@ -71,21 +66,21 @@ class MemoryState:
         text = summary_text.strip()
         if not text:
             raise ValueError("global evidence summary must be non-empty")
-        if round_index != len(self._global):
+        if round_index != len(self.global_evidence):
             raise ValueError(
                 f"global evidence rounds must be contiguous: expected "
-                f"{len(self._global)}, got {round_index}"
+                f"{len(self.global_evidence)}, got {round_index}"
             )
-        self._global.append(GlobalEvidenceEntry(round=round_index, text=text))
+        self.global_evidence += (GlobalEvidenceEntry(round=round_index, text=text),)
 
     def push_local(self, round_index: int, sub_question: str, answer: str, answered: bool) -> None:
         """Append a (sub-question, answer) pair; round 0 is bypassed by design."""
         if round_index < 1:
             raise ValueError("round 0 has no local pathway entry")
-        if round_index != len(self._local) + 1:
+        if round_index != len(self.local_pathway) + 1:
             raise ValueError(
                 f"local pathway rounds must be contiguous: expected "
-                f"{len(self._local) + 1}, got {round_index}"
+                f"{len(self.local_pathway) + 1}, got {round_index}"
             )
         if not sub_question.strip():
             raise ValueError("sub_question must be non-empty")
@@ -93,10 +88,10 @@ class MemoryState:
             raise ValueError(
                 f"unanswered entries must carry the marker {NO_ANSWER_MARKER!r}, got {answer!r}"
             )
-        self._local.append(
+        self.local_pathway += (
             LocalPathwayEntry(
                 round=round_index, sub_question=sub_question, answer=answer, answered=answered
-            )
+            ),
         )
 
     def render_combined(self) -> str:
@@ -105,13 +100,13 @@ class MemoryState:
         Never truncated anywhere in the pipeline.
         """
         lines = [_GLOBAL_HEADER]
-        if self._global:
-            lines.extend(entry.text for entry in self._global)
+        if self.global_evidence:
+            lines.extend(entry.text for entry in self.global_evidence)
         else:
             lines.append(_EMPTY_SECTION)
         lines.append(_HISTORY_HEADER)
-        if self._local:
-            lines.extend(f"Q: {entry.sub_question} A: {entry.answer}" for entry in self._local)
+        if self.local_pathway:
+            lines.extend(f"Q: {e.sub_question} A: {e.answer}" for e in self.local_pathway)
         else:
             lines.append(_EMPTY_SECTION)
         return "\n".join(lines)
@@ -122,13 +117,7 @@ class MemoryState:
         The overarching question, when given, is included: it was the
         round-0 retrieval query.
         """
-        seen = {normalize_question(entry.sub_question) for entry in self._local}
+        seen = {normalize_question(entry.sub_question) for entry in self.local_pathway}
         if overarching_question is not None:
             seen.add(normalize_question(overarching_question))
         return seen
-
-    def to_dict(self) -> dict:
-        return {
-            "global_evidence": [asdict(entry) for entry in self._global],
-            "local_pathway": [asdict(entry) for entry in self._local],
-        }

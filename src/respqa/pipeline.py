@@ -78,9 +78,8 @@ class RunTrace:
         return [iteration.sub_question for iteration in self.iterations]
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["memory"] = self.memory.to_dict() if self.memory else None
-        return data
+        """Nested dicts down to the memory's entries; JSON writes its tuples as lists."""
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, ensure_ascii=False)

@@ -486,8 +486,8 @@ class TestRoleTemperatures:
             ({"generator_temperature": -1}, "generator_temperature"),
             ({"generator_temperature": float("nan")}, "generator_temperature"),
             ({"generator_temperature": float("inf")}, "generator_temperature"),
-            ({"max_input_tokens": 0}, "token caps"),
-            ({"max_output_tokens": 0}, "token caps"),
+            ({"max_input_tokens": 0}, "max_input_tokens must be >= 1"),
+            ({"max_output_tokens": 0}, "max_output_tokens must be >= 1"),
         ],
     )
     def test_bad_setting_rejected_before_any_call(self, setting, fragment):

@@ -9,7 +9,12 @@ from respqa.config import ENV_ENDPOINT
 from respqa.llm import BackendRouter
 
 from helpers import (
+    GENERATE_MARKER,
+    GOLDEN_EVIDENCE,
+    LOCAL_MARKER,
     OVERPLANNING_QUESTION,
+    PLAN_RETRY_MARKER,
+    SUMMARIZER_MARKER,
     edit_postings_array,
     film_corpus,
     overplanning_rules,
@@ -132,6 +137,74 @@ class TestIndexCommand:
         assert hashlib.sha256(manifest).hexdigest() == (
             "312f66c46104f9333853b178a8265ca893fce31e1297a9a3d3e99529f0eec96d"
         ), manifest.decode()
+
+
+PINNED_SUFFICIENT = OVERPLANNING_QUESTION
+PINNED_DUPLICATE = "Who starred in Twisted Fortune?"
+PINNED_CAPPED = "Which comedian directed the film?"
+PINNED_FAILED = "Who is Eddie Murphy?"
+
+
+def pinned_rules() -> list[tuple[str, str]]:
+    """One script for four questions, each ending its own way. The capped one
+    plans a duplicate in round 1, retries to a novel sub-question and reaches
+    the iteration cap; no judge rule matches the failed one."""
+    judge = "accurately respond to the question "
+    return [
+        (SUMMARIZER_MARKER, GOLDEN_EVIDENCE + " [DONE]"),
+        (judge + PINNED_SUFFICIENT, "Yes"),
+        (judge + PINNED_DUPLICATE, "No"),
+        (judge + PINNED_CAPPED, "No"),
+        (PLAN_RETRY_MARKER + ": which comedian", "Who is Victor Varnado?"),
+        ("[Target question]: " + PINNED_DUPLICATE, PINNED_DUPLICATE),
+        ("[Target question]: " + PINNED_CAPPED, "Thought: Who directed Twisted Fortune?"),
+        ("the question Who is Victor Varnado?", "No"),
+        (LOCAL_MARKER, "Yes, Victor Varnado."),
+        ("Question: " + PINNED_CAPPED, "Victor Varnado"),
+        (GENERATE_MARKER, "Charlie Murphy"),
+    ]
+
+
+def test_ask_eval_and_sweep_write_the_pinned_bytes(index_dir, tmp_path):
+    # The digests pin every byte of a trace, an eval report at parallelism 2
+    # and a sweep CSV, so a change to how runs or results are recorded shows
+    # here. A deliberate format change updates the digests.
+    script = tmp_path / "pinned.jsonl"
+    script.write_text(
+        "".join(json.dumps({"match": m, "response": r}) + "\n" for m, r in pinned_rules())
+    )
+    dataset = tmp_path / "pinned_dataset.jsonl"
+    golds = ["Charlie Murphy", "Charlie Murphy", "Victor Varnado", "Eddie Murphy"]
+    questions = [PINNED_SUFFICIENT, PINNED_DUPLICATE, PINNED_CAPPED, PINNED_FAILED]
+    dataset.write_text(
+        "".join(
+            json.dumps({"id": f"p{i}", "question": q, "golden_answers": [g]}) + "\n"
+            for i, (q, g) in enumerate(zip(questions, golds))
+        )
+    )
+    common = ["--index-dir", str(index_dir), "--script", str(script)]
+    trace, reports, sweep = tmp_path / "trace.json", tmp_path / "reports", tmp_path / "sweep.csv"
+    ask = ["ask", PINNED_CAPPED, *common, "--trace", str(trace), "--log-prompts"]
+    assert main(ask) == EXIT_OK
+    evaluate = ["eval", str(dataset), *common, "--parallelism", "2", "--out-dir", str(reports)]
+    assert main(evaluate) == EXIT_OK
+    assert main(["sweep", str(dataset), *common, "--k", "1,3", "--out", str(sweep)]) == EXIT_OK
+
+    rows = [json.loads(line) for line in (reports / "eval_examples.jsonl").read_text().splitlines()]
+    assert [row["stop_reason"] for row in rows] == [
+        "judged_sufficient", "duplicate_plan", "max_iterations", None
+    ]
+    assert rows[3]["error"].startswith("no scripted rule matches call 1 (role=reasoner)")
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (trace, reports / "eval_examples.jsonl", reports / "eval_report.json", sweep)
+    }
+    assert digests == {
+        "trace.json": "c4c32039852e8fbfac7073dda42acfed4677b165da23b22f5ce6a1c9fc75e0c9",
+        "eval_examples.jsonl": "b2355e1605f4ffc664fce387e9bd49cc3a764fcc6aa2ebc8fc2b1a2807283792",
+        "eval_report.json": "9ea0638e69f4605650741779cc9cf494df5e98e79a8acccb56a995adc3957713",
+        "sweep.csv": "a4a8dc6b111de79eefff4e6f1fc460a3c7b43295ea2bc964e027402990007684",
+    }
 
 
 class TestAskCommand:

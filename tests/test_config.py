@@ -273,6 +273,10 @@ class TestValidation:
             ("retriever", "k1", True),
             ("retriever", "b", False),
             ("retriever", "k1", "abc"),
+            ("pipeline", "top_k", 0),
+            ("pipeline", "max_input_tokens", 0),
+            ("pipeline", "max_output_tokens", 0),
+            ("eval", "parallelism", 0),
         ],
     )
     def test_out_of_range_numeric_setting(self, tmp_path, script_path, section, key, value):

@@ -1,4 +1,6 @@
 import random
+import time
+from dataclasses import asdict
 
 import pytest
 
@@ -21,6 +23,11 @@ class TestNormalizeQuestion:
 
     def test_internal_punctuation_kept(self):
         assert normalize_question("What is Beinart's role?") == "what is beinart's role"
+
+    def test_long_punctuation_tail_is_linear(self):
+        start = time.perf_counter()
+        assert normalize_question("Who is X" + "?" * 400_000) == "who is x"
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPushGlobal:
@@ -194,9 +201,17 @@ def test_to_dict_shape():
     memory.push_global(0, "e0")
     memory.push_global(1, "e1")
     memory.push_local(1, "q?", NO_ANSWER_MARKER, False)
-    data = memory.to_dict()
-    assert data["global_evidence"] == [
+    data = asdict(memory)
+    assert data["global_evidence"] == (
         {"round": 0, "text": "e0"},
         {"round": 1, "text": "e1"},
-    ]
+    )
     assert data["local_pathway"][0]["answered"] is False
+
+
+def test_entries_enter_only_through_the_pushes():
+    with pytest.raises(TypeError):
+        MemoryState(global_evidence=())
+    first, second = MemoryState(), MemoryState()
+    assert first != second
+    assert len({first, second}) == 2
