@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import json
 import logging
 import sys
 from pathlib import Path
 
 from .config import AppRuntime, CliOverrides, load_app_config
 from .errors import ConfigurationError, CorpusError, DatasetError, RespqaError
-from .evaluation import evaluate, load_dataset, write_report
+from .evaluation import evaluate, load_dataset
 from .files import replaced_on_success
 from .jsonl import require_utf8
 from .pipeline import PIPELINE_RESP, PIPELINE_STANDARD, sweep_k
@@ -136,13 +137,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     runtime = AppRuntime(config)
     examples = load_dataset(args.dataset, limit=args.limit)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)  # before the batch: a bad --out-dir costs no call
-    report = evaluate(
-        runtime.runner(pipeline=args.pipeline), examples, parallelism=config.parallelism
-    )
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary_path = out_dir / "eval_report.json"
     rows_path = out_dir / "eval_examples.jsonl"
-    write_report(report, summary_path, rows_path)
+    # Both files are created before the batch, so a bad path costs no LLM
+    # call; the inner one, the rows, replaces its file first.
+    with replaced_on_success(summary_path) as summary, replaced_on_success(rows_path) as rows:
+        report = evaluate(
+            runtime.runner(pipeline=args.pipeline), examples, parallelism=config.parallelism
+        )
+        for row in report.rows:
+            rows.write(json.dumps(row.to_dict(), ensure_ascii=False) + "\n")
+        summary.write(json.dumps(report.summary_dict(), indent=2, ensure_ascii=False))
     print(
         f"n={report.n} mean_f1={report.mean_f1:.4f} (x100={report.mean_f1 * 100:.1f}) "
         f"mean_em={report.mean_em:.4f} mean_rounds={report.mean_rounds:.2f} "

@@ -49,7 +49,6 @@ ENV_API_KEY = "RESPQA_API_KEY"
 
 @dataclass(frozen=True)
 class BackendSpec:
-    name: str
     kind: str  # "http" | "scripted"
     endpoint: str | None = None
     model: str | None = None
@@ -277,7 +276,6 @@ def _http_backend(name: str, settings: dict, overrides: CliOverrides) -> Backend
         f"(set it in the config file, {ENV_ENDPOINT}, or --llm-endpoint)",
     )
     return BackendSpec(
-        name=name,
         kind="http",
         endpoint=_url(endpoint, f"backend {name!r}: endpoint"),
         model=overrides.model or settings.get("model") or os.environ.get(ENV_MODEL) or "default",
@@ -298,13 +296,13 @@ def _load_backends(section: dict, overrides: CliOverrides) -> dict[str, BackendS
         script = settings.get("script")
         _require(script is not None, f"backend {name!r}: scripted backends need a 'script' path")
         _require(script.exists(), f"backend {name!r}: script not found: {script}")
-        backends[name] = BackendSpec(name=name, kind="scripted", script=script)
+        backends[name] = BackendSpec(kind="scripted", script=script)
 
     # Flag-level test mode: a scripted backend overrides all HTTP wiring.
     script_path = _path(overrides.script, "--script")
     if script_path is not None:
         _require(script_path.exists(), f"script not found: {script_path}")
-        backends["scripted"] = BackendSpec(name="scripted", kind="scripted", script=script_path)
+        backends["scripted"] = BackendSpec(kind="scripted", script=script_path)
     elif not backends and (overrides.endpoint or os.environ.get(ENV_ENDPOINT)):
         backends["default"] = _http_backend("default", {}, overrides)
     if not any(spec.kind == "http" for spec in backends.values()):

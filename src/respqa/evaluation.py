@@ -8,7 +8,6 @@ best score over the gold answers.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from collections import Counter
@@ -19,7 +18,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DatasetError, RespqaError
-from .files import replaced_on_success
 from .jsonl import read_jsonl, require_utf8
 from .retrieval import strip_punctuation
 
@@ -229,15 +227,3 @@ def _describe(exc: Exception) -> str:
         return message
     return f"{type(exc).__name__}: {message}" if message else type(exc).__name__
 
-
-def write_report(report: EvalReport, summary_path: str | Path, rows_path: str | Path) -> None:
-    """Per-example JSONL rows, then the JSON summary.
-
-    Each file is written whole or not at all, and the rows go first, so a
-    failed write leaves no new summary and no truncated file.
-    """
-    with replaced_on_success(rows_path) as handle:
-        for row in report.rows:
-            handle.write(json.dumps(row.to_dict(), ensure_ascii=False) + "\n")
-    with replaced_on_success(summary_path) as handle:
-        handle.write(json.dumps(report.summary_dict(), indent=2, ensure_ascii=False))

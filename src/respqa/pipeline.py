@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 from typing import Callable, Sequence
 
 from .agents import (
@@ -24,8 +23,7 @@ from .agents import (
     PlanResult,
 )
 from .errors import BackendError, PipelineError
-from .evaluation import evaluate
-from .files import replaced_on_success
+from .evaluation import EvalReport, evaluate
 from .llm import whitespace_token_estimate
 from .memory import MemoryState
 from .retrieval import RetrievedDocument, Retriever
@@ -83,11 +81,6 @@ class RunTrace:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, ensure_ascii=False)
-
-    def write_json(self, path: str | Path) -> None:
-        """The trace as JSON, written whole or not at all."""
-        with replaced_on_success(path) as handle:
-            handle.write(self.to_json())
 
 
 def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config: PipelineConfig) -> RunTrace:
@@ -251,14 +244,12 @@ def _round_failure(exc: BackendError, round_index: int) -> PipelineError:
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+@dataclass(frozen=True, kw_only=True)
+class SweepRow(EvalReport):
+    """One sweep cell: the ``EvalReport`` of ``pipeline`` at ``k``."""
+
     pipeline: str
     k: int
-    mean_f1: float
-    mean_prompt_tokens: float
-    n: int
-    errors: int
 
 
 def sweep_k(
@@ -276,16 +267,7 @@ def sweep_k(
     rows = []
     for k in k_values:
         report = evaluate(make_runner(k), examples, parallelism=parallelism)
-        rows.append(
-            SweepRow(
-                pipeline=pipeline,
-                k=k,
-                mean_f1=report.mean_f1,
-                mean_prompt_tokens=report.mean_prompt_tokens,
-                n=report.n,
-                errors=report.errors,
-            )
-        )
+        rows.append(SweepRow(pipeline=pipeline, k=k, **vars(report)))
         logger.info(
             "sweep %s k=%d: mean_f1=%.4f mean_prompt_tokens=%.1f errors=%d",
             pipeline,

@@ -6,6 +6,7 @@ import pytest
 
 from respqa.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 from respqa.config import ENV_ENDPOINT
+from respqa.evaluation import ExampleResult
 from respqa.llm import BackendRouter
 
 from helpers import (
@@ -677,8 +678,43 @@ class TestEvalCommand:
         assert "reports" in capsys.readouterr().err
         assert complete_calls == []
         assert blocker.read_text() == "a file"
-        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        # A report file that is a directory fails as early and leaves no temporary file.
+        out = tmp_path / "out"
+        for name in ("eval_report.json", "eval_examples.jsonl"):
+            (out / name).mkdir(parents=True)
+            assert main([*argv, "--out-dir", str(out)]) == EXIT_IO
+            assert name in capsys.readouterr().err
+            assert complete_calls == []
+            assert [path.name for path in out.iterdir()] == [name]
+            (out / name).rmdir()
+        assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
         assert complete_calls
+
+    @pytest.mark.parametrize("earlier", [True, False])
+    def test_a_row_that_fails_mid_write_leaves_no_new_report(
+        self, index_dir, script_path, dataset_path, tmp_path, monkeypatch, earlier
+    ):
+        out = tmp_path / "reports"
+        out.mkdir()
+        argv = ["eval", str(dataset_path), "--index-dir", str(index_dir)]
+        argv += ["--script", str(script_path), "--out-dir", str(out)]
+        if earlier:
+            assert main(argv) == EXIT_OK
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        to_dict = ExampleResult.to_dict
+        serialized = []
+
+        def fail_on_the_second_row(row):
+            serialized.append(row)
+            if len(serialized) == 2:
+                raise TypeError("not JSON serializable")
+            return to_dict(row)
+
+        monkeypatch.setattr(ExampleResult, "to_dict", fail_on_the_second_row)
+        with pytest.raises(TypeError):
+            main(argv)
+        assert len(serialized) == 2
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_missing_dataset(self, index_dir, script_path, tmp_path, capsys):
         code = main(

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import logging
 import random
@@ -15,7 +14,6 @@ from respqa.evaluation import (
     load_dataset,
     normalize_answer,
     token_f1,
-    write_report,
 )
 from respqa.pipeline import RunTrace
 from respqa.retrieval import tokenize
@@ -302,43 +300,3 @@ class TestEvaluate:
         assert report.n == 0
         assert report.mean_f1 == 0.0
 
-
-class TestWriteReport:
-    def test_files_written(self, tmp_path):
-        report = evaluate(
-            lambda q: canned_trace(q, "Charlie Murphy"), TestEvaluate.EXAMPLES
-        )
-        summary = tmp_path / "report.json"
-        rows = tmp_path / "rows.jsonl"
-        write_report(report, summary, rows)
-        data = json.loads(summary.read_text())
-        assert data["mean_f1"] == pytest.approx(1.0)
-        assert data["mean_f1_x100"] == pytest.approx(100.0)
-        assert data["mean_generator_prompt_tokens"] == pytest.approx(100.0)
-        lines = [json.loads(line) for line in rows.read_text().splitlines()]
-        assert len(lines) == 3
-        assert lines[0]["id"] == "e1"
-
-    @pytest.mark.parametrize("earlier", [True, False])
-    def test_a_row_that_fails_mid_write_leaves_no_new_report(self, tmp_path, earlier):
-        summary = tmp_path / "eval_report.json"
-        rows = tmp_path / "eval_examples.jsonl"
-        if earlier:
-            good = evaluate(lambda q: canned_trace(q, "Charlie Murphy"), TestEvaluate.EXAMPLES)
-            write_report(good, summary, rows)
-        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-        report = evaluate(lambda q: canned_trace(q, "Eddie"), TestEvaluate.EXAMPLES)
-        # The first row serializes; the second does not.
-        report.rows[1] = dataclasses.replace(report.rows[1], prediction=object())
-        with pytest.raises(TypeError):
-            write_report(report, summary, rows)
-        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
-
-
-class TestTraceJson:
-    def test_replaces_an_earlier_trace(self, tmp_path):
-        path = tmp_path / "trace.json"
-        path.write_text("earlier")
-        canned_trace("q?", "Charlie Murphy").write_json(path)
-        assert json.loads(path.read_text())["final_answer"] == "Charlie Murphy"
-        assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]

@@ -36,3 +36,21 @@ def test_a_path_that_cannot_be_written_fails_on_entry(tmp_path, name, error):
         with replaced_on_success(tmp_path / name):
             pytest.fail("the block ran")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_output_files_written_only_by_the_cli():
+    # cli.py is the one writer of the package's output files: each command
+    # creates its files before the work they record, so no other module may
+    # write one on its own.
+    import pathlib
+
+    import respqa
+
+    root = pathlib.Path(respqa.__file__).parent
+    offenders = [
+        path.name
+        for path in root.rglob("*.py")
+        if path.name not in ("cli.py", "files.py")
+        and "replaced_on_success" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []

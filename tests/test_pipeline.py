@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 import respqa
 from respqa.agents import NO_INFO_SENTINEL, PipelineAgents, PromptTemplateSet
 from respqa.errors import BackendError, PipelineError, PromptTooLargeError
-from respqa.evaluation import QAExample, evaluate
+from respqa.evaluation import EvalReport, QAExample, evaluate
 from respqa.llm import (
     ROLE_TAGS,
     BackendRouter,
@@ -31,6 +32,7 @@ from respqa.pipeline import (
     STOP_MAX_ITERATIONS,
     STOP_SINGLE_ROUND,
     PipelineConfig,
+    SweepRow,
     run_resp,
     run_standard_rag,
     sweep_k,
@@ -506,15 +508,11 @@ class TestGeneratorContextStability:
 
 
 class TestTraceSerialization:
-    def test_round_trip_to_json(self, tmp_path):
-        import json
-
+    def test_round_trip_to_json(self):
         index = BM25Index.build(TOPIC_DOCS)
         agents, _ = scripted_agents(always_no_rules())
         trace = run_resp(TOPIC_QUESTION, index, agents, PipelineConfig(log_prompts=True))
-        path = tmp_path / "trace.json"
-        trace.write_json(path)
-        data = json.loads(path.read_text())
+        data = json.loads(trace.to_json())
         assert data["question"] == TOPIC_QUESTION
         assert data["stop_reason"] == STOP_MAX_ITERATIONS
         assert len(data["iterations"]) == 3
@@ -545,15 +543,7 @@ class TestTraceSerialization:
     ]
     HIT_KEYS = ["doc_id", "title", "text", "score", "rank"]
 
-    @staticmethod
-    def written(trace, tmp_path) -> dict:
-        import json
-
-        path = tmp_path / "trace.json"
-        trace.write_json(path)
-        return json.loads(path.read_text(encoding="utf-8"))
-
-    def test_resp_key_lists(self, tmp_path):
+    def test_resp_key_lists(self):
         # Round 0: a duplicate plan forces the retry; round 1 is the last
         # round, so it answers locally and generates without planning.
         rules = [
@@ -566,9 +556,8 @@ class TestTraceSerialization:
         ]
         agents, _ = scripted_agents(rules)
         config = PipelineConfig(max_iterations=2, log_prompts=True)
-        data = self.written(
-            run_resp(TOPIC_QUESTION, BM25Index.build(TOPIC_DOCS), agents, config), tmp_path
-        )
+        trace = run_resp(TOPIC_QUESTION, BM25Index.build(TOPIC_DOCS), agents, config)
+        data = json.loads(trace.to_json())
 
         assert list(data) == self.TOP_KEYS
         first, second = data["iterations"]
@@ -591,12 +580,11 @@ class TestTraceSerialization:
             ["round", "sub_question", "answer", "answered"]
         ]
 
-    def test_standard_key_lists(self, tmp_path):
+    def test_standard_key_lists(self):
         agents, _ = scripted_agents([ScriptedRule(GENERATE_MARKER, "x")])
         config = PipelineConfig(log_prompts=True)
-        data = self.written(
-            run_standard_rag(TOPIC_QUESTION, BM25Index.build(TOPIC_DOCS), agents, config), tmp_path
-        )
+        trace = run_standard_rag(TOPIC_QUESTION, BM25Index.build(TOPIC_DOCS), agents, config)
+        data = json.loads(trace.to_json())
 
         assert list(data) == self.TOP_KEYS
         assert data["memory"] is None
@@ -620,21 +608,30 @@ class TestSweep:
             QAExample("e2", "Which film did Victor Varnado direct?", ("Twisted Fortune",)),
         ]
 
-    def test_shape_and_metrics(self):
+    @staticmethod
+    def make_runner(k):
         index = BM25Index.build(film_corpus())
 
-        def make_runner(k):
-            def run(question):
-                agents, _ = scripted_agents(overplanning_rules())
-                return run_resp(question, index, agents, PipelineConfig(top_k=k))
+        def run(question):
+            agents, _ = scripted_agents(overplanning_rules())
+            return run_resp(question, index, agents, PipelineConfig(top_k=k))
 
-            return run
+        return run
 
-        rows = sweep_k(self.make_examples(), [3, 5], PIPELINE_RESP, make_runner)
+    def test_shape_and_metrics(self):
+        rows = sweep_k(self.make_examples(), [3, 5], PIPELINE_RESP, self.make_runner)
         assert [(row.pipeline, row.k) for row in rows] == [("resp", 3), ("resp", 5)]
         assert all(row.n == 2 for row in rows)
         assert rows[0].mean_prompt_tokens == rows[1].mean_prompt_tokens
         assert rows[0].mean_f1 > 0
+
+    def test_each_cell_is_the_eval_report_of_its_runner(self):
+        examples = self.make_examples()
+        rows = sweep_k(examples, [3, 5], PIPELINE_RESP, self.make_runner)
+        for row, k in zip(rows, [3, 5], strict=True):
+            report = evaluate(self.make_runner(k), examples)
+            assert isinstance(row, EvalReport)
+            assert row == SweepRow(pipeline=PIPELINE_RESP, k=k, **vars(report))
 
 
 class TemplateBackend:

@@ -647,30 +647,43 @@ def test_vocabulary_lookups_match_brute_force(tmp_path, name):
             assert [(hit.doc_id, hit.score) for hit in index.retrieve(query, 10)] == expected
 
 
-def held_blocks(index_dir) -> int:
-    """Memory blocks allocated by retrieval code that an opened index still holds."""
+def held_blocks(index_dir) -> tuple[int, str]:
+    """Memory blocks, allocated by retrieval code, that dropping an opened
+    index frees; with the tracebacks of the largest counts, newest frame last."""
     BM25Index.open(index_dir)  # any one-time cache is filled before the count
     gc.collect()
     tracemalloc.start(64)
     try:
         index = BM25Index.open(index_dir)
+        assert index.stats.num_terms > 0
         gc.collect()
-        snapshot = tracemalloc.take_snapshot()
+        opened = tracemalloc.take_snapshot()
+        del index
+        gc.collect()
+        dropped = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    assert index.stats.num_terms > 0
-    own = tracemalloc.Filter(True, respqa.retrieval.__file__, all_frames=True)
-    return len(snapshot.filter_traces([own]).traces)
+    own = [tracemalloc.Filter(True, respqa.retrieval.__file__, all_frames=True)]
+    freed = [
+        diff
+        for diff in opened.filter_traces(own).compare_to(dropped.filter_traces(own), "traceback")
+        if diff.count_diff > 0
+    ]
+    top = sorted(freed, key=lambda diff: -diff.count_diff)[:3]
+    tracebacks = "\n\n".join(
+        f"{diff.count_diff} blocks:\n" + "\n".join(diff.traceback.format(limit=4)) for diff in top
+    )
+    return sum(diff.count_diff for diff in freed), tracebacks
 
 
 def test_an_opened_index_holds_no_object_per_document_or_term(tmp_path):
-    held = {}
+    held, tracebacks = {}, {}
     for n in (1000, 4000):
         docs = [Document(f"doc-{i}", "t", f"w{i} x{i} shared") for i in range(n)]
         BM25Index.build(docs).save(tmp_path / str(n))
-        held[n] = held_blocks(tmp_path / str(n))
+        held[n], tracebacks[n] = held_blocks(tmp_path / str(n))
     # 3000 more documents and 6000 more terms: one object each would add thousands.
-    assert held[4000] <= held[1000], held
+    assert held[4000] <= held[1000], f"{held}\n\n{tracebacks[4000]}"
 
 
 def test_open_copies_and_decodes_no_file(tmp_path):
