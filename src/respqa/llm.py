@@ -143,14 +143,6 @@ def load_script(path: str | Path) -> list[ScriptedRule]:
     return rules
 
 
-@dataclass(frozen=True)
-class ScriptedCall:
-    position: int
-    role_tag: str
-    prompt: str
-    response: str
-
-
 class ScriptedBackend(_CompletionBase):
     """Deterministic backend replaying a rule script.
 
@@ -159,7 +151,8 @@ class ScriptedBackend(_CompletionBase):
     one at a time). Integer-matched rules fire at exactly their call
     position and win over substring rules; substring rules are scanned in
     script order and are reusable. A request nothing matches raises
-    ScriptError quoting the prompt, never a silent default.
+    ScriptError quoting the prompt, never a silent default. ``history`` lists
+    the requests answered, in call order; an unmatched call is not listed.
     """
 
     order_dependent = True
@@ -175,7 +168,7 @@ class ScriptedBackend(_CompletionBase):
                 self._ordinal.setdefault(rule.match, rule)
         self._calls = 0
         self._lock = threading.Lock()
-        self.history: list[ScriptedCall] = []
+        self.history: list[LlmRequest] = []
 
     def fresh(self) -> ScriptedBackend:
         """A new conversation, at call 0, over the same rules."""
@@ -196,14 +189,7 @@ class ScriptedBackend(_CompletionBase):
                     f"no scripted rule matches call {position} "
                     f"(role={request.role_tag}): {request.prompt!r}"
                 )
-            self.history.append(
-                ScriptedCall(
-                    position=position,
-                    role_tag=request.role_tag,
-                    prompt=request.prompt,
-                    response=rule.response,
-                )
-            )
+            self.history.append(request)
             return rule.response
 
 

@@ -107,7 +107,6 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
     iterations: list[IterationRecord] = []
     anomalies: list[str] = []
     sub_question = question
-    stop_reason = STOP_MAX_ITERATIONS
     early: AgentCall | None = None
 
     try:
@@ -160,6 +159,8 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
                 else:
                     decision = DECISION_CONTINUE
 
+            if decision != DECISION_CONTINUE:
+                answer = agents.generate(question, memory, early)
             iterations.append(
                 IterationRecord(
                     round=round_index,
@@ -176,17 +177,11 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
             if decision != DECISION_CONTINUE:
                 break
             sub_question = plan_result.sub_question
-
-        # The generator's failures are reported against the last loop round.
-        answer = agents.generate(question, memory, early)
     except BackendError as exc:
         raise _round_failure(exc, round_index) from exc
     finally:
         if early is not None and early.reply is not None:
             early.reply.cancel()  # a failed run sends no request it has not begun
-    _, generate_prompt = log[-1]
-    if config.log_prompts:
-        iterations[-1].prompts["generate"] = generate_prompt
 
     return RunTrace(
         question=question,
@@ -195,7 +190,7 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
         final_answer=answer,
         stop_reason=stop_reason,
         anomalies=anomalies,
-        generator_prompt_tokens=whitespace_token_estimate(generate_prompt),
+        generator_prompt_tokens=whitespace_token_estimate(log[-1][1]),
         memory=memory,
     )
 

@@ -423,8 +423,6 @@ class BM25Index:
         self._term_freqs = term_freqs
         n = len(doc_lengths)
         self._avgdl = int(doc_lengths.sum()) / n if n else 0.0
-        self.k1 = k1
-        self.b = b
         # k1 and b are read here only, so every term's gains use the same values.
         self._k1_plus_1 = k1 + 1.0
         self._k1_norms = k1 * (1.0 - b + b * doc_lengths / (self._avgdl or 1.0))

@@ -122,10 +122,19 @@ class TestScriptedBackend:
         backend = ScriptedBackend([ScriptedRule("", "ok")])
         backend.complete(req("p1", role="summarizer"))
         backend.complete(req("p2", role="generator"))
-        assert [(c.position, c.role_tag) for c in backend.history] == [
+        assert [(i, c.role_tag) for i, c in enumerate(backend.history)] == [
             (0, "summarizer"),
             (1, "generator"),
         ]
+
+    def test_an_unmatched_call_takes_its_position_but_is_not_listed(self):
+        # Positions come from the call counter, not from len(history): the
+        # failed call 0 still moves the second call to position 1.
+        backend = ScriptedBackend([ScriptedRule(1, "second"), ScriptedRule("known", "ok")])
+        with pytest.raises(ScriptError):
+            backend.complete(req("absent"))
+        assert backend.complete(req("absent")).text == "second"
+        assert [c.prompt for c in backend.history] == ["absent"]
 
 
 class TestLoadScript:
@@ -315,6 +324,35 @@ def test_wire_requests_confined_to_gateway_modules():
         if path.name != "llm.py" and wire.search(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def test_every_private_name_is_read():
+    # The project runs no linter, so this stands in for an unused-name check: a
+    # private function, class, variable or attribute the package defines must
+    # be read somewhere in it, as a name or an attribute.
+    import ast
+    import pathlib
+
+    import respqa
+
+    defined: dict[str, str] = {}
+    read: set[str] = set()
+    for path in pathlib.Path(respqa.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, path.name)
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                if isinstance(node.ctx, ast.Store):
+                    defined.setdefault(name, path.name)
+                elif isinstance(node.ctx, ast.Load):
+                    read.add(name)
+    unread = {
+        name: where
+        for name, where in defined.items()
+        if name.startswith("_") and name != "_" and not name.endswith("__") and name not in read
+    }
+    assert unread == {}
 
 
 def test_order_dependence_read_only_in_the_gateway():

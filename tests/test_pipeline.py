@@ -79,6 +79,16 @@ def always_no_rules() -> list[ScriptedRule]:
     ]
 
 
+def duplicate_plan_rules() -> list[ScriptedRule]:
+    """Judge never satisfied; planner only repeats the overarching question."""
+    return [
+        ScriptedRule(SUMMARIZER_MARKER, "Evidence. [DONE]"),
+        ScriptedRule(JUDGE_MARKER, "No"),
+        ScriptedRule("[You Thought]:", TOPIC_QUESTION),
+        ScriptedRule(GENERATE_MARKER, "forced answer"),
+    ]
+
+
 class TestOverPlanningGolden:
     def run(self, config=None):
         index = BM25Index.build(film_corpus())
@@ -180,13 +190,7 @@ class TestLoopDecisions:
 
     def test_duplicate_planner_stops_early(self):
         index = BM25Index.build(TOPIC_DOCS)
-        rules = [
-            ScriptedRule(SUMMARIZER_MARKER, "Evidence. [DONE]"),
-            ScriptedRule(JUDGE_MARKER, "No"),
-            ScriptedRule("[You Thought]:", TOPIC_QUESTION),
-            ScriptedRule(GENERATE_MARKER, "forced answer"),
-        ]
-        agents, backend = scripted_agents(rules)
+        agents, backend = scripted_agents(duplicate_plan_rules())
         trace = run_resp(TOPIC_QUESTION, index, agents, PipelineConfig())
         assert trace.stop_reason == STOP_DUPLICATE_PLAN
         assert len(trace.iterations) == 1
@@ -372,14 +376,25 @@ class TestErrorPropagation:
 
 
 class TestPromptLogging:
-    def test_prompts_recorded_when_enabled(self):
-        index = BM25Index.build(TOPIC_DOCS)
-        agents, backend = scripted_agents(always_no_rules())
-        trace = run_resp(TOPIC_QUESTION, index, agents, PipelineConfig(log_prompts=True))
+    @pytest.mark.parametrize(
+        "rules, question, corpus, stop_reason",
+        [
+            (overplanning_rules, OVERPLANNING_QUESTION, film_corpus(), STOP_JUDGED_SUFFICIENT),
+            (always_no_rules, TOPIC_QUESTION, TOPIC_DOCS, STOP_MAX_ITERATIONS),
+            (duplicate_plan_rules, TOPIC_QUESTION, TOPIC_DOCS, STOP_DUPLICATE_PLAN),
+        ],
+        ids=[STOP_JUDGED_SUFFICIENT, STOP_MAX_ITERATIONS, STOP_DUPLICATE_PLAN],
+    )
+    def test_prompts_recorded_when_enabled(self, rules, question, corpus, stop_reason):
+        index = BM25Index.build(corpus)
+        agents, backend = scripted_agents(rules())
+        trace = run_resp(question, index, agents, PipelineConfig(log_prompts=True))
+        assert trace.stop_reason == stop_reason
         recorded = [p for record in trace.iterations for p in (record.prompts or {}).values()]
         sent = [call.prompt for call in backend.history]
         assert recorded == sent
-        assert trace.iterations[-1].prompts["generate"] == sent[-1]
+        assert list(trace.iterations[-1].prompts)[-1] == "generate"
+        assert trace.generator_prompt_tokens == whitespace_token_estimate(sent[-1])
 
     def test_prompts_absent_by_default(self):
         index = BM25Index.build(TOPIC_DOCS)
