@@ -228,7 +228,7 @@ def load_app_config(path: str | Path | None, overrides: CliOverrides | None = No
         raise ConfigurationError(f"pipeline.{exc}") from exc
 
     backends = _load_backends(parsed.get("backends", {}), overrides)
-    roles = _load_roles(parsed.get("roles"), backends, overrides)
+    roles = _load_roles(None if overrides.script else parsed.get("roles"), backends)
 
     templates_dir = _path(overrides.templates_dir, "--templates-dir") or parsed.get("templates_dir")
     if templates_dir is not None:
@@ -255,7 +255,9 @@ def load_app_config(path: str | Path | None, overrides: CliOverrides | None = No
         b=b,
         embedding_endpoint=retriever.get("endpoint"),
         embedding_model=retriever.get("model"),
-        embedding_api_key=_resolve_api_key(retriever.get("api_key_env")),
+        embedding_api_key=(
+            _resolve_api_key(retriever.get("api_key_env")) if kind == "embedding" else None
+        ),
         vectors_path=retriever.get("vectors"),
         templates_dir=templates_dir,
         parallelism=parallelism,
@@ -263,7 +265,17 @@ def load_app_config(path: str | Path | None, overrides: CliOverrides | None = No
 
 
 def _resolve_api_key(api_key_env: str | None) -> str | None:
-    return os.environ.get(api_key_env or ENV_API_KEY) or None
+    """The key in ``api_key_env`` (default ``RESPQA_API_KEY``), None if unset or empty.
+    A key that an HTTP header cannot carry is refused, by the variable's name alone."""
+    name = api_key_env or ENV_API_KEY
+    key = os.environ.get(name) or None
+    if key is not None:
+        _require(
+            max(key) <= "\xff" and "\r" not in key and "\n" not in key,
+            f"the API key in ${name} cannot be sent in an HTTP header: "
+            "it holds a CR, an LF or a character outside Latin-1",
+        )
+    return key
 
 
 def _http_backend(name: str, settings: dict, overrides: CliOverrides) -> BackendSpec:
@@ -298,11 +310,11 @@ def _load_backends(section: dict, overrides: CliOverrides) -> dict[str, BackendS
         _require(script.exists(), f"backend {name!r}: script not found: {script}")
         backends[name] = BackendSpec(kind="scripted", script=script)
 
-    # Flag-level test mode: a scripted backend overrides all HTTP wiring.
+    # Flag-level test mode: a scripted backend takes the place of the file's.
     script_path = _path(overrides.script, "--script")
     if script_path is not None:
         _require(script_path.exists(), f"script not found: {script_path}")
-        backends["scripted"] = BackendSpec(kind="scripted", script=script_path)
+        backends = {"scripted": BackendSpec(kind="scripted", script=script_path)}
     elif not backends and (overrides.endpoint or os.environ.get(ENV_ENDPOINT)):
         backends["default"] = _http_backend("default", {}, overrides)
     if not any(spec.kind == "http" for spec in backends.values()):
@@ -311,11 +323,7 @@ def _load_backends(section: dict, overrides: CliOverrides) -> dict[str, BackendS
     return backends
 
 
-def _load_roles(
-    raw_roles: object, backends: dict[str, BackendSpec], overrides: CliOverrides
-) -> dict[str, str]:
-    if overrides.script:
-        return {role: "scripted" for role in ROLE_TAGS}
+def _load_roles(raw_roles: object, backends: dict[str, BackendSpec]) -> dict[str, str]:
     _require(
         bool(backends),
         "no completion backend configured (define one in the config file, set "

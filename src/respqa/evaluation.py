@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DatasetError, RespqaError
-from .jsonl import read_jsonl, require_utf8
+from .jsonl import read_jsonl
 from .retrieval import strip_punctuation
 
 if TYPE_CHECKING:
@@ -49,15 +49,12 @@ def load_dataset(path: str | Path, limit: int | None = None) -> list[QAExample]:
     examples: list[QAExample] = []
     seen: set[str] = set()
     rows = read_jsonl(path, DatasetError, ("id", "question", "golden_answers"))
-    for where, row in islice(rows, limit):
-        example_id = row["id"]
+    for where, (example_id, question, golds) in islice(rows, limit):
         if not isinstance(example_id, str) or not example_id:
             raise DatasetError(f"{where}: 'id' must be a non-empty string")
         if example_id in seen:
             raise DatasetError(f"{where}: duplicate id {example_id!r}")
         seen.add(example_id)
-        question = row["question"]
-        golds = row["golden_answers"]
         if not isinstance(question, str) or not question.strip():
             raise DatasetError(f"{where}: 'question' must be non-empty")
         if (
@@ -66,10 +63,6 @@ def load_dataset(path: str | Path, limit: int | None = None) -> list[QAExample]:
             or not all(isinstance(g, str) for g in golds)
         ):
             raise DatasetError(f"{where}: 'golden_answers' must be a non-empty list of strings")
-        require_utf8(example_id, f"{where}: 'id'", DatasetError)
-        require_utf8(question, f"{where}: 'question'", DatasetError)
-        for gold in golds:
-            require_utf8(gold, f"{where}: 'golden_answers'", DatasetError)
         examples.append(QAExample(example_id, question, tuple(golds)))
     return examples
 

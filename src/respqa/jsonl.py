@@ -12,16 +12,25 @@ from .errors import RespqaError
 
 def read_jsonl(
     path: str | Path, error: type[RespqaError], keys: tuple[str, ...]
-) -> Iterator[tuple[str, dict]]:
-    """Yield ``("path:lineno", row)`` for each non-blank line of a UTF-8 JSONL file.
+) -> Iterator[tuple[str, tuple]]:
+    """Yield ``("path:lineno", values)`` for each non-blank line of a UTF-8 JSONL
+    file, ``values`` being the row's values under ``keys``, in that order.
 
     Raises ``error`` for a missing or unreadable file, and, naming the line,
-    for a line that ``parse_row`` refuses.
+    for a line that ``parse_row`` refuses and for a string under a key, or in
+    a list under a key, that ``require_utf8`` refuses. Other values are left
+    to the caller.
     """
     for where, line in jsonl_lines(path, error):
         row = parse_row(where, line, error, keys)
-        if row is not None:
-            yield where, row
+        if row is None:
+            continue
+        values = tuple(row[key] for key in keys)
+        for key, value in zip(keys, values):
+            for text in value if isinstance(value, list) else (value,):
+                if isinstance(text, str):
+                    require_utf8(text, f"{where}: {key!r}", error)
+        yield where, values
 
 
 def jsonl_lines(path: str | Path, error: type[RespqaError]) -> Iterator[tuple[str, bytes]]:

@@ -130,16 +130,12 @@ class ScriptedRule:
 def load_script(path: str | Path) -> list[ScriptedRule]:
     """Load rules from JSONL lines {"match": <str|int>, "response": <str>}."""
     rules: list[ScriptedRule] = []
-    for where, row in read_jsonl(path, ConfigurationError, ("match", "response")):
-        match = row["match"]
+    for where, (match, response) in read_jsonl(path, ConfigurationError, ("match", "response")):
         if isinstance(match, bool) or not isinstance(match, (str, int)):
             raise ConfigurationError(f"{where}: 'match' must be a string or integer")
-        if isinstance(match, str):
-            require_utf8(match, f"{where}: 'match'", ConfigurationError)
-        if not isinstance(row["response"], str):
+        if not isinstance(response, str):
             raise ConfigurationError(f"{where}: 'response' must be a string")
-        require_utf8(row["response"], f"{where}: 'response'", ConfigurationError)
-        rules.append(ScriptedRule(match=match, response=row["response"]))
+        rules.append(ScriptedRule(match=match, response=response))
     return rules
 
 

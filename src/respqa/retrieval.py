@@ -54,7 +54,7 @@ from typing import (
 import numpy as np
 
 from .errors import CorpusError, RetrieverError
-from .jsonl import jsonl_lines, parse_row, read_jsonl, require_utf8
+from .jsonl import jsonl_lines, parse_row, read_jsonl
 from .llm import HTTP_POOL_SIZE, JsonEndpoint
 
 if TYPE_CHECKING:
@@ -157,21 +157,14 @@ def read_corpus(path: str | Path) -> Iterator[Document]:
     field may hold a lone surrogate (a JSON ``\\ud800`` escape), which UTF-8
     cannot encode. Malformed lines raise CorpusError naming the line number.
     """
-    keys = ("id", "title", "contents")
-    for where, row in read_jsonl(path, CorpusError, keys):
-        doc_id = row["id"]
+    for where, (doc_id, title, text) in read_jsonl(path, CorpusError, ("id", "title", "contents")):
         if not isinstance(doc_id, str) or not doc_id:
             raise CorpusError(f"{where}: 'id' must be a non-empty string")
-        title = row["title"]
         if not isinstance(title, str):
             raise CorpusError(f"{where}: 'title' must be a string")
-        text = row["contents"]
         if not isinstance(text, str) or not text.strip():
             raise CorpusError(f"{where}: 'contents' must be non-empty")
-        doc = Document(doc_id=doc_id, title=title, text=text)
-        for key, field in zip(keys, doc):
-            require_utf8(field, f"{where}: {key!r}", CorpusError)
-        yield doc
+        yield Document(doc_id=doc_id, title=title, text=text)
 
 
 class _DocumentStore:

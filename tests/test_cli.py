@@ -5,7 +5,7 @@ import json
 import pytest
 
 from respqa.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
-from respqa.config import ENV_ENDPOINT
+from respqa.config import ENV_API_KEY, ENV_ENDPOINT
 from respqa.evaluation import ExampleResult
 from respqa.llm import BackendRouter
 
@@ -375,6 +375,18 @@ class TestFlagErrors:
         assert f"{flag} is set, but no HTTP backend" in capsys.readouterr().err
         assert complete_calls == []
 
+    @pytest.mark.parametrize("key", ["sk-€", "sk-SECRET\nx"])
+    def test_an_api_key_no_header_can_carry(
+        self, key, index_dir, complete_calls, monkeypatch, capsys
+    ):
+        monkeypatch.setenv(ENV_API_KEY, key)
+        argv = ["ask", "alpha?", "--index-dir", str(index_dir)]
+        assert main([*argv, "--llm-endpoint", "http://127.0.0.1:9/v1"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"${ENV_API_KEY} cannot be sent in an HTTP header" in captured.err
+        assert "sk-" not in captured.out + captured.err
+        assert complete_calls == []
+
     def test_non_http_endpoint_flag(self, index_dir, capsys):
         argv = ["ask", "q?", "--index-dir", str(index_dir), "--llm-endpoint", "localhost:9/v1"]
         assert main(argv) == EXIT_CONFIG
@@ -603,6 +615,29 @@ class TestUnreadableInput:
         assert f"{path}:2: '{key}' holds a lone surrogate '\\ud800', which UTF-8 cannot encode" in err
         assert complete_calls == []
         assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize(
+        "kind, code, row, key",
+        [
+            ("corpus", EXIT_IO, {"id": 5, "title": "\ud800", "contents": "x"}, "title"),
+            (
+                "dataset",
+                EXIT_IO,
+                {"id": "q", "question": "\ud800", "golden_answers": [3]},
+                "question",
+            ),
+            ("script", EXIT_CONFIG, {"match": 1.5, "response": "\ud800"}, "response"),
+        ],
+    )
+    def test_a_lone_surrogate_is_named_before_the_loaders_own_faults(
+        self, kind, code, row, key, tmp_path, index_dir, script_path, capsys
+    ):
+        # The reader checks every string it hands on before the loader checks
+        # types, so the same row always gives the same message.
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        assert self.run(kind, path, tmp_path, index_dir, script_path) == code
+        assert f"{path}:1: '{key}' holds a lone surrogate '\\ud800'" in capsys.readouterr().err
 
     def test_repeated_dataset_id_is_io_error_naming_the_line(
         self, tmp_path, index_dir, script_path, complete_calls, capsys

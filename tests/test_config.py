@@ -9,6 +9,7 @@ import yaml
 from respqa.agents import PipelineConfig
 from respqa.cli import EXIT_CONFIG, main
 from respqa.config import (
+    ENV_API_KEY,
     ENV_ENDPOINT,
     ENV_MODEL,
     AppRuntime,
@@ -19,7 +20,7 @@ from respqa.errors import ConfigurationError, RetrieverError
 from respqa.llm import HttpChatBackend, ScriptedBackend
 from respqa.retrieval import BM25Index
 
-from helpers import film_corpus
+from helpers import bm25_brute_force, film_corpus
 
 
 @pytest.fixture
@@ -83,6 +84,23 @@ class TestPrecedence:
         config = load_app_config(path, CliOverrides(script=str(script_path)))
         assert config.roles == {role: "scripted" for role in config.roles}
         assert config.backends["scripted"].kind == "scripted"
+
+    def test_script_flag_takes_the_place_of_the_file_backends(self, tmp_path, script_path):
+        path = write_yaml(
+            tmp_path,
+            {
+                "backends": {
+                    "main": {"kind": "http", "endpoint": "http://file.example/v1"},
+                    "mock": {"kind": "scripted", "script": str(script_path)},
+                },
+                "roles": {"reasoner": "main", "summarizer": "mock", "generator": "main"},
+            },
+        )
+        config = load_app_config(path, CliOverrides(script=str(script_path)))
+        assert list(config.backends) == ["scripted"]
+        assert config.roles == {role: "scripted" for role in config.roles}
+        with pytest.raises(ConfigurationError, match="^--model is set, but no HTTP backend"):
+            load_app_config(path, CliOverrides(script=str(script_path), model="m"))
 
     def test_flag_overrides_pipeline_settings(self, tmp_path, script_path):
         path = write_yaml(
@@ -178,6 +196,53 @@ class TestPrecedence:
             },
         )
         assert load_app_config(path).backends["main"].api_key == "s3cret"
+
+
+class TestApiKey:
+    """A key that an HTTP header cannot carry is refused at load, by its
+    variable's name; one that can, Latin-1 included, is kept as it is."""
+
+    @staticmethod
+    def load(tmp_path, script_path, where):
+        """The key that an HTTP backend or an embedding retriever reads from $MY_SECRET."""
+        if where == "backend":
+            backend = {"kind": "http", "endpoint": "http://x/v1", "api_key_env": "MY_SECRET"}
+            config = load_app_config(write_yaml(tmp_path, {"backends": {"main": backend}}))
+            return config.backends["main"].api_key
+        retriever = {
+            "kind": "embedding",
+            "endpoint": "http://emb.example/v1",
+            "vectors": "vectors.jsonl",
+            "api_key_env": "MY_SECRET",
+        }
+        backends = {"mock": {"kind": "scripted", "script": str(script_path)}}
+        data = {"retriever": retriever, "backends": backends}
+        return load_app_config(write_yaml(tmp_path, data)).embedding_api_key
+
+    @pytest.mark.parametrize("key", ["sk-€", "sk-a\nb", "sk-a\rb"])
+    @pytest.mark.parametrize("where", ["backend", "retriever"])
+    def test_a_key_no_header_can_carry_is_refused_unquoted(
+        self, tmp_path, script_path, monkeypatch, where, key
+    ):
+        monkeypatch.setenv("MY_SECRET", key)
+        with pytest.raises(ConfigurationError) as raised:
+            self.load(tmp_path, script_path, where)
+        assert "$MY_SECRET cannot be sent in an HTTP header" in str(raised.value)
+        assert "sk-" not in str(raised.value)
+
+    @pytest.mark.parametrize("where", ["backend", "retriever"])
+    def test_a_latin1_key_loads(self, tmp_path, script_path, monkeypatch, where):
+        monkeypatch.setenv("MY_SECRET", "sk-é")
+        assert self.load(tmp_path, script_path, where) == "sk-é"
+
+    @pytest.mark.parametrize("key", ["sk-€", "sk-a\nb", "sk-ok"])
+    def test_a_bm25_run_never_reads_the_key(self, tmp_path, script_path, monkeypatch, key):
+        monkeypatch.setenv(ENV_API_KEY, key)
+        data = {
+            "retriever": {"kind": "bm25"},
+            "backends": {"mock": {"kind": "scripted", "script": str(script_path)}},
+        }
+        assert load_app_config(write_yaml(tmp_path, data)).embedding_api_key is None
 
 
 class TestValidation:
@@ -538,6 +603,21 @@ class TestAppRuntime:
         with pytest.raises(RetrieverError, match="HTTP 400"):
             runtime.retriever.retrieve("Twisted Fortune", 1)
         assert sent == [{"model": "70", "input": ["Twisted Fortune"]}]
+
+    def test_k1_and_b_reach_the_retriever(self, tmp_path, script_path, index_dir):
+        path = write_yaml(
+            tmp_path,
+            {
+                "retriever": {"index_dir": str(index_dir), "k1": 0.9, "b": 0.4},
+                "backends": {"mock": {"kind": "scripted", "script": str(script_path)}},
+            },
+        )
+        retriever = AppRuntime(load_app_config(path)).retriever
+        for query in ("Twisted Fortune", "Eddie Murphy brother", "comedy director"):
+            expected = bm25_brute_force(film_corpus(), query, 5, 0.9, 0.4)
+            hits = retriever.retrieve(query, 5)
+            assert [(h.doc_id, pytest.approx(h.score, abs=1e-9)) for h in hits] == expected
+            assert expected != bm25_brute_force(film_corpus(), query, 5)
 
     def test_runner_rejects_unknown_pipeline(self, tmp_path, script_path, index_dir):
         runtime = AppRuntime(self.make_config(tmp_path, script_path, index_dir))

@@ -355,6 +355,31 @@ def test_every_private_name_is_read():
     assert unread == {}
 
 
+def test_text_is_checked_for_utf8_only_where_it_enters():
+    # Each input is checked once, where it enters: the JSONL reader for
+    # corpora, datasets and scripts, the config parsers, the CLI's question
+    # and the chat reply. A loader does not check again what the reader did.
+    import ast
+    import inspect
+    import pathlib
+
+    import respqa
+    from respqa.llm import HttpChatBackend
+
+    def calls(source: str) -> int:
+        return sum(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "require_utf8"
+            for node in ast.walk(ast.parse(source))
+        )
+
+    root = pathlib.Path(respqa.__file__).parent
+    counts = {path.name: calls(path.read_text(encoding="utf-8")) for path in root.glob("*.py")}
+    assert {name: count for name, count in counts.items() if count} == {
+        "jsonl.py": 1, "config.py": 1, "cli.py": 1, "llm.py": 1,
+    }
+    assert calls(inspect.getsource(HttpChatBackend)) == 1
+
+
 def test_order_dependence_read_only_in_the_gateway():
     # BackendRouter.start is the one gate on early sends: no other module
     # may decide by itself whether a backend's calls can go ahead of time.

@@ -157,6 +157,9 @@ class TestBuildIndex:
             BM25Index.build([doc(0, "half a pair \ud800 here")])
 
 
+BRUTE_FORCE_QUERIES = ["the cat", "dog yard", "quantum particles", "patience", "cat cat dog"]
+
+
 class TestRetrieve:
     def test_unique_match(self):
         docs = TEN_DOCS[:5]
@@ -164,10 +167,11 @@ class TestRetrieve:
         assert hits[0].doc_id == "d2"
         assert hits[0].rank == 1
 
-    def test_matches_brute_force(self):
-        index = BM25Index.build(TEN_DOCS)
-        for query in ["the cat", "dog yard", "quantum particles", "patience", "cat cat dog"]:
-            expected = bm25_brute_force(TEN_DOCS, query, 5)
+    @pytest.mark.parametrize("k1, b", [(1.2, 0.75), (0.9, 0.4), (2.0, 1.0)])
+    def test_matches_brute_force(self, k1, b):
+        index = BM25Index.build(TEN_DOCS, k1=k1, b=b)
+        for query in BRUTE_FORCE_QUERIES:
+            expected = bm25_brute_force(TEN_DOCS, query, 5, k1, b)
             hits = index.retrieve(query, 5)
             assert [(h.doc_id, pytest.approx(h.score, abs=1e-9)) for h in hits] == expected
 
@@ -1363,11 +1367,21 @@ def test_built_and_reopened_indexes_rank_alike_in_any_query_order(tmp_path):
     assert exact_hits(reopened, queries) == from_build
 
 
-def test_k1_and_b_are_read_at_construction():
-    expected = BM25Index.build(TEN_DOCS, k1=0.9, b=0.4).retrieve("the quantum cat", 5)
-    index = BM25Index.build(TEN_DOCS, k1=0.9, b=0.4)
-    index.k1, index.b = 2.0, 1.0  # before any term's gains are computed
-    assert index.retrieve("the quantum cat", 5) == expected
+def test_two_opens_of_one_index_each_score_with_their_own_k1_and_b(tmp_path):
+    BM25Index.build(TEN_DOCS).save(tmp_path)
+    indexes = {
+        (0.9, 0.4): BM25Index.open(tmp_path, k1=0.9, b=0.4),
+        (1.2, 0.75): BM25Index.open(tmp_path),
+    }
+    # Interleaved, so that each index computes its own lazy per-term gains.
+    for query in BRUTE_FORCE_QUERIES:
+        scores = []
+        for (k1, b), index in indexes.items():
+            hits = index.retrieve(query, 5)
+            expected = bm25_brute_force(TEN_DOCS, query, 5, k1, b)
+            assert [(h.doc_id, pytest.approx(h.score, abs=1e-9)) for h in hits] == expected
+            scores.append([h.score for h in hits])
+        assert scores[0] != scores[1]
 
 
 def test_dense_equals_brute_force_cosine():
