@@ -1,9 +1,12 @@
 """Application configuration: YAML file, environment, CLI overrides, wiring.
 
-Precedence is flag > file > environment: the environment fills only what
-neither sets. Validation is total and happens at startup: a missing role
-binding, backend, or path, or an LLM flag that no HTTP backend takes, fails
-before any LLM call.
+The ``pipeline`` and ``retriever`` sections are each read into one record
+whose fields are the section's keys. Precedence is flag > file > environment:
+the environment fills only what neither sets. Validation is total and happens
+at startup: a missing role binding, backend, or path, or an LLM flag that no
+HTTP backend takes, fails before any LLM call. ``--script`` takes the place
+of the file's backends and roles: the backends are parsed for their keys and
+types, but no endpoint, model, key or script path is read for them.
 
 Environment variables: ``RESPQA_LLM_ENDPOINT``, ``RESPQA_LLM_MODEL``, and
 ``RESPQA_API_KEY`` (or the per-backend ``api_key_env`` named in the file).
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, get_type_hints
 from urllib.parse import urlsplit
@@ -57,18 +60,35 @@ class BackendSpec:
 
 
 @dataclass
+class RetrieverConfig:
+    """The ``retriever:`` section, one field per key; ``api_key`` is read for embedding only."""
+
+    kind: str = "bm25"
+    index_dir: Path | None = None
+    k1: float = DEFAULT_K1
+    b: float = DEFAULT_B
+    endpoint: str | None = None
+    model: str | None = None
+    api_key_env: str | None = None
+    vectors: Path | None = None
+    api_key: str | None = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
+        _require(0 <= self.k1 < math.inf, f"retriever.k1 must be finite and >= 0, got {self.k1}")
+        _require(0 <= self.b <= 1, f"retriever.b must be between 0 and 1, got {self.b}")
+        _require(self.kind in ("bm25", "embedding"), f"unknown retriever kind: {self.kind!r}")
+        if self.kind == "embedding":
+            for key in ("endpoint", "vectors"):
+                _require(vars(self)[key] is not None, f"embedding retriever needs retriever.{key}")
+            self.api_key = _resolve_api_key(self.api_key_env)
+
+
+@dataclass
 class AppConfig:
     pipeline: PipelineConfig
+    retriever: RetrieverConfig
     backends: dict[str, BackendSpec]
     roles: dict[str, str]
-    retriever_kind: str
-    index_dir: Path | None
-    k1: float
-    b: float
-    embedding_endpoint: str | None
-    embedding_model: str | None
-    embedding_api_key: str | None
-    vectors_path: Path | None
     templates_dir: Path | None
     parallelism: int
 
@@ -215,7 +235,6 @@ def load_app_config(path: str | Path | None, overrides: CliOverrides | None = No
         data is None or isinstance(data, dict), "config file must contain a mapping at top level"
     )
     parsed = _parse(data or {}, _FILE, "")
-    retriever = parsed.get("retriever", {})
 
     pipeline = parsed.get("pipeline", {})
     for name in _PIPELINE:
@@ -236,29 +255,13 @@ def load_app_config(path: str | Path | None, overrides: CliOverrides | None = No
     flag = overrides.parallelism
     parallelism = parsed.get("eval", {}).get("parallelism", 1) if flag is None else flag
     _require(parallelism >= 1, f"eval.parallelism must be >= 1, got {parallelism}")
-    k1, b = retriever.get("k1", DEFAULT_K1), retriever.get("b", DEFAULT_B)
-    _require(0 <= k1 < math.inf, f"retriever.k1 must be finite and >= 0, got {k1}")
-    _require(0 <= b <= 1, f"retriever.b must be between 0 and 1, got {b}")
-    kind = str(retriever.get("kind", "bm25"))
-    _require(kind in ("bm25", "embedding"), f"unknown retriever kind: {kind!r}")
-    if kind == "embedding":
-        for key in ("endpoint", "vectors"):
-            _require(retriever.get(key) is not None, f"embedding retriever needs retriever.{key}")
-
+    retriever = parsed.get("retriever", {})
+    index_dir = _path(overrides.index_dir, "--index-dir") or retriever.get("index_dir")
     return AppConfig(
         pipeline=pipeline_config,
+        retriever=RetrieverConfig(**{**retriever, "index_dir": index_dir}),
         backends=backends,
         roles=roles,
-        retriever_kind=kind,
-        index_dir=_path(overrides.index_dir, "--index-dir") or retriever.get("index_dir"),
-        k1=k1,
-        b=b,
-        embedding_endpoint=retriever.get("endpoint"),
-        embedding_model=retriever.get("model"),
-        embedding_api_key=(
-            _resolve_api_key(retriever.get("api_key_env")) if kind == "embedding" else None
-        ),
-        vectors_path=retriever.get("vectors"),
         templates_dir=templates_dir,
         parallelism=parallelism,
     )
@@ -296,12 +299,16 @@ def _http_backend(name: str, settings: dict, overrides: CliOverrides) -> Backend
 
 
 def _load_backends(section: dict, overrides: CliOverrides) -> dict[str, BackendSpec]:
+    # Flag-level test mode: a scripted backend takes the place of the file's.
+    script_path = _path(overrides.script, "--script")
     backends: dict[str, BackendSpec] = {}
     for name, raw in section.items():
         _require(isinstance(raw, dict), f"backend {name!r} must be a mapping")
         kind = raw.get("kind", "http")
         _require(kind in ("http", "scripted"), f"backend {name!r}: unknown kind {kind!r}")
         settings = _parse(raw, _BACKEND_KINDS[kind], f"backends.{name}.")
+        if script_path is not None:  # parsed for its keys and types, never resolved
+            continue
         if kind == "http":
             backends[name] = _http_backend(name, settings, overrides)
             continue
@@ -310,8 +317,6 @@ def _load_backends(section: dict, overrides: CliOverrides) -> dict[str, BackendS
         _require(script.exists(), f"backend {name!r}: script not found: {script}")
         backends[name] = BackendSpec(kind="scripted", script=script)
 
-    # Flag-level test mode: a scripted backend takes the place of the file's.
-    script_path = _path(overrides.script, "--script")
     if script_path is not None:
         _require(script_path.exists(), f"script not found: {script_path}")
         backends = {"scripted": BackendSpec(kind="scripted", script=script_path)}
@@ -336,12 +341,10 @@ def _load_roles(raw_roles: object, backends: dict[str, BackendSpec]) -> dict[str
             "(bound to every role) or add explicit role bindings",
         )
         raw_roles = dict.fromkeys(ROLE_TAGS, next(iter(backends)))
-    _require(isinstance(raw_roles, dict), "'roles' must be a mapping")
-    roles = {str(role): str(name) for role, name in raw_roles.items()}
+    roles = _parse(_mapping(raw_roles, "roles"), dict.fromkeys(ROLE_TAGS, _text), "roles.")
     missing = [role for role in ROLE_TAGS if role not in roles]
     _require(not missing, f"no backend bound for role(s): {', '.join(missing)}")
     for role, name in roles.items():
-        _require(role in ROLE_TAGS, f"unknown role in 'roles': {role!r}")
         _require(name in backends, f"role {role!r} bound to undefined backend {name!r}")
     return roles
 
@@ -359,7 +362,7 @@ class AppRuntime:
 
     def __init__(self, config: AppConfig) -> None:
         self.config = config
-        self.retriever = _build_retriever(config)
+        self.retriever = _build_retriever(config.retriever, config.parallelism)
         self.templates = (
             PromptTemplateSet.load_dir(config.templates_dir)
             if config.templates_dir
@@ -376,11 +379,10 @@ class AppRuntime:
 
     def fresh_bindings(self) -> dict[str, LlmBackend]:
         """Each role's backend for one question run."""
-        run: dict[str, LlmBackend] = {}
-        for name in self.config.roles.values():
-            if name not in run:
-                backend = self._backends[name]
-                run[name] = backend.fresh() if isinstance(backend, ScriptedBackend) else backend
+        run = {
+            name: backend.fresh() if isinstance(backend, ScriptedBackend) else backend
+            for name, backend in self._backends.items()
+        }
         return {role: run[name] for role, name in self.config.roles.items()}
 
     def runner(
@@ -402,22 +404,19 @@ class AppRuntime:
         return run
 
 
-def _build_retriever(config: AppConfig) -> Retriever:
-    _require(config.index_dir is not None, "no index directory configured (retriever.index_dir)")
+def _build_retriever(settings: RetrieverConfig, parallelism: int) -> Retriever:
+    _require(settings.index_dir is not None, "no index directory configured (retriever.index_dir)")
     _require(
-        config.index_dir.is_dir(),
-        f"index directory not found: {config.index_dir} (run the 'index' command first)",
+        settings.index_dir.is_dir(),
+        f"index directory not found: {settings.index_dir} (run the 'index' command first)",
     )
-    index = BM25Index.open(config.index_dir, k1=config.k1, b=config.b)
-    if config.retriever_kind == "bm25":
+    index = BM25Index.open(settings.index_dir, k1=settings.k1, b=settings.b)
+    if settings.kind == "bm25":
         return index
     client = EmbeddingEndpointClient(
-        endpoint=config.embedding_endpoint,
-        model=config.embedding_model or "default",
-        api_key=config.embedding_api_key,
-        pool_size=config.parallelism,
+        settings.endpoint, settings.model or "default", settings.api_key, pool_size=parallelism
     )
     # The BM25 index is needed only for its documents: let it go before the vectors load.
     documents = index.documents
     del index
-    return EmbeddingRetriever(documents, load_vectors(config.vectors_path), client)
+    return EmbeddingRetriever(documents, load_vectors(settings.vectors), client)

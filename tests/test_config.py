@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -9,11 +10,14 @@ import yaml
 from respqa.agents import PipelineConfig
 from respqa.cli import EXIT_CONFIG, main
 from respqa.config import (
+    _RETRIEVER,
     ENV_API_KEY,
     ENV_ENDPOINT,
     ENV_MODEL,
+    AppConfig,
     AppRuntime,
     CliOverrides,
+    RetrieverConfig,
     load_app_config,
 )
 from respqa.errors import ConfigurationError, RetrieverError
@@ -101,6 +105,56 @@ class TestPrecedence:
         assert config.roles == {role: "scripted" for role in config.roles}
         with pytest.raises(ConfigurationError, match="^--model is set, but no HTTP backend"):
             load_app_config(path, CliOverrides(script=str(script_path), model="m"))
+
+    @pytest.mark.parametrize(
+        "backend, env, refused",
+        [
+            ({"kind": "http"}, {}, "backend 'main' has no endpoint"),
+            (
+                {"kind": "http", "endpoint": "http://x/v1"},
+                {ENV_API_KEY: "sk-€"},
+                f"\\${ENV_API_KEY} cannot be sent",
+            ),
+            ({"kind": "http", "endpoint": "ftp://x"}, {}, "is not an http\\(s\\) URL"),
+            ({"kind": "scripted", "script": "no/such/rules.jsonl"}, {}, "script not found"),
+        ],
+        ids=["no-endpoint", "unsendable-key", "bad-url", "missing-script"],
+    )
+    def test_script_flag_never_resolves_a_file_backend(
+        self, tmp_path, script_path, monkeypatch, backend, env, refused
+    ):
+        # --script is decided first: a file backend it replaces is parsed, but
+        # nothing it would send (endpoint, model, key, script) is read.
+        monkeypatch.delenv(ENV_ENDPOINT, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        path = write_yaml(tmp_path, {"backends": {"main": backend}})
+        config = load_app_config(path, CliOverrides(script=str(script_path)))
+        assert list(config.backends) == ["scripted"]
+        with pytest.raises(ConfigurationError, match=refused):
+            load_app_config(path)
+
+    @pytest.mark.parametrize(
+        "backend, refused",
+        [
+            (
+                {"kind": "http", "endpoint": "http://x/v1", "scrip": "s"},
+                r"^unknown config key\(s\): backends\.main\.scrip$",
+            ),
+            (
+                {"kind": "http", "endpoint": "http://x/v1", "api_key_env": 5},
+                r"^backends\.main\.api_key_env must be a string",
+            ),
+            ({"kind": "scripted", "model": "m"}, r"^unknown config key\(s\): backends\.main\.model$"),
+        ],
+        ids=["unknown-http-key", "wrong-type", "unknown-scripted-key"],
+    )
+    def test_script_flag_still_parses_the_file_backends(
+        self, tmp_path, script_path, backend, refused
+    ):
+        path = write_yaml(tmp_path, {"backends": {"main": backend}})
+        with pytest.raises(ConfigurationError, match=refused):
+            load_app_config(path, CliOverrides(script=str(script_path)))
 
     def test_flag_overrides_pipeline_settings(self, tmp_path, script_path):
         path = write_yaml(
@@ -217,7 +271,7 @@ class TestApiKey:
         }
         backends = {"mock": {"kind": "scripted", "script": str(script_path)}}
         data = {"retriever": retriever, "backends": backends}
-        return load_app_config(write_yaml(tmp_path, data)).embedding_api_key
+        return load_app_config(write_yaml(tmp_path, data)).retriever.api_key
 
     @pytest.mark.parametrize("key", ["sk-€", "sk-a\nb", "sk-a\rb"])
     @pytest.mark.parametrize("where", ["backend", "retriever"])
@@ -242,7 +296,7 @@ class TestApiKey:
             "retriever": {"kind": "bm25"},
             "backends": {"mock": {"kind": "scripted", "script": str(script_path)}},
         }
-        assert load_app_config(write_yaml(tmp_path, data)).embedding_api_key is None
+        assert load_app_config(write_yaml(tmp_path, data)).retriever.api_key is None
 
 
 class TestValidation:
@@ -281,6 +335,26 @@ class TestValidation:
         )
         with pytest.raises(ConfigurationError, match="ghost"):
             load_app_config(path)
+
+    @pytest.mark.parametrize(
+        "roles, message",
+        [
+            (
+                {"reasoner": "mock", "summarizer": "mock", "generator": "mock", "critic": "mock"},
+                "unknown config key(s): roles.critic",
+            ),
+            (["reasoner", "summarizer", "generator"], "config section 'roles' must be a mapping"),
+            ({}, "no backend bound for role(s): reasoner, summarizer, generator"),
+        ],
+        ids=["unknown-role", "list", "empty"],
+    )
+    def test_roles_section_is_read_like_any_other(
+        self, tmp_path, script_path, capsys, roles, message
+    ):
+        data = {"backends": {"mock": {"kind": "scripted", "script": str(script_path)}}}
+        path = write_yaml(tmp_path, {**data, "roles": roles})
+        assert main(["ask", "q?", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     def test_multiple_backends_require_roles(self, tmp_path, script_path):
         path = write_yaml(
@@ -373,7 +447,7 @@ class TestValidation:
             },
         )
         config = load_app_config(path)
-        owner = config.pipeline if section == "pipeline" else config
+        owner = getattr(config, section)
         assert getattr(owner, key) == value
 
     @pytest.mark.parametrize(
@@ -721,3 +795,14 @@ class TestYamlLoaders:
         )
         assert main(["ask", "q?", "--config", str(path)]) == EXIT_CONFIG
         assert (str(path) if libyaml else f"retriever.{key}") in capsys.readouterr().err
+
+
+def test_one_field_per_section_and_one_name_per_key():
+    # The project runs no linter, so this pins the config's shape: the
+    # retriever's record holds each key of its table under the key's own name,
+    # and AppConfig holds one field per section.
+    fields = dataclasses.fields(RetrieverConfig)
+    assert set(_RETRIEVER) == {field.name for field in fields if field.init}
+    assert [field.name for field in dataclasses.fields(AppConfig)] == [
+        "pipeline", "retriever", "backends", "roles", "templates_dir", "parallelism",
+    ]
