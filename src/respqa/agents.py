@@ -393,10 +393,7 @@ class PipelineAgents:
         then raises the error), and a reply of None when the call was not started.
         """
         try:
-            return self._start(
-                "generate", "generator", self.templates.generate,
-                _memory_bindings(overarching_question, memory), ahead=True,
-            )
+            return self._generate_call(overarching_question, memory, ahead=True)
         except PromptError:
             return None
 
@@ -408,11 +405,11 @@ class PipelineAgents:
         With ``early`` from ``start_generate``, takes that call in place of a new
         one: its reply if it was started and has begun, else it is sent from here.
         """
-        call = early or self._start(
-            "generate", "generator", self.templates.generate,
-            _memory_bindings(overarching_question, memory),
-        )
-        return self._take(call).strip()
+        return self._take(early or self._generate_call(overarching_question, memory)).strip()
+
+    def _generate_call(self, question: str, memory: MemoryState, ahead: bool = False) -> AgentCall:
+        bindings = _memory_bindings(question, memory)
+        return self._start("generate", "generator", self.templates.generate, bindings, ahead=ahead)
 
     def generate_standard(self, overarching_question: str, docs: list[RetrievedDocument]) -> str:
         """Single-shot baseline: trimmed answer from the raw documents."""

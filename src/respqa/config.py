@@ -183,7 +183,7 @@ def _url(value: object, key: str) -> str | None:
 
 
 def _mapping(value: object, key: str) -> dict:
-    value = value or {}
+    value = {} if value is None else value
     _require(isinstance(value, dict), f"config section {key!r} must be a mapping")
     return value
 

@@ -128,11 +128,24 @@ class ScriptedRule:
 
 
 def load_script(path: str | Path) -> list[ScriptedRule]:
-    """Load rules from JSONL lines {"match": <str|int>, "response": <str>}."""
+    """Load rules from JSONL lines {"match": <str|int>, "response": <str>}.
+
+    An integer match is a call ordinal: a negative one, or one an earlier line
+    holds, could never fire, and is refused naming its line.
+    """
     rules: list[ScriptedRule] = []
+    ordinals: dict[int, str] = {}
     for where, (match, response) in read_jsonl(path, ConfigurationError, ("match", "response")):
         if isinstance(match, bool) or not isinstance(match, (str, int)):
             raise ConfigurationError(f"{where}: 'match' must be a string or integer")
+        if isinstance(match, int):
+            if match < 0:
+                raise ConfigurationError(f"{where}: call ordinal {match} is negative")
+            if match in ordinals:
+                raise ConfigurationError(
+                    f"{where}: call ordinal {match} is already matched at {ordinals[match]}"
+                )
+            ordinals[match] = where
         if not isinstance(response, str):
             raise ConfigurationError(f"{where}: 'response' must be a string")
         rules.append(ScriptedRule(match=match, response=response))

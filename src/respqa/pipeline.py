@@ -4,13 +4,15 @@ Every run produces a full RunTrace: per-round retrieval hits, summaries,
 judgements, planning results, the decision taken, and the final answer. The
 loop performs at most ``max_iterations`` retrievals no matter how the
 backends behave, and never retrieves the same normalized sub-question twice.
+Both pipelines run a question inside one ``_Run``, which builds each round's
+record, the trace and, for a backend failure, the PipelineError naming the round.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 from .agents import (
@@ -83,6 +85,66 @@ class RunTrace:
         return json.dumps(self.to_dict(), indent=2, ensure_ascii=False)
 
 
+# The decision a round's record carries, by the stop reason the round ended with.
+_DECISIONS = {
+    None: DECISION_CONTINUE,
+    STOP_JUDGED_SUFFICIENT: DECISION_GENERATE, STOP_SINGLE_ROUND: DECISION_GENERATE,
+    STOP_MAX_ITERATIONS: DECISION_FORCED_GENERATE, STOP_DUPLICATE_PLAN: DECISION_FORCED_GENERATE,
+}
+
+
+@dataclass
+class _Run:
+    """One question's run: its agents, bound to its config and a fresh call log,
+    its memory, records and trace. A blank question is refused before any call.
+    Leaving it cancels an early generate call not yet begun (a failed run sends
+    no such request) and raises a BackendError as the round's PipelineError.
+    """
+
+    question: str
+    agents: PipelineAgents
+    config: PipelineConfig
+    log: list[tuple[str, str]] = field(default_factory=list)
+    iterations: list[IterationRecord] = field(default_factory=list)
+    anomalies: list[str] = field(default_factory=list)
+    memory: MemoryState | None = None
+    early: AgentCall | None = None
+    logged: int = 0  # log entries in the records so far
+
+    def __post_init__(self) -> None:
+        if not self.question.strip():
+            raise ValueError("question must be non-empty")
+        self.agents = replace(self.agents, config=self.config, prompt_log=self.log)
+
+    def __enter__(self) -> _Run:
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if self.early is not None and self.early.reply is not None:
+            self.early.reply.cancel()
+        if isinstance(exc, BackendError):
+            role, index = exc.role_tag, len(self.iterations)
+            message = f"round {index}: {role or 'unknown'} backend failed: {exc}"
+            raise PipelineError(message, round_index=index, role_tag=role) from exc
+
+    def record(self, stop_reason: str | None, **fields) -> None:
+        """The next round's record: ``fields``, the decision ``stop_reason``
+        makes, and the prompts logged since the last record."""
+        prompts = dict(self.log[self.logged :]) if self.config.log_prompts else None
+        self.logged = len(self.log)
+        self.iterations.append(IterationRecord(
+            round=len(self.iterations), decision=_DECISIONS[stop_reason], prompts=prompts, **fields
+        ))
+
+    def trace(self, pipeline: str, answer: str, stop_reason: str) -> RunTrace:
+        """The run's trace; the generator's prompt is the last one logged."""
+        return RunTrace(
+            question=self.question, pipeline=pipeline, iterations=self.iterations,
+            final_answer=answer, stop_reason=stop_reason, anomalies=self.anomalies,
+            generator_prompt_tokens=whitespace_token_estimate(self.log[-1][1]), memory=self.memory,
+        )
+
+
 def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config: PipelineConfig) -> RunTrace:
     """Run the full iterative loop for one question.
 
@@ -99,19 +161,11 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
     order gets the same request after the judge's, as in the other rounds.
     A judge failure is the error raised, and the generator's reply is dropped.
     """
-    if not question.strip():
-        raise ValueError("question must be non-empty")
-    log: list[tuple[str, str]] = []
-    agents = replace(agents, config=config, prompt_log=log)
-    memory = MemoryState()
-    iterations: list[IterationRecord] = []
-    anomalies: list[str] = []
-    sub_question = question
-    early: AgentCall | None = None
-
-    try:
+    with _Run(question, agents, config) as run:
+        agents = run.agents
+        memory = run.memory = MemoryState()
+        sub_question = question
         for round_index in range(config.max_iterations):
-            round_start = len(log)
             hits = retriever.retrieve(sub_question, config.top_k)
 
             if hits:
@@ -126,7 +180,7 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
             if round_index >= 1:
                 local_answer = agents.answer_local(sub_question, memory)
                 if local_answer.anomaly:
-                    anomalies.append(
+                    run.anomalies.append(
                         f"round {round_index}: unparseable local answer: {local_answer.raw_text!r}"
                     )
                 memory.push_local(
@@ -134,109 +188,48 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
                 )
 
             if round_index == config.max_iterations - 1:
-                early = agents.start_generate(question, memory)
+                run.early = agents.start_generate(question, memory)
             judgement = agents.judge(question, memory)
             if judgement.anomaly:
-                anomalies.append(
+                run.anomalies.append(
                     f"round {round_index}: unparseable judgement: {judgement.raw_text!r}"
                 )
 
             plan_result: PlanResult | None = None
             if judgement.sufficient:
-                decision = DECISION_GENERATE
                 stop_reason = STOP_JUDGED_SUFFICIENT
             elif round_index == config.max_iterations - 1:
                 # Iteration budget exhausted: proceed straight to generation,
                 # without planning a sub-question that would never be retrieved.
-                decision = DECISION_FORCED_GENERATE
                 stop_reason = STOP_MAX_ITERATIONS
             else:
-                forbidden = memory.seen_subquestions(question)
-                plan_result = agents.plan(question, memory, forbidden)
-                if plan_result.forced_termination:
-                    decision = DECISION_FORCED_GENERATE
-                    stop_reason = STOP_DUPLICATE_PLAN
-                else:
-                    decision = DECISION_CONTINUE
+                plan_result = agents.plan(question, memory, memory.seen_subquestions(question))
+                stop_reason = STOP_DUPLICATE_PLAN if plan_result.forced_termination else None
 
-            if decision != DECISION_CONTINUE:
-                answer = agents.generate(question, memory, early)
-            iterations.append(
-                IterationRecord(
-                    round=round_index,
-                    sub_question=sub_question,
-                    retrieved=hits,
-                    global_summary=summary,
-                    local_answer=local_answer,
-                    judgement=judgement,
-                    decision=decision,
-                    plan=plan_result,
-                    prompts=dict(log[round_start:]) if config.log_prompts else None,
-                )
+            if stop_reason:
+                answer = agents.generate(question, memory, run.early)
+            run.record(
+                stop_reason, sub_question=sub_question, retrieved=hits, global_summary=summary,
+                local_answer=local_answer, judgement=judgement, plan=plan_result,
             )
-            if decision != DECISION_CONTINUE:
+            if stop_reason:
                 break
             sub_question = plan_result.sub_question
-    except BackendError as exc:
-        raise _round_failure(exc, round_index) from exc
-    finally:
-        if early is not None and early.reply is not None:
-            early.reply.cancel()  # a failed run sends no request it has not begun
-
-    return RunTrace(
-        question=question,
-        pipeline=PIPELINE_RESP,
-        iterations=iterations,
-        final_answer=answer,
-        stop_reason=stop_reason,
-        anomalies=anomalies,
-        generator_prompt_tokens=whitespace_token_estimate(log[-1][1]),
-        memory=memory,
-    )
+        return run.trace(PIPELINE_RESP, answer, stop_reason)
 
 
 def run_standard_rag(
     question: str, retriever: Retriever, agents: PipelineAgents, config: PipelineConfig
 ) -> RunTrace:
     """One retrieval, one generation from the raw documents; no memory."""
-    if not question.strip():
-        raise ValueError("question must be non-empty")
-    log: list[tuple[str, str]] = []
-    agents = replace(agents, config=config, prompt_log=log)
-    hits = retriever.retrieve(question, config.top_k)
-    try:
-        answer = agents.generate_standard(question, hits)
-    except BackendError as exc:
-        raise _round_failure(exc, 0) from exc
-    iteration = IterationRecord(
-        round=0,
-        sub_question=question,
-        retrieved=hits,
-        global_summary="",
-        local_answer=None,
-        judgement=None,
-        decision=DECISION_GENERATE,
-        prompts=dict(log) if config.log_prompts else None,
-    )
-    return RunTrace(
-        question=question,
-        pipeline=PIPELINE_STANDARD,
-        iterations=[iteration],
-        final_answer=answer,
-        stop_reason=STOP_SINGLE_ROUND,
-        anomalies=[],
-        generator_prompt_tokens=whitespace_token_estimate(log[-1][1]),
-        memory=None,
-    )
-
-
-def _round_failure(exc: BackendError, round_index: int) -> PipelineError:
-    """The error surfaced for a backend failure, naming round and role."""
-    return PipelineError(
-        f"round {round_index}: {exc.role_tag or 'unknown'} backend failed: {exc}",
-        round_index=round_index,
-        role_tag=exc.role_tag,
-    )
+    with _Run(question, agents, config) as run:
+        hits = retriever.retrieve(question, config.top_k)
+        answer = run.agents.generate_standard(question, hits)
+        run.record(
+            STOP_SINGLE_ROUND, sub_question=question, retrieved=hits, global_summary="",
+            local_answer=None, judgement=None,
+        )
+        return run.trace(PIPELINE_STANDARD, answer, STOP_SINGLE_ROUND)
 
 
 @dataclass(frozen=True, kw_only=True)

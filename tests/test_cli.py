@@ -307,6 +307,14 @@ class TestAskCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: no scripted rule matches call 0 (role=summarizer)")
 
+    def test_a_script_rule_that_could_never_fire_is_a_config_error(self, index_dir, tmp_path, capsys):
+        script = tmp_path / "never.jsonl"
+        script.write_text(json.dumps({"match": -1, "response": "x"}) + "\n")
+        argv = ["ask", OVERPLANNING_QUESTION, "--index-dir", str(index_dir)]
+        assert main([*argv, "--script", str(script)]) == EXIT_CONFIG
+        message = f"configuration error: {script}:1: call ordinal -1 is negative\n"
+        assert capsys.readouterr().err == message
+
     def test_input_cap_below_one_document_is_runtime_error(
         self, index_dir, script_path, tmp_path, capsys
     ):

@@ -356,6 +356,28 @@ class TestValidation:
         assert main(["ask", "q?", "--config", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [("pipeline", []), ("retriever", False), ("eval", 0), ("backends", 0), ("roles", [])],
+    )
+    def test_a_section_that_is_not_a_mapping_is_refused_however_falsy(
+        self, tmp_path, script_path, capsys, section, value
+    ):
+        data = {"backends": {"mock": {"kind": "scripted", "script": str(script_path)}}}
+        path = write_yaml(tmp_path, {**data, section: value})
+        assert main(["ask", "q?", "--config", str(path)]) == EXIT_CONFIG
+        message = f"configuration error: config section {section!r} must be a mapping\n"
+        assert capsys.readouterr().err == message
+
+    def test_a_null_section_means_its_defaults(self, tmp_path, script_path):
+        backends = {"mock": {"kind": "scripted", "script": str(script_path)}}
+        path = tmp_path / "config.yaml"
+        nulls = "pipeline:\nretriever:\neval:\nroles:\n"
+        path.write_text(yaml.safe_dump({"backends": backends}) + nulls)
+        config = load_app_config(path)
+        assert (config.pipeline, config.retriever) == (PipelineConfig(), RetrieverConfig())
+        assert config.parallelism == 1 and set(config.roles.values()) == {"mock"}
+
     def test_multiple_backends_require_roles(self, tmp_path, script_path):
         path = write_yaml(
             tmp_path,

@@ -170,6 +170,25 @@ class TestLoadScript:
         with pytest.raises(ConfigurationError, match=fragment):
             load_script(path)
 
+    @pytest.mark.parametrize(
+        "matches, message",
+        [
+            (["x", -1], "{path}:2: call ordinal -1 is negative"),
+            ([0, 2, 0], "{path}:3: call ordinal 0 is already matched at {path}:1"),
+        ],
+        ids=["negative", "repeated"],
+    )
+    def test_an_ordinal_that_could_never_fire_is_refused(self, tmp_path, matches, message):
+        path = tmp_path / "script.jsonl"
+        path.write_text("".join(json.dumps({"match": m, "response": "r"}) + "\n" for m in matches))
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_script(path)
+        assert str(excinfo.value) == message.format(path=path)
+
+    def test_a_backend_built_in_code_keeps_the_first_of_two_rules_at_one_ordinal(self):
+        backend = ScriptedBackend([ScriptedRule(0, "first"), ScriptedRule(0, "second")])
+        assert backend.complete(req("p")).text == "first"
+
 
 class FakeResponse:
     def __init__(self, status_code: int, payload=None, text: str = ""):

@@ -215,6 +215,40 @@ class TestLoopDecisions:
         assert trace.stop_reason == STOP_MAX_ITERATIONS
         assert len(backend.history) == 3  # no plan call at the final round
 
+    @pytest.mark.parametrize(
+        "run, rules, stop_reason, rounds, decision",
+        [
+            (
+                run_resp,
+                [ScriptedRule(5, "Yes"), *always_no_rules()],  # round 1's judge is call 5
+                STOP_JUDGED_SUFFICIENT,
+                2,
+                DECISION_GENERATE,
+            ),
+            (run_resp, always_no_rules(), STOP_MAX_ITERATIONS, 3, DECISION_FORCED_GENERATE),
+            (
+                run_resp,
+                # Round 0 plans a novel sub-question (call 2); round 1 only repeats the question.
+                [
+                    ScriptedRule(2, "What about alpha specifically?"),
+                    ScriptedRule(LOCAL_MARKER, "No"),
+                    *duplicate_plan_rules(),
+                ],
+                STOP_DUPLICATE_PLAN,
+                2,
+                DECISION_FORCED_GENERATE,
+            ),
+            (run_standard_rag, always_no_rules(), STOP_SINGLE_ROUND, 1, DECISION_GENERATE),
+        ],
+        ids=[STOP_JUDGED_SUFFICIENT, STOP_MAX_ITERATIONS, STOP_DUPLICATE_PLAN, STOP_SINGLE_ROUND],
+    )
+    def test_each_stop_reason_makes_its_decision(self, run, rules, stop_reason, rounds, decision):
+        agents, _ = scripted_agents(rules)
+        trace = run(TOPIC_QUESTION, BM25Index.build(TOPIC_DOCS), agents, PipelineConfig())
+        assert (trace.stop_reason, len(trace.iterations)) == (stop_reason, rounds)
+        decisions = [record.decision for record in trace.iterations]
+        assert decisions == [DECISION_CONTINUE] * (rounds - 1) + [decision]
+
     def test_a_scripted_capped_question_assembles_its_generate_prompt_once(self, monkeypatch):
         # The scripted backend is not started early; generate sends the call
         # start_generate built, without assembling its prompt again.
