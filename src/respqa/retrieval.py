@@ -7,9 +7,10 @@ concatenated as UTF-8, in ascending doc_id order; ``terms.txt``, the
 vocabulary in ascending UTF-8 byte order joined by newlines, a term's id being
 its place in that order; and ``postings.bin``, little-endian unsigned arrays,
 each in the narrowest of 1, 2, 4 or 8 bytes that holds its largest value: the
-postings and the byte offsets of the document fields. Opening an index builds
-no Python object per document or per term, and copies no file: it maps the
-data files read-only, checks that ``documents.txt`` and ``terms.txt`` are
+postings (document lengths, term offsets, document indices and term
+frequencies) and the byte offsets of the document fields. Opening an index
+builds no Python object per document or per term, and copies no file: it maps
+the data files read-only, checks that ``documents.txt`` and ``terms.txt`` are
 UTF-8 without decoding either whole, decodes a document only when a query
 returns it and finds a query term by binary search. Nor does it score any
 posting: a term's BM25 gains are computed by the first query that uses the
@@ -25,6 +26,7 @@ the doc_id tie-break for both; its embeddings client goes through
 from __future__ import annotations
 
 import codecs
+import itertools
 import json
 import math
 import mmap
@@ -36,7 +38,7 @@ import uuid
 import zlib
 from array import array
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -74,9 +76,6 @@ _DOCUMENTS_FILE = "documents.txt"
 _TERMS_FILE = "terms.txt"
 _POSTINGS_FILE = "postings.bin"
 _DATA_FILES = (_DOCUMENTS_FILE, _TERMS_FILE, _POSTINGS_FILE)
-# postings.bin holds these arrays back to back; the manifest records the dtype
-# of each, the narrowest of _POSTING_DTYPES that holds its largest value.
-_POSTING_ARRAYS = ("doc_lengths", "offsets", "doc_indices", "term_freqs", "doc_fields")
 _POSTING_DTYPES = ("|u1", "<u2", "<u4", "<u8")
 # A data file's contents: built in memory, or an opened file's read-only map
 # (b"" for an empty file, which cannot be mapped). Slices decode as bytes do.
@@ -375,13 +374,29 @@ class _Lexicon:
         return term_id if term_id < len(self) and self._term(term_id) == key else None
 
 
+class _Postings(NamedTuple):
+    """The arrays ``postings.bin`` holds back to back, in field order; the
+    manifest records the dtype of each, the narrowest of ``_POSTING_DTYPES``
+    that holds its largest value."""
+
+    doc_lengths: np.ndarray
+    # Term i's postings lie between offsets[i] and offsets[i + 1].
+    offsets: np.ndarray
+    doc_indices: np.ndarray
+    term_freqs: np.ndarray
+    # The document store's field offsets: the index's _DocumentStore.bounds.
+    doc_fields: np.ndarray
+
+
+_POSTING_ARRAYS = _Postings._fields
+
+
 class BM25Index:
     """Inverted index with BM25 ranking (k1/b configurable, Lucene-style IDF).
 
-    Postings are flat integer arrays (document index and term frequency)
-    grouped by term through per-term offsets, each in the narrowest unsigned
-    dtype that holds it: ``build`` makes them so, ``save`` writes them as they
-    are and ``open`` keeps them so.
+    The postings are a ``_Postings`` record of flat arrays, each in the
+    narrowest unsigned dtype that holds it: ``build`` makes them so, ``save``
+    writes them as they are and ``open`` keeps them so.
     Build and open compute one value per document, its length norm
     ``k1 * (1 - b + b * dl / avgdl)``; a term's BM25 gains are computed by its
     first query and kept for later ones, keyed by the term. The vocabulary
@@ -400,31 +415,25 @@ class BM25Index:
     def __init__(
         self,
         store: _DocumentStore,
-        doc_lengths: np.ndarray,
         lexicon: _Lexicon,
-        offsets: np.ndarray,
-        doc_indices: np.ndarray,
-        term_freqs: np.ndarray,
+        postings: _Postings,
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
     ) -> None:
         self._store = store
-        self._doc_lengths = doc_lengths
         self._lexicon = lexicon
-        self._offsets = offsets
-        self._doc_indices = doc_indices
-        self._term_freqs = term_freqs
-        n = len(doc_lengths)
-        self._avgdl = int(doc_lengths.sum()) / n if n else 0.0
+        self._postings = postings
+        n = len(postings.doc_lengths)
+        self._avgdl = int(postings.doc_lengths.sum()) / n if n else 0.0
         # k1 and b are read here only, so every term's gains use the same values.
         self._k1_plus_1 = k1 + 1.0
-        self._k1_norms = k1 * (1.0 - b + b * doc_lengths / (self._avgdl or 1.0))
+        self._k1_norms = k1 * (1.0 - b + b * postings.doc_lengths / (self._avgdl or 1.0))
         self._gains: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def stats(self) -> IndexStats:
         return IndexStats(
-            num_documents=len(self._doc_lengths),
+            num_documents=len(self._postings.doc_lengths),
             num_terms=len(self._lexicon),
             avg_doc_length=self._avgdl,
         )
@@ -453,7 +462,8 @@ class BM25Index:
         twice the saved files' bytes (7 MB at 5,000 documents of ~80 tokens).
         """
         store = _DocumentStore.pack(documents).by_id()
-        vocabulary = _Vocabulary()
+        # Term -> term id; an unseen term gets the next id.
+        vocabulary = defaultdict(itertools.count().__next__)
         lengths = array("i")
         distinct_terms = array("i")
         # One entry per (document, term) pair, in document order.
@@ -499,16 +509,9 @@ class BM25Index:
         )
         doc_indices = _narrowed(doc_of_pair[order])
         del doc_of_pair, order
-        return cls(
-            store,
-            _narrowed(np.frombuffer(lengths, dtype=np.intc)),
-            lexicon,
-            _narrowed(offsets),
-            doc_indices,
-            freqs,
-            k1=k1,
-            b=b,
-        )
+        lengths = _narrowed(np.frombuffer(lengths, dtype=np.intc))
+        postings = _Postings(lengths, _narrowed(offsets), doc_indices, freqs, store.bounds)
+        return cls(store, lexicon, postings, k1=k1, b=b)
 
     def _term_gains(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
         """The term's document indices, as intp, and the BM25 gain of each;
@@ -522,12 +525,13 @@ class BM25Index:
         term_id = self._lexicon.find(term)
         if term_id is None:
             return None
-        start, end = self._offsets[term_id : term_id + 2].tolist()
-        df, n = end - start, len(self._doc_lengths)
+        postings = self._postings
+        start, end = postings.offsets[term_id : term_id + 2].tolist()
+        df, n = end - start, len(postings.doc_lengths)
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         # Fancy indexing casts any other index dtype to intp on every call.
-        doc_indices = self._doc_indices[start:end].astype(np.intp)
-        tf = self._term_freqs[start:end]
+        doc_indices = postings.doc_indices[start:end].astype(np.intp)
+        tf = postings.term_freqs[start:end]
         # idf * (tf * (k1 + 1)) / (tf + k1 * norm), in place. Swapping the two
         # operands of a * or a + leaves an IEEE result unchanged.
         gains = tf * self._k1_plus_1
@@ -546,7 +550,7 @@ class BM25Index:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        scores = np.zeros(len(self._doc_lengths))
+        scores = np.zeros(len(self._postings.doc_lengths))
         for term in tokenize(query):
             kept = self._gains.get(term) or self._term_gains(term)
             if kept is None:
@@ -571,16 +575,7 @@ class BM25Index:
         ):
             raise CorpusError(f"refusing to replace {target}: not empty and not an index directory")
         # As held: an array is copied only on a big-endian machine, to swap its bytes.
-        arrays = [
-            part.astype(part.dtype.newbyteorder("<"), copy=False)
-            for part in (
-                self._doc_lengths,
-                self._offsets,
-                self._doc_indices,
-                self._term_freqs,
-                self._store.bounds,
-            )
-        ]
+        arrays = [part.astype(part.dtype.newbyteorder("<"), copy=False) for part in self._postings]
         files = {}
         target.parent.mkdir(parents=True, exist_ok=True)
         staging = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
@@ -597,9 +592,9 @@ class BM25Index:
             manifest = {
                 "format_tag": INDEX_FORMAT_TAG,
                 "format_version": INDEX_FORMAT_VERSION,
-                "num_documents": len(self._doc_lengths),
+                "num_documents": len(self._postings.doc_lengths),
                 "num_terms": len(self._lexicon),
-                "num_postings": len(self._doc_indices),
+                "num_postings": len(self._postings.doc_indices),
                 "avg_doc_length": self._avgdl,
                 "postings_dtypes": dict(zip(_POSTING_ARRAYS, (part.dtype.str for part in arrays))),
                 "files": files,
@@ -659,30 +654,21 @@ class BM25Index:
             files = manifest["files"]
             data = {name: _read_checked(index_dir / name, files[name]) for name in _DATA_FILES}
             n, t, p = (int(manifest[key]) for key in ("num_documents", "num_terms", "num_postings"))
-            lengths, offsets, doc_indices, term_freqs, bounds = _posting_arrays(
-                data[_POSTINGS_FILE],
-                manifest.get("postings_dtypes"),
-                (n, t + 1, p, p, 3 * n + 1),
-            )
-            if p and doc_indices.max() >= n:
+            counts = (n, t + 1, p, p, 3 * n + 1)
+            dtypes = manifest.get("postings_dtypes")
+            postings = _posting_arrays(data[_POSTINGS_FILE], dtypes, counts)
+            if p and postings.doc_indices.max() >= n:
                 raise ValueError(f"a posting's document index is not below {n} documents")
+            offsets = postings.offsets
             if offsets[0] != 0 or offsets[-1] != p or (offsets[1:] < offsets[:-1]).any():
                 raise ValueError(f"the term offsets decrease or do not span the {p} postings")
-            store = _DocumentStore.read(data[_DOCUMENTS_FILE], bounds)
+            store = _DocumentStore.read(data[_DOCUMENTS_FILE], postings.doc_fields)
             lexicon = _Lexicon.read(data[_TERMS_FILE], t)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CorpusError(
                 f"corrupt index in {index_dir}: {exc}; rebuild it with `respqa index`"
             ) from exc
-        return cls(store, lengths, lexicon, offsets, doc_indices, term_freqs, k1=k1, b=b)
-
-
-class _Vocabulary(dict):
-    """Term -> term id; an unseen term gets the next id."""
-
-    def __missing__(self, term: str) -> int:
-        term_id = self[term] = len(self)
-        return term_id
+        return cls(store, lexicon, postings, k1=k1, b=b)
 
 
 def _read_checked(path: Path, expected: dict) -> _FileData:
@@ -731,8 +717,8 @@ def _check_utf8(data: _FileData) -> None:
             raise
 
 
-def _posting_arrays(data: _FileData, dtypes: object, counts: tuple[int, ...]) -> list[np.ndarray]:
-    """Views of the postings arrays stored back to back in ``data``.
+def _posting_arrays(data: _FileData, dtypes: object, counts: tuple[int, ...]) -> _Postings:
+    """Views of the postings arrays stored back to back in ``data``, of ``counts`` items each.
 
     Raises ValueError unless the manifest gives each array one of
     ``_POSTING_DTYPES`` and the arrays' byte lengths add up to ``len(data)``.
@@ -752,10 +738,10 @@ def _posting_arrays(data: _FileData, dtypes: object, counts: tuple[int, ...]) ->
             f"and dtypes add up to {sum(sizes)}"
         )
     starts = np.cumsum([0, *sizes[:-1]]).tolist()
-    return [
+    return _Postings._make(
         np.frombuffer(data, dtype=dtypes[name], count=count, offset=start)
         for name, count, start in zip(_POSTING_ARRAYS, counts, starts)
-    ]
+    )
 
 
 class EmbeddingEndpointClient:

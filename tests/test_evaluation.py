@@ -3,6 +3,7 @@ import logging
 import random
 import re
 import string
+import threading
 
 import pytest
 
@@ -290,6 +291,18 @@ class TestEvaluate:
         serial = evaluate(run, self.EXAMPLES, parallelism=1)
         parallel = evaluate(run, self.EXAMPLES, parallelism=4)
         assert serial == parallel
+
+    @pytest.mark.parametrize("examples, parallelism", [(3, 1), (1, 4)])
+    def test_a_batch_without_a_pool_runs_in_the_callers_thread(self, examples, parallelism):
+        # So Ctrl-C stops it at once: a pool's exit waits for the running question.
+        threads = []
+
+        def run(question):
+            threads.append(threading.current_thread())
+            return canned_trace(question, "Charlie Murphy")
+
+        assert evaluate(run, self.EXAMPLES[:examples], parallelism=parallelism).errors == 0
+        assert threads == [threading.current_thread()] * examples
 
     def test_deterministic(self):
         run = lambda q: canned_trace(q, "Charlie Murphy")

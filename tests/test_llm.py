@@ -25,6 +25,8 @@ from respqa.llm import (
 )
 from respqa.retrieval import EmbeddingEndpointClient
 
+from helpers import capture_router
+
 
 class TestTokenEstimate:
     def test_counts_words_times_factor(self):
@@ -661,30 +663,10 @@ class TestBackendRouter:
     def test_start_sends_nothing_when_no_thread_can_start(self, monkeypatch, thread_starts):
         monkeypatch.setattr(llm, "_HELPERS", llm._Helpers())
         thread_starts.refuse = True
-        backend = ScriptedBackend([])
-        router = BackendRouter({role: backend for role in ROLE_TAGS})
+        # Not order-dependent, so start reaches the helper pool.
+        router, backend = capture_router()
         assert router.start(req("hello", role="generator")) is None
-        assert backend.history == []
-
-
-@pytest.fixture
-def thread_starts(monkeypatch):
-    """The threads started while the test runs. Set ``refuse`` to have the
-    system refuse every new one, or ``hold`` to leave each new one unstarted
-    until the test passes it to ``begin``."""
-    starts = SimpleNamespace(threads=[], refuse=False, hold=False)
-
-    class Counted(threading.Thread):
-        def start(self):
-            if starts.refuse:
-                raise RuntimeError("can't start new thread")
-            starts.threads.append(self)
-            if not starts.hold:
-                super().start()
-
-    starts.begin = lambda thread: super(Counted, thread).start()
-    monkeypatch.setattr(llm.threading, "Thread", Counted)
-    return starts
+        assert backend.requests == []
 
 
 class TestHelpers:

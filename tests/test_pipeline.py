@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 import respqa
+from respqa import llm
 from respqa.agents import NO_INFO_SENTINEL, PipelineAgents, PromptTemplateSet
 from respqa.errors import BackendError, PipelineError, PromptTooLargeError
 from respqa.evaluation import EvalReport, QAExample, evaluate
@@ -860,6 +861,21 @@ class TestFinalRoundOverlap:
         with pytest.raises(PipelineError) as excinfo:
             template_run(backend)
         assert (excinfo.value.round_index, excinfo.value.role_tag) == (2, "reasoner")
+
+    def test_a_failed_run_cancels_its_early_generate_call(self, monkeypatch, thread_starts):
+        # The early generate call waits for a helper that is held unstarted
+        # until the run has failed: the run cancels it, so none is ever sent.
+        monkeypatch.setattr(llm, "_HELPERS", llm._Helpers())
+        thread_starts.hold = True
+        backend = TemplateBackend(fail=("reasoner",), final_judge=3)
+        with pytest.raises(PipelineError, match="round 2: reasoner backend failed") as excinfo:
+            template_run(backend)
+        assert (excinfo.value.round_index, excinfo.value.role_tag) == (2, "reasoner")
+        [helper] = thread_starts.threads
+        thread_starts.begin(helper)
+        assert llm._HELPERS._idle.acquire(timeout=5)  # the helper has dequeued the call
+        assert backend.judges == 3
+        assert [call for call in backend.calls if call[0] == "generator"] == []
 
     @pytest.mark.parametrize("rounds", [1, 3])
     def test_early_generator_failure_is_the_generators(self, rounds):

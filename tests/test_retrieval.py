@@ -278,10 +278,7 @@ class TestPersistence:
         built = BM25Index.build(docs + [last] if last else docs)
         built.save(tmp_path / "idx")
         opened = BM25Index.open(tmp_path / "idx")
-        pairs = [
-            (getattr(built, name), getattr(opened, name))
-            for name in ("_doc_lengths", "_offsets", "_doc_indices", "_term_freqs")
-        ]
+        pairs = list(zip(built._postings, opened._postings, strict=True))
         pairs.append((built._store.bounds, opened._store.bounds))
         for ours, theirs in pairs:
             assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
