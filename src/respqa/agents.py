@@ -328,9 +328,10 @@ class PipelineAgents:
         return self._take(self._start(key, role_tag, template, bindings, docs, doc_slot))
 
     def summarize_global(self, docs: list[RetrievedDocument], overarching_question: str) -> str:
-        """Summary of support for the overarching question found in ``docs``."""
+        """Summary of support for the overarching question found in ``docs``; with
+        no documents, the no-information sentinel, and no call is made."""
         if not docs:
-            raise ValueError("summarize_global requires at least one retrieved document")
+            return NO_INFO_SENTINEL
         raw = self._call(
             "global_summary",
             "summarizer",

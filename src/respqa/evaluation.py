@@ -27,6 +27,8 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
+# HotpotQA's official scorer gives a bare yes, no or noanswer F1 only against itself.
+_BARE_ANSWERS = frozenset({"yes", "no", "noanswer"})
 
 
 @dataclass(frozen=True)
@@ -68,17 +70,19 @@ def load_dataset(path: str | Path, limit: int | None = None) -> list[QAExample]:
 
 
 def normalize_answer(text: str) -> str:
-    """Lowercase, drop whole-word articles, strip punctuation, collapse spaces."""
-    text = text.lower()
-    text = _ARTICLES.sub(" ", text)
-    text = strip_punctuation(text)
-    return " ".join(text.split())
+    """SQuAD's order: lowercase, strip punctuation, drop whole-word articles,
+    collapse spaces."""
+    text = strip_punctuation(text.lower())
+    return " ".join(_ARTICLES.sub(" ", text).split())
 
 
 def _f1_single(prediction: str, gold: str) -> float:
+    prediction, gold = normalize_answer(prediction), normalize_answer(gold)
+    if prediction != gold and (prediction in _BARE_ANSWERS or gold in _BARE_ANSWERS):
+        return 0.0
     # normalize_answer's words are already tokens: lowercase, no punctuation.
-    pred_tokens = normalize_answer(prediction).split()
-    gold_tokens = normalize_answer(gold).split()
+    pred_tokens = prediction.split()
+    gold_tokens = gold.split()
     if not pred_tokens and not gold_tokens:
         return 1.0
     overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())

@@ -206,8 +206,9 @@ class JsonEndpoint:
     """JSON POSTed to ``endpoint`` plus ``path``, unless it ends so already,
     with a bearer header when given an ``api_key``.
 
-    Transient failures (connection errors, timeouts, HTTP 429/5xx) are tried
-    up to ``HTTP_MAX_ATTEMPTS`` times, the backoff doubling from ``HTTP_BACKOFF_BASE_S``.
+    Transient failures (connection errors, a reply cut off mid-body, timeouts,
+    HTTP 429/5xx) are tried up to ``HTTP_MAX_ATTEMPTS`` times, the backoff
+    doubling from ``HTTP_BACKOFF_BASE_S``.
     Without a ``session`` it opens one that pools ``pool_size`` connections
     per host, one per concurrent caller; with fewer, urllib3 drops the surplus
     after each request and logs "Connection pool is full".
@@ -259,7 +260,9 @@ class JsonEndpoint:
                 response = self.session.post(
                     self.url, json=payload, headers=self._headers, timeout=self._timeout
                 )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+            except (
+                requests.ConnectionError, requests.Timeout, requests.exceptions.ChunkedEncodingError
+            ) as exc:
                 error = str(exc)
                 continue
             except requests.RequestException as exc:

@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 from .agents import (
-    NO_INFO_SENTINEL,
     AgentCall,
     Judgement,
     LocalAnswer,
@@ -106,7 +105,6 @@ class _Run:
     config: PipelineConfig
     log: list[tuple[str, str]] = field(default_factory=list)
     iterations: list[IterationRecord] = field(default_factory=list)
-    anomalies: list[str] = field(default_factory=list)
     memory: MemoryState | None = None
     early: AgentCall | None = None
     logged: int = 0  # log entries in the records so far
@@ -137,10 +135,17 @@ class _Run:
         ))
 
     def trace(self, pipeline: str, answer: str, stop_reason: str) -> RunTrace:
-        """The run's trace; the generator's prompt is the last one logged."""
+        """The run's trace; the generator's prompt is the last one logged. Each
+        unparseable reply is noted, a round's local answer before its judgement."""
+        anomalies = [
+            f"round {record.round}: unparseable {kind}: {reply.raw_text!r}"
+            for record in self.iterations
+            for kind, reply in (("local answer", record.local_answer), ("judgement", record.judgement))
+            if reply is not None and reply.anomaly
+        ]
         return RunTrace(
             question=self.question, pipeline=pipeline, iterations=self.iterations,
-            final_answer=answer, stop_reason=stop_reason, anomalies=self.anomalies,
+            final_answer=answer, stop_reason=stop_reason, anomalies=anomalies,
             generator_prompt_tokens=whitespace_token_estimate(self.log[-1][1]), memory=self.memory,
         )
 
@@ -167,22 +172,12 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
         sub_question = question
         for round_index in range(config.max_iterations):
             hits = retriever.retrieve(sub_question, config.top_k)
-
-            if hits:
-                summary = agents.summarize_global(hits, question)
-            else:
-                # Nothing retrievable: the sentinel keeps the evidence queue
-                # honest and the loop moving.
-                summary = NO_INFO_SENTINEL
+            summary = agents.summarize_global(hits, question)
             memory.push_global(round_index, summary)
 
             local_answer: LocalAnswer | None = None
             if round_index >= 1:
                 local_answer = agents.answer_local(sub_question, memory)
-                if local_answer.anomaly:
-                    run.anomalies.append(
-                        f"round {round_index}: unparseable local answer: {local_answer.raw_text!r}"
-                    )
                 memory.push_local(
                     round_index, sub_question, local_answer.answer, local_answer.answered
                 )
@@ -190,10 +185,6 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
             if round_index == config.max_iterations - 1:
                 run.early = agents.start_generate(question, memory)
             judgement = agents.judge(question, memory)
-            if judgement.anomaly:
-                run.anomalies.append(
-                    f"round {round_index}: unparseable judgement: {judgement.raw_text!r}"
-                )
 
             plan_result: PlanResult | None = None
             if judgement.sufficient:

@@ -313,10 +313,10 @@ class TestSummarizeGlobal:
         summary = agents.summarize_global([hit(1, "text", 1)], "q?")
         assert summary == NO_INFO_SENTINEL
 
-    def test_empty_docs_rejected(self):
-        agents, _ = scripted_agents([])
-        with pytest.raises(ValueError, match="document"):
-            agents.summarize_global([], "q?")
+    def test_empty_docs_give_the_sentinel_without_a_call(self):
+        agents, backend = scripted_agents([])
+        assert agents.summarize_global([], "q?") == NO_INFO_SENTINEL
+        assert backend.history == []
 
     def test_docs_joined_with_blank_lines(self):
         agents, backend = scripted_agents([ScriptedRule(SUMMARIZER_MARKER, "ok")])

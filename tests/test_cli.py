@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -758,6 +760,22 @@ class TestEvalCommand:
             main(argv)
         assert len(serialized) == 2
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_the_rows_replace_their_file_before_the_report(
+        self, index_dir, script_path, dataset_path, tmp_path, monkeypatch
+    ):
+        # A reader that finds the new eval_report.json finds the rows it summarizes.
+        replaced = []
+        replace = os.replace
+
+        def recorded(source, target):
+            replaced.append(Path(target).name)
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", recorded)
+        argv = ["eval", str(dataset_path), "--index-dir", str(index_dir)]
+        assert main([*argv, "--script", str(script_path), "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert replaced == ["eval_examples.jsonl", "eval_report.json"]
 
     def test_missing_dataset(self, index_dir, script_path, tmp_path, capsys):
         code = main(

@@ -35,6 +35,14 @@ class TestNormalizeAnswer:
     def test_article_inside(self):
         assert normalize_answer("A Tale of the City") == "tale of city"
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("A.I. research", "ai research"), ("the-end", "theend"), ("An's", "ans")],
+    )
+    def test_punctuation_is_stripped_before_articles_are_dropped(self, text, expected):
+        # SQuAD's order: a word that punctuation splits is one word, never an article.
+        assert normalize_answer(text) == expected
+
     def test_idempotent(self):
         rng = random.Random(11)
         alphabet = string.ascii_letters + string.digits + string.punctuation + "  "
@@ -70,6 +78,19 @@ class TestTokenF1:
 
     def test_normalization_applied(self):
         assert token_f1("the Charlie Murphy!", ["Charlie, Murphy"]) == 1.0
+
+    @pytest.mark.parametrize(
+        "prediction, gold",
+        [("yes, both are", "yes"), ("no", "no way"), ("noanswer", "no answer"), ("No.", "yes")],
+    )
+    def test_a_bare_yes_no_or_noanswer_scores_only_against_itself(self, prediction, gold):
+        # HotpotQA's official scorer: no partial credit where either side is bare.
+        assert token_f1(prediction, [gold]) == 0.0
+        assert token_f1(gold, [prediction]) == 0.0
+
+    def test_a_bare_answer_matches_itself_up_to_normalization(self):
+        assert token_f1("Yes.", ["yes"]) == 1.0
+        assert token_f1("no", ["no way", "No!"]) == 1.0
 
     def test_symmetric_for_single_gold(self):
         rng = random.Random(5)

@@ -277,6 +277,14 @@ class TestHttpChatBackend:
         )
         assert backend.complete(req("ping")).text == "ok"
 
+    def test_a_reply_cut_off_mid_body_retried(self):
+        backend, session, sleeps = self.make(
+            [requests.exceptions.ChunkedEncodingError("cut"), FakeResponse(200, completion("ok"))]
+        )
+        assert backend.complete(req("ping")).text == "ok"
+        assert len(session.calls) == 2
+        assert sleeps == [1.0]
+
     def test_client_error_is_permanent(self):
         backend, session, sleeps = self.make([FakeResponse(404, text="missing model")])
         with pytest.raises(BackendError, match="404"):
@@ -287,7 +295,6 @@ class TestHttpChatBackend:
     @pytest.mark.parametrize(
         "error",
         [
-            requests.exceptions.ChunkedEncodingError("cut"),
             requests.exceptions.ContentDecodingError("gzip"),
             requests.TooManyRedirects("loop"),
             requests.exceptions.InvalidURL("bad url"),
@@ -481,18 +488,19 @@ def test_the_path_is_appended_once(endpoint):
 
 class _ReplayHandler(http.server.BaseHTTPRequestHandler):
     """Answers each POST with the server's next ``(status, body)``; a body that
-    is not bytes is sent as JSON."""
+    is not bytes is sent as JSON. A reply ``(status, body, sent)`` announces the
+    whole body but writes only its first ``sent`` bytes; HTTP/1.0 then hangs up."""
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self.server.received.append((self.path, dict(self.headers), body))
-        status, body = self.server.replies.pop(0)
+        status, body, *sent = self.server.replies.pop(0)
         data = body if isinstance(body, bytes) else json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
-        self.wfile.write(data)
+        self.wfile.write(data[: sent[0]] if sent else data)
 
     def log_message(self, format, *args):
         pass
@@ -558,6 +566,21 @@ class TestOverLoopback:
             assert headers["Content-Type"] == "application/json"
             assert headers["Authorization"] == "Bearer k"
             assert body["model"] == "m"
+
+    def test_a_reply_cut_off_mid_body_is_retried(self, server, client):
+        server.replies = [(200, client.good, 10), (200, client.good)]
+        call, sleeps = client.connect(self.url(server))
+        assert call() == client.result
+        assert sleeps == [1.0]
+        assert len(server.received) == 2
+
+    def test_replies_all_cut_off_fail_after_every_attempt(self, server, client):
+        server.replies = [(200, client.good, 10)] * 3
+        call, sleeps = client.connect(self.url(server))
+        with pytest.raises(client.error, match="request failed after 3 attempts"):
+            call()
+        assert sleeps == [1.0, 2.0]
+        assert len(server.received) == 3
 
     @pytest.mark.parametrize(
         "status, body, fragment",

@@ -294,6 +294,25 @@ class TestLoopDecisions:
         assert trace.stop_reason == STOP_DUPLICATE_PLAN
         assert any("unparseable judgement" in note for note in trace.anomalies)
 
+    def test_anomalies_note_each_unparseable_reply_in_round_order(self):
+        index = BM25Index.build(TOPIC_DOCS)
+        rules = [
+            ScriptedRule(SUMMARIZER_MARKER, "Evidence. [DONE]"),
+            ScriptedRule(JUDGE_MARKER, "Perhaps?"),
+            ScriptedRule(LOCAL_MARKER, "Hmm"),
+            ScriptedRule(PLAN_MARKER, "What about alpha specifically?"),
+            ScriptedRule(GENERATE_MARKER, "answer"),
+        ]
+        agents, _ = scripted_agents(rules)
+        trace = run_resp(TOPIC_QUESTION, index, agents, PipelineConfig(max_iterations=2))
+        assert trace.stop_reason == STOP_MAX_ITERATIONS
+        # Round 0 has no local answer; a round's local answer precedes its judgement.
+        assert trace.anomalies == [
+            "round 0: unparseable judgement: 'Perhaps?'",
+            "round 1: unparseable local answer: 'Hmm'",
+            "round 1: unparseable judgement: 'Perhaps?'",
+        ]
+
     def test_empty_question_rejected(self):
         index = BM25Index.build(TOPIC_DOCS)
         agents, _ = scripted_agents([])

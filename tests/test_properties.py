@@ -366,8 +366,12 @@ answers = st.one_of(
 
 
 @given(prediction=answers, gold=answers)
+@example(prediction="no", gold="no x")
 def test_token_f1_scores_the_tokenized_normalized_answers(prediction, gold):
-    expected = f1_brute_force(
-        tokenize(normalize_answer(prediction)), tokenize(normalize_answer(gold))
-    )
+    prediction_norm, gold_norm = normalize_answer(prediction), normalize_answer(gold)
+    # HotpotQA's rule: a bare yes, no or noanswer scores only against itself.
+    if prediction_norm != gold_norm and {prediction_norm, gold_norm} & {"yes", "no", "noanswer"}:
+        expected = 0.0
+    else:
+        expected = f1_brute_force(tokenize(prediction_norm), tokenize(gold_norm))
     assert token_f1(prediction, [gold]) == expected
