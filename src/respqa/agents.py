@@ -210,15 +210,11 @@ def parse_global_summary(raw: str) -> str:
 
 
 def parse_judgement(raw: str) -> Judgement:
-    """Total parse: Yes-prefix is sufficient, No-prefix is not, anything
-    else is insufficient with the anomaly flag set (conservative: keep
-    iterating)."""
-    text = raw.strip()
-    if _YES_PREFIX.match(text):
-        return Judgement(sufficient=True, raw_text=raw)
-    if _NO_PREFIX.match(text):
-        return Judgement(sufficient=False, raw_text=raw)
-    return Judgement(sufficient=False, raw_text=raw, anomaly=True)
+    """Total parse by the local pathway's Yes/No rule: a Yes-prefix is
+    sufficient, anything else is not, and a reply with neither prefix is an
+    anomaly (conservative: keep iterating)."""
+    local = parse_local_answer(raw)
+    return Judgement(sufficient=local.answered, raw_text=raw, anomaly=local.anomaly)
 
 
 def parse_local_answer(raw: str) -> LocalAnswer:
@@ -372,21 +368,17 @@ class PipelineAgents:
         forbidden list spelled out; a second duplicate forces termination.
         """
         bindings = _memory_bindings(overarching_question, memory)
-        question = parse_plan_surface(self._call("plan", "reasoner", self.templates.plan, bindings))
-        normalized = normalize_question(question)
-        if normalized and normalized not in forbidden:
-            return PlanResult(sub_question=question, attempts=1, forced_termination=False)
-
-        raw = self._call(
-            "plan_retry",
-            "reasoner",
-            self.templates.plan + "\nDo not repeat any of these questions: {Forbidden questions}",
-            {**bindings, "Forbidden questions": "; ".join(sorted(forbidden))},
-        )
-        question = parse_plan_surface(raw)
-        normalized = normalize_question(question)
-        forced = not normalized or normalized in forbidden
-        return PlanResult(sub_question=question, attempts=2, forced_termination=forced)
+        retry = self.templates.plan + "\nDo not repeat any of these questions: {Forbidden questions}"
+        calls = [
+            ("plan", self.templates.plan, bindings),
+            ("plan_retry", retry, {**bindings, "Forbidden questions": "; ".join(sorted(forbidden))}),
+        ]
+        for attempts, (key, template, slots) in enumerate(calls, 1):
+            question = parse_plan_surface(self._call(key, "reasoner", template, slots))
+            normalized = normalize_question(question)
+            if normalized and normalized not in forbidden:
+                return PlanResult(question, attempts, forced_termination=False)
+        return PlanResult(question, attempts, forced_termination=True)
 
     def start_generate(self, overarching_question: str, memory: MemoryState) -> AgentCall | None:
         """``generate``'s call over this memory, started now if the router starts

@@ -2,14 +2,15 @@
 
 Datasets follow the JSONL convention with keys ``id``, ``question``,
 ``golden_answers``. Scoring normalizes both sides (lowercase, drop the
-articles a/an/the, strip punctuation, collapse whitespace), then takes the
-best score over the gold answers.
+articles a/an/the, strip punctuation and ASCII symbols, collapse
+whitespace), then takes the best score over the gold answers.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+import string
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -27,6 +28,8 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
+# The official scorers strip string.punctuation, whose $+<=>^`|~ are not in Unicode category P.
+_ASCII_PUNCTUATION = str.maketrans("", "", string.punctuation)
 # HotpotQA's official scorer gives a bare yes, no or noanswer F1 only against itself.
 _BARE_ANSWERS = frozenset({"yes", "no", "noanswer"})
 
@@ -70,9 +73,9 @@ def load_dataset(path: str | Path, limit: int | None = None) -> list[QAExample]:
 
 
 def normalize_answer(text: str) -> str:
-    """SQuAD's order: lowercase, strip punctuation, drop whole-word articles,
-    collapse spaces."""
-    text = strip_punctuation(text.lower())
+    """SQuAD's order: lowercase, strip punctuation (Unicode category P and
+    ASCII's), drop whole-word articles, collapse spaces."""
+    text = strip_punctuation(text.lower()).translate(_ASCII_PUNCTUATION)
     return " ".join(_ARTICLES.sub(" ", text).split())
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol
+from urllib.parse import urlsplit, urlunsplit
 
 from .errors import BackendError, ConfigurationError, ScriptError
 from .jsonl import read_jsonl, require_utf8
@@ -203,8 +204,9 @@ class ScriptedBackend(_CompletionBase):
 
 
 class JsonEndpoint:
-    """JSON POSTed to ``endpoint`` plus ``path``, unless it ends so already,
-    with a bearer header when given an ``api_key``.
+    """JSON POSTed to ``endpoint`` with ``path`` appended to its URL path,
+    unless that ends so already, and its query kept; with a bearer header
+    when given an ``api_key``.
 
     Transient failures (connection errors, a reply cut off mid-body, timeouts,
     HTTP 429/5xx) are tried up to ``HTTP_MAX_ATTEMPTS`` times, the backoff
@@ -224,8 +226,9 @@ class JsonEndpoint:
         pool_size: int = HTTP_POOL_SIZE,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        endpoint = endpoint.rstrip("/")
-        self.url = endpoint if endpoint.endswith(path) else endpoint + path
+        parts = urlsplit(endpoint)
+        base = parts.path.rstrip("/")
+        self.url = urlunsplit(parts._replace(path=base if base.endswith(path) else base + path))
         # requests sets the JSON content type itself.
         self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         self._timeout = timeout

@@ -14,6 +14,7 @@ from respqa.llm import BackendRouter
 from helpers import (
     GENERATE_MARKER,
     GOLDEN_EVIDENCE,
+    JUDGE_MARKER,
     LOCAL_MARKER,
     OVERPLANNING_QUESTION,
     PLAN_RETRY_MARKER,
@@ -208,6 +209,24 @@ def test_ask_eval_and_sweep_write_the_pinned_bytes(index_dir, tmp_path):
         "eval_report.json": "9ea0638e69f4605650741779cc9cf494df5e98e79a8acccb56a995adc3957713",
         "sweep.csv": "a4a8dc6b111de79eefff4e6f1fc460a3c7b43295ea2bc964e027402990007684",
     }
+
+
+def test_ask_and_eval_write_non_ascii_text_unescaped(index_dir, tmp_path):
+    # The pinned digests above cover ASCII text only.
+    question, answer = "Qui a réalisé « Twisted Fortune » ?", "Víctor Varnadö"
+    script = tmp_path / "script.jsonl"
+    rules = [(SUMMARIZER_MARKER, "Évidence. [DONE]"), (JUDGE_MARKER, "Yes"), (GENERATE_MARKER, answer)]
+    script.write_text("".join(json.dumps({"match": m, "response": r}) + "\n" for m, r in rules))
+    dataset = tmp_path / "dataset.jsonl"
+    row = {"id": "é1", "question": question, "golden_answers": [answer]}
+    dataset.write_text(json.dumps(row) + "\n")
+    common = ["--index-dir", str(index_dir), "--script", str(script)]
+    trace, reports = tmp_path / "trace.json", tmp_path / "reports"
+    assert main(["ask", question, *common, "--trace", str(trace)]) == EXIT_OK
+    assert main(["eval", str(dataset), *common, "--out-dir", str(reports)]) == EXIT_OK
+    for path in (trace, reports / "eval_examples.jsonl"):
+        text = path.read_text(encoding="utf-8")
+        assert question in text and answer in text and "\\u" not in text
 
 
 class TestAskCommand:

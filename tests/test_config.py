@@ -700,6 +700,24 @@ class TestAppRuntime:
             runtime.retriever.retrieve("Twisted Fortune", 1)
         assert sent == [{"model": "70", "input": ["Twisted Fortune"]}]
 
+    def test_the_embedding_client_sends_the_key(self, tmp_path, index_dir, script_path, monkeypatch):
+        monkeypatch.setenv(ENV_API_KEY, "sk-emb")
+        retriever = self.embedding_retriever(tmp_path, index_dir)
+        backends = {"mock": {"kind": "scripted", "script": str(script_path)}}
+        path = write_yaml(tmp_path, {"retriever": retriever, "backends": backends})
+        runtime = AppRuntime(load_app_config(path))
+        sent = []
+
+        class Refusing:
+            def post(self, url, json, headers, timeout):
+                sent.append(headers)
+                return SimpleNamespace(status_code=400, text="unknown model")
+
+        runtime.retriever._embed._http.session = Refusing()
+        with pytest.raises(RetrieverError, match="HTTP 400"):
+            runtime.retriever.retrieve("Twisted Fortune", 1)
+        assert sent == [{"Authorization": "Bearer sk-emb"}]
+
     def test_k1_and_b_reach_the_retriever(self, tmp_path, script_path, index_dir):
         path = write_yaml(
             tmp_path,

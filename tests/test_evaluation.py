@@ -43,6 +43,13 @@ class TestNormalizeAnswer:
         # SQuAD's order: a word that punctuation splits is one word, never an article.
         assert normalize_answer(text) == expected
 
+    @pytest.mark.parametrize(
+        "text, expected", [("$5 + tax", "5 tax"), ("a<b>=c", "abc"), ("x^2|y~z`", "x2yz")]
+    )
+    def test_the_ascii_symbols_the_official_scorers_strip_are_stripped(self, text, expected):
+        # string.punctuation holds $+<=>^`|~, which Unicode files as symbols (S), not P.
+        assert normalize_answer(text) == expected
+
     def test_idempotent(self):
         rng = random.Random(11)
         alphabet = string.ascii_letters + string.digits + string.punctuation + "  "
@@ -78,6 +85,10 @@ class TestTokenF1:
 
     def test_normalization_applied(self):
         assert token_f1("the Charlie Murphy!", ["Charlie, Murphy"]) == 1.0
+
+    def test_ascii_symbols_score_as_the_official_scorers_do(self):
+        assert token_f1("$5", ["5"]) == 1.0
+        assert token_f1("x + y", ["x y"]) == 1.0
 
     @pytest.mark.parametrize(
         "prediction, gold",
@@ -244,6 +255,11 @@ class TestEvaluate:
         report = evaluate(lambda q: canned_trace(q, answers[q]), self.EXAMPLES)
         assert report.mean_f1 == pytest.approx((1.0 + 2 / 3 + 0.0) / 3, abs=1e-4)
         assert report.mean_em == pytest.approx(1 / 3)
+
+    def test_every_gold_answer_is_scored(self):
+        examples = [QAExample("e1", "q1?", ("Eddie Murphy", "Charlie Murphy"))]
+        [row] = evaluate(lambda q: canned_trace(q, "Charlie Murphy"), examples).rows
+        assert (row.f1, row.em) == (1.0, 1.0)
 
     def test_error_scores_zero_and_is_counted(self):
         def run(question):

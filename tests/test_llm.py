@@ -212,7 +212,7 @@ class FakeSession:
         self.calls = []
 
     def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
+        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
         outcome = self.outcomes.pop(0)
         if isinstance(outcome, Exception):
             raise outcome
@@ -263,6 +263,26 @@ class TestHttpChatBackend:
         assert len(session.calls) == 3
         assert sleeps == [1.0, 2.0]
 
+    def test_a_read_timeout_retried(self):
+        # ReadTimeout is a Timeout only; ConnectTimeout is also a ConnectionError.
+        backend, session, sleeps = self.make(
+            [requests.ReadTimeout("slow"), FakeResponse(200, completion("ok"))]
+        )
+        assert backend.complete(req("ping")).text == "ok"
+        assert len(session.calls) == 2
+        assert sleeps == [1.0]
+
+    def test_no_key_sends_no_authorization_header(self):
+        session = FakeSession([FakeResponse(200, completion("ok"))])
+        backend = HttpChatBackend("http://llm.test/v1", model="m", session=session)
+        backend.complete(req("ping"))
+        assert session.calls[0]["headers"] == {}
+
+    def test_the_requests_temperature_is_sent(self):
+        backend, session, _ = self.make([FakeResponse(200, completion("ok"))])
+        backend.complete(LlmRequest("ping", 200, temperature=0.7, role_tag="generator"))
+        assert session.calls[0]["json"]["temperature"] == 0.7
+
     def test_exhausted_retries_surface_role(self):
         backend, session, sleeps = self.make([FakeResponse(503)] * 3)
         with pytest.raises(BackendError, match="3 attempts") as excinfo:
@@ -287,7 +307,7 @@ class TestHttpChatBackend:
 
     def test_client_error_is_permanent(self):
         backend, session, sleeps = self.make([FakeResponse(404, text="missing model")])
-        with pytest.raises(BackendError, match="404"):
+        with pytest.raises(BackendError, match="HTTP 404: missing model"):
             backend.complete(req("ping"))
         assert len(session.calls) == 1
         assert sleeps == []
@@ -486,6 +506,27 @@ def test_the_path_is_appended_once(endpoint):
     assert url == "http://x/v1/embeddings"
 
 
+@pytest.mark.parametrize(
+    "endpoint, url",
+    [
+        ("http://x/v1", "http://x/v1/chat/completions"),
+        ("http://x/v1/", "http://x/v1/chat/completions"),
+        ("http://x/v1/chat/completions", "http://x/v1/chat/completions"),
+        ("http://x/v1?api-version=2024-02-01", "http://x/v1/chat/completions?api-version=2024-02-01"),
+        ("http://x/v1/?api-version=1", "http://x/v1/chat/completions?api-version=1"),
+        ("http://x/v1/chat/completions?api-version=1", "http://x/v1/chat/completions?api-version=1"),
+    ],
+)
+def test_the_path_is_appended_to_the_urls_path_and_the_query_kept(endpoint, url):
+    assert llm.JsonEndpoint(endpoint, "/chat/completions", session=FakeSession([])).url == url
+
+
+def test_the_embeddings_timeout_is_30_seconds():
+    session = FakeSession([FakeResponse(200, {"data": [{"embedding": [1.0]}]})])
+    assert EmbeddingEndpointClient("http://x/v1", model="m", session=session)("ping") == [1.0]
+    assert session.calls[0]["timeout"] == 30.0
+
+
 class _ReplayHandler(http.server.BaseHTTPRequestHandler):
     """Answers each POST with the server's next ``(status, body)``; a body that
     is not bytes is sent as JSON. A reply ``(status, body, sent)`` announces the
@@ -566,6 +607,13 @@ class TestOverLoopback:
             assert headers["Content-Type"] == "application/json"
             assert headers["Authorization"] == "Bearer k"
             assert body["model"] == "m"
+
+    def test_the_endpoints_query_reaches_the_server(self, server, client):
+        server.replies = [(200, client.good)]
+        call, _ = client.connect(self.url(server) + "?api-version=2024-02-01")
+        assert call() == client.result
+        [(path, _, _)] = server.received
+        assert path == client.path + "?api-version=2024-02-01"
 
     def test_a_reply_cut_off_mid_body_is_retried(self, server, client):
         server.replies = [(200, client.good, 10), (200, client.good)]

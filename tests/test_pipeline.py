@@ -395,6 +395,19 @@ class TestErrorPropagation:
         assert excinfo.value.round_index == 0
         assert excinfo.value.role_tag == "summarizer"
 
+    def test_a_backend_error_without_a_role_names_the_role_unknown(self):
+        class Roleless:
+            backend_id = "roleless"
+
+            def complete(self, request):
+                raise BackendError("wire down")
+
+        agents = PipelineAgents(BackendRouter({role: Roleless() for role in ROLE_TAGS}))
+        with pytest.raises(PipelineError) as excinfo:
+            run_resp(TOPIC_QUESTION, BM25Index.build(TOPIC_DOCS), agents, PipelineConfig())
+        assert str(excinfo.value) == "round 0: unknown backend failed: wire down"
+        assert (excinfo.value.round_index, excinfo.value.role_tag) == (0, None)
+
     class FailAfter:
         """Answers ``after`` calls through a scripted backend, then fails."""
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import respqa.retrieval
 from respqa.agents import (
     SLOT_DOCS,
+    Judgement,
     assemble_prompt,
     parse_judgement,
     parse_local_answer,
@@ -52,6 +53,21 @@ def test_judgement_parse_is_total(raw):
     judgement = parse_judgement(raw)
     assert judgement.raw_text == raw
     assert not (judgement.sufficient and judgement.anomaly)
+
+
+def three_way_judgement(raw: str) -> Judgement:
+    """A reference judge parse: Yes is sufficient, No is not, else an anomaly."""
+    text = raw.strip()
+    if re.match(r"yes\b", text, re.IGNORECASE):
+        return Judgement(sufficient=True, raw_text=raw)
+    if re.match(r"no\b", text, re.IGNORECASE):
+        return Judgement(sufficient=False, raw_text=raw)
+    return Judgement(sufficient=False, raw_text=raw, anomaly=True)
+
+
+@given(replies)
+def test_judgement_is_the_three_way_yes_no_parse(raw):
+    assert parse_judgement(raw) == three_way_judgement(raw)
 
 
 @given(replies)
