@@ -129,7 +129,7 @@ def assemble_prompt(
     *,
     docs: list[str] | None = None,
     doc_slot: str = SLOT_DOCS,
-    max_input_tokens: int | None = None,
+    max_input_tokens: int,
 ) -> str:
     """Byte-deterministic template substitution under the input token cap.
 
@@ -148,8 +148,6 @@ def assemble_prompt(
         filled = {**bindings, doc_slot: "\n\n".join(docs[:count])} if truncatable else bindings
         return render_template(template, filled)
 
-    if max_input_tokens is None:
-        return prompt_with(len(docs))
     floor = min(1, len(docs))
     prompt = prompt_with(floor)
     estimate = whitespace_token_estimate(prompt)
@@ -360,13 +358,14 @@ class PipelineAgents:
         )
         return parse_judgement(raw)
 
-    def plan(self, overarching_question: str, memory: MemoryState, forbidden: set[str]) -> PlanResult:
-        """Next sub-question, guaranteed not to normalize into ``forbidden``
-        unless forced_termination is set.
+    def plan(self, overarching_question: str, memory: MemoryState) -> PlanResult:
+        """Next sub-question, guaranteed not to normalize into one already
+        retrieved (``memory.seen_subquestions``) unless forced_termination is set.
 
         A duplicate (or empty) first attempt triggers one retry with the
         forbidden list spelled out; a second duplicate forces termination.
         """
+        forbidden = memory.seen_subquestions(overarching_question)
         bindings = _memory_bindings(overarching_question, memory)
         retry = self.templates.plan + "\nDo not repeat any of these questions: {Forbidden questions}"
         calls = [

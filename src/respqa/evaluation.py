@@ -86,8 +86,6 @@ def _f1_single(prediction: str, gold: str) -> float:
     # normalize_answer's words are already tokens: lowercase, no punctuation.
     pred_tokens = prediction.split()
     gold_tokens = gold.split()
-    if not pred_tokens and not gold_tokens:
-        return 1.0
     overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
     if overlap == 0:
         return 0.0

@@ -104,7 +104,7 @@ class LlmBackend(Protocol):
 
 
 class _CompletionBase:
-    """Shared complete(): timing plus output-cap truncation."""
+    """Shared complete() over a subclass's ``_generate``: timing plus output-cap truncation."""
 
     backend_id: str
 
@@ -115,9 +115,6 @@ class _CompletionBase:
         return LlmResponse(
             text=text, backend_id=self.backend_id, latency=time.perf_counter() - start
         )
-
-    def _generate(self, request: LlmRequest) -> str:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,8 @@ class JsonEndpoint:
 
     Transient failures (connection errors, a reply cut off mid-body, timeouts,
     HTTP 429/5xx) are tried up to ``HTTP_MAX_ATTEMPTS`` times, the backoff
-    doubling from ``HTTP_BACKOFF_BASE_S``.
+    doubling from ``HTTP_BACKOFF_BASE_S``. The endpoint's query and password
+    may hold keys: ``send``'s errors and log lines show each as ``***``.
     Without a ``session`` it opens one that pools ``pool_size`` connections
     per host, one per concurrent caller; with fewer, urllib3 drops the surplus
     after each request and logs "Connection pool is full".
@@ -229,6 +227,7 @@ class JsonEndpoint:
         parts = urlsplit(endpoint)
         base = parts.path.rstrip("/")
         self.url = urlunsplit(parts._replace(path=base if base.endswith(path) else base + path))
+        self._secrets = [secret for secret in (parts.query, parts.password) if secret]
         # requests sets the JSON content type itself.
         self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         self._timeout = timeout
@@ -252,11 +251,15 @@ class JsonEndpoint:
         """
         import requests
 
+        def failure(message: str) -> Exception:
+            return fail(self._redacted(message))
+
         for attempt in range(HTTP_MAX_ATTEMPTS):
             if attempt:
                 delay = HTTP_BACKOFF_BASE_S * 2 ** (attempt - 1)
                 logger.debug(
-                    "transient failure from %s: %s; retrying in %.1fs", self.url, error, delay
+                    "transient failure from %s: %s; retrying in %.1fs",
+                    self._redacted(self.url), self._redacted(error), delay,
                 )
                 self._sleep(delay)
             try:
@@ -269,18 +272,26 @@ class JsonEndpoint:
                 error = str(exc)
                 continue
             except requests.RequestException as exc:
-                raise fail(f"request failed: {exc}") from exc
+                raise failure(f"request failed: {exc}") from exc
             status = response.status_code
             if status == 429 or status >= 500:
                 error = f"HTTP {status}"
             elif status >= 400:
-                raise fail(f"HTTP {status}: {response.text[:500]}")
+                raise failure(f"HTTP {status}: {response.text[:500]}")
             else:
                 try:
                     return response.json()
                 except ValueError as exc:
-                    raise fail(f"malformed response: {exc}") from exc
-        raise fail(f"request failed after {HTTP_MAX_ATTEMPTS} attempts: {error}")
+                    raise failure(f"malformed response: {exc}") from exc
+        raise failure(f"request failed after {HTTP_MAX_ATTEMPTS} attempts: {error}")
+
+    def _redacted(self, text: str) -> str:
+        """``text`` with each secret, as written and as ``requests`` quotes it, shown as ``***``."""
+        from requests.utils import requote_uri
+
+        for secret in self._secrets:
+            text = text.replace(secret, "***").replace(requote_uri(secret), "***")
+        return text
 
 
 class HttpChatBackend(_CompletionBase):

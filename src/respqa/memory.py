@@ -111,13 +111,8 @@ class MemoryState:
             lines.append(_EMPTY_SECTION)
         return "\n".join(lines)
 
-    def seen_subquestions(self, overarching_question: str | None = None) -> set[str]:
-        """Normalized forms of every sub-question retrieved so far.
-
-        The overarching question, when given, is included: it was the
-        round-0 retrieval query.
-        """
-        seen = {normalize_question(entry.sub_question) for entry in self.local_pathway}
-        if overarching_question is not None:
-            seen.add(normalize_question(overarching_question))
-        return seen
+    def seen_subquestions(self, overarching_question: str) -> set[str]:
+        """Normalized forms of every question retrieved so far: the
+        overarching one (the round-0 query) and each sub-question."""
+        questions = (overarching_question, *(e.sub_question for e in self.local_pathway))
+        return {normalize_question(question) for question in questions}

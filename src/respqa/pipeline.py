@@ -194,7 +194,7 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
                 # without planning a sub-question that would never be retrieved.
                 stop_reason = STOP_MAX_ITERATIONS
             else:
-                plan_result = agents.plan(question, memory, memory.seen_subquestions(question))
+                plan_result = agents.plan(question, memory)
                 stop_reason = STOP_DUPLICATE_PLAN if plan_result.forced_termination else None
 
             if stop_reason:

@@ -110,7 +110,9 @@ def strip_punctuation(text: str) -> str:
 def tokenize(text: str) -> list[str]:
     """Lowercased tokens: strip punctuation, then split on whitespace.
 
-    Deterministic; shared by the index and the answer-overlap metric.
+    Deterministic; shared by the index build and the BM25 query, so both
+    split text alike. The answer-overlap metric uses ``strip_punctuation``
+    only.
     Empty or punctuation-only input yields an empty list.
     """
     return strip_punctuation(text).lower().split()

@@ -147,6 +147,33 @@ def capture_router(reply: str = "No") -> tuple[BackendRouter, CaptureBackend]:
     return BackendRouter({role: backend for role in ROLE_TAGS}), backend
 
 
+class FakeResponse:
+    def __init__(self, status_code: int, payload=None, text: str = ""):
+        self.status_code = status_code
+        self._payload = payload
+        self.text = text or (json.dumps(payload) if payload is not None else "")
+
+    def json(self):
+        if self._payload is None:
+            raise ValueError("no json")
+        return self._payload
+
+
+class FakeSession:
+    """Plays back a list of FakeResponse or Exception per post()."""
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+        self.calls = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
 def bm25_brute_force(
     docs: list[Document], query: str, k: int, k1: float = 1.2, b: float = 0.75
 ) -> list[tuple[str, float]]:
@@ -200,8 +227,6 @@ def cosine_brute_force(
 
 def f1_brute_force(prediction_tokens: list[str], gold_tokens: list[str]) -> float:
     """Two-pointer multiset overlap on sorted token lists."""
-    if not prediction_tokens and not gold_tokens:
-        return 1.0
     pred = sorted(prediction_tokens)
     gold = sorted(gold_tokens)
     overlap = 0

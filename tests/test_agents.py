@@ -209,10 +209,6 @@ class TestAssemblePrompt:
             lengths.append(len(prompt))
         assert lengths == sorted(lengths)
 
-    def test_no_cap_keeps_everything(self):
-        prompt = assemble_prompt(self.TEMPLATE, self.bindings(), docs=self.docs(4))
-        assert all(f"doc{i}w19" in prompt for i in range(4))
-
 
 class TestParsers:
     def test_summary_marker_stripped(self):
@@ -365,9 +361,17 @@ class TestJudge:
 
 
 class TestPlan:
+    @staticmethod
+    def memory_asked(*sub_questions: str, evidence: str = "ev") -> MemoryState:
+        """Memory with one global entry whose local pathway asked ``sub_questions``."""
+        memory = memory_with([evidence])
+        for r, question in enumerate(sub_questions, 1):
+            memory.push_local(r, question, NO_ANSWER_MARKER, answered=False)
+        return memory
+
     def test_novel_first_attempt(self):
         agents, _ = scripted_agents([ScriptedRule(PLAN_MARKER, "Who is Rachelle Amy Beinart?")])
-        result = agents.plan("Big question?", memory_with(["ev"]), forbidden=set())
+        result = agents.plan("Big question?", memory_with(["ev"]))
         assert result.sub_question == "Who is Rachelle Amy Beinart?"
         assert result.attempts == 1
         assert result.forced_termination is False
@@ -379,24 +383,25 @@ class TestPlan:
                 ScriptedRule(PLAN_MARKER, "Who is Rachelle Amy Beinart?"),
             ]
         )
-        forbidden = {normalize_question("Who is Rachelle Amy Beinart?")}
-        result = agents.plan("Big question?", memory_with(["ev"]), forbidden)
+        result = agents.plan("Big question?", self.memory_asked("Who is Rachelle Amy Beinart?"))
         assert result.attempts == 2
         assert result.forced_termination is False
         assert result.sub_question == "What film features a group of rebels?"
         retry_prompt = backend.history[1].prompt
-        assert "Do not repeat any of these questions: who is rachelle amy beinart" in retry_prompt
+        assert (
+            "Do not repeat any of these questions: big question; who is rachelle amy beinart"
+            in retry_prompt
+        )
 
     def test_both_attempts_duplicate_forces_termination(self):
         agents, _ = scripted_agents([ScriptedRule(PLAN_MARKER, "Who is X?")])
-        forbidden = {normalize_question("Who is X?")}
-        result = agents.plan("Big question?", memory_with(["ev"]), forbidden)
+        result = agents.plan("Big question?", self.memory_asked("Who is X?"))
         assert result.attempts == 2
         assert result.forced_termination is True
 
     def test_empty_surface_treated_as_duplicate(self):
         agents, _ = scripted_agents([ScriptedRule(PLAN_MARKER, "Thought: ")])
-        result = agents.plan("Big question?", memory_with(["ev"]), forbidden=set())
+        result = agents.plan("Big question?", memory_with(["ev"]))
         assert result.forced_termination is True
 
     def test_never_returns_forbidden_unless_forced(self):
@@ -407,35 +412,34 @@ class TestPlan:
             agents, _ = scripted_agents(
                 [ScriptedRule(PLAN_RETRY_MARKER, second), ScriptedRule(PLAN_MARKER, first)]
             )
-            forbidden = {normalize_question(q) for q in rng.sample(pool, rng.randint(0, 4))}
-            result = agents.plan("Overall?", memory_with(["ev"]), forbidden)
+            asked = rng.sample(pool, rng.randint(0, 4))
+            forbidden = {normalize_question(q) for q in ("Overall?", *asked)}
+            result = agents.plan("Overall?", self.memory_asked(*asked))
             if not result.forced_termination:
                 assert normalize_question(result.sub_question) not in forbidden
 
     def test_prefix_stripped(self):
         agents, _ = scripted_agents([ScriptedRule(PLAN_MARKER, "Thought: Who directed it?")])
-        result = agents.plan("Big question?", memory_with(["ev"]), forbidden=set())
+        result = agents.plan("Big question?", memory_with(["ev"]))
         assert result.sub_question == "Who directed it?"
 
     def test_retry_prompt_is_plan_prompt_plus_forbidden_list(self):
         agents, backend = scripted_agents([ScriptedRule(PLAN_MARKER, "Who is {Sub-question}?")])
-        forbidden = {normalize_question("Who is {Sub-question}?"), "what is {docs}"}
-        agents.plan("Big {question}?", memory_with(["ev {x}"]), forbidden)
+        asked = ("Who is {Sub-question}?", "What is {docs}")
+        agents.plan("Big {question}?", self.memory_asked(*asked, evidence="ev {x}"))
         first, retry = (call.prompt for call in backend.history)
-        assert retry == first + "\nDo not repeat any of these questions: " + "; ".join(
-            sorted(forbidden)
-        )
+        forbidden = sorted(normalize_question(q) for q in ("Big {question}?", *asked))
+        assert retry == first + "\nDo not repeat any of these questions: " + "; ".join(forbidden)
 
     def test_retry_prompt_also_capped(self):
-        agents, _ = scripted_agents(
-            [ScriptedRule(PLAN_MARKER, "Who is X?")], max_input_tokens=160
+        agents, backend = scripted_agents(
+            [ScriptedRule(PLAN_MARKER, "Who is X?")], max_input_tokens=500
         )
         # Base plan prompt fits; the appended forbidden list would not.
-        forbidden = {normalize_question("Who is X?")} | {
-            f"padding question number {i} with many extra words" for i in range(20)
-        }
+        padding = [f"padding question number {i} with many extra words" for i in range(20)]
         with pytest.raises(PromptTooLargeError):
-            agents.plan("Big question?", memory_with(["ev"]), forbidden)
+            agents.plan("Big question?", self.memory_asked("Who is X?", *padding))
+        assert len(backend.history) == 1
 
 
 class TestGenerate:

@@ -73,7 +73,11 @@ class TestTokenF1:
         assert token_f1("Charlie", ["Eddie Murphy", "Charlie"]) == 1.0
 
     def test_both_empty_after_normalization(self):
-        assert token_f1("the", ["a"]) == 1.0
+        # No token is shared, so F1 is 0, as HotpotQA's and SQuAD's scorers give;
+        # the normalized strings are equal, so EM is 1.
+        for prediction, gold in (("the", "a"), ("", "The")):
+            assert token_f1(prediction, [gold]) == 0.0
+            assert exact_match(prediction, [gold]) == 1.0
 
     def test_one_empty(self):
         assert token_f1("", ["Charlie"]) == 0.0

@@ -166,10 +166,10 @@ class TestSeenSubquestions:
         memory.push_local(1, "Who is X?", "a", True)
         memory.push_global(2, "e2")
         memory.push_local(2, "who is x", NO_ANSWER_MARKER, False)
-        assert memory.seen_subquestions() == {"who is x"}
+        assert memory.seen_subquestions("Q?") == {"q", "who is x"}
 
     def test_empty(self):
-        assert MemoryState().seen_subquestions() == set()
+        assert MemoryState().seen_subquestions("Q?") == {"q"}
 
     def test_two_distinct(self):
         memory = MemoryState()
@@ -178,7 +178,7 @@ class TestSeenSubquestions:
         memory.push_local(1, "A?", "x", True)
         memory.push_global(2, "e2")
         memory.push_local(2, "B?", "y", True)
-        assert memory.seen_subquestions() == {"a", "b"}
+        assert memory.seen_subquestions("Q?") == {"q", "a", "b"}
 
     def test_overarching_included_when_supplied(self):
         memory = MemoryState()

@@ -24,6 +24,7 @@ from respqa.agents import (
     parse_judgement,
     parse_local_answer,
     parse_plan_surface,
+    render_template,
 )
 from respqa.errors import CorpusError, PromptTooLargeError
 from respqa.evaluation import normalize_answer, token_f1
@@ -103,7 +104,7 @@ def test_assembled_prompt_fits_the_cap_with_a_ranked_prefix(question, docs, data
     bindings = {"q": question}
 
     def with_first(count: int) -> str:
-        return assemble_prompt(TEMPLATE, bindings, docs=docs[:count], doc_slot=SLOT_DOCS)
+        return render_template(TEMPLATE, {**bindings, SLOT_DOCS: "\n\n".join(docs[:count])})
 
     # Any cap, or one within two tokens of the size of some prefix, where an
     # off-by-one in the fit test would show.

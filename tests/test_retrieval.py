@@ -26,6 +26,8 @@ from respqa.retrieval import (
 )
 
 from helpers import (
+    FakeResponse,
+    FakeSession,
     bm25_brute_force,
     cosine_brute_force,
     edit_postings_array,
@@ -938,30 +940,10 @@ class TestEmbeddingRetriever:
 
 
 class TestEmbeddingEndpointClient:
-    class FakeSession:
-        def __init__(self, outcome):
-            self.outcome = outcome
-            self.calls = []
-
-        def post(self, url, json=None, headers=None, timeout=None):
-            self.calls.append({"url": url, "json": json, "headers": headers})
-            if isinstance(self.outcome, Exception):
-                raise self.outcome
-            return self.outcome
-
-    class FakeResponse:
-        status_code = 200
-
-        def __init__(self, payload):
-            self.payload = payload
-
-        def json(self):
-            return self.payload
-
     def test_success_and_wire_shape(self):
         from respqa.retrieval import EmbeddingEndpointClient
 
-        session = self.FakeSession(self.FakeResponse({"data": [{"embedding": [0.1, 0.2]}]}))
+        session = FakeSession([FakeResponse(200, {"data": [{"embedding": [0.1, 0.2]}]})])
         client = EmbeddingEndpointClient(
             "http://emb.test/v1", model="embed-model", api_key="key", session=session
         )
@@ -985,7 +967,7 @@ class TestEmbeddingEndpointClient:
     def test_components_must_be_json_numbers(self, embedding, fragment):
         from respqa.retrieval import EmbeddingEndpointClient
 
-        session = self.FakeSession(self.FakeResponse({"data": [{"embedding": embedding}]}))
+        session = FakeSession([FakeResponse(200, {"data": [{"embedding": embedding}]})])
         client = EmbeddingEndpointClient("http://emb.test/v1", model="m", session=session)
         with pytest.raises(RetrieverError, match=f"embedding endpoint failed: .*{fragment}"):
             client("hello")
@@ -994,7 +976,7 @@ class TestEmbeddingEndpointClient:
         from respqa.errors import RetrieverError
         from respqa.retrieval import EmbeddingEndpointClient
 
-        session = self.FakeSession(self.FakeResponse({"data": []}))
+        session = FakeSession([FakeResponse(200, {"data": []})])
         client = EmbeddingEndpointClient("http://emb.test/v1", model="m", session=session)
         with pytest.raises(RetrieverError):
             client("hello")
@@ -1004,7 +986,7 @@ class TestEmbeddingEndpointClient:
         from respqa.errors import RetrieverError
         from respqa.retrieval import EmbeddingEndpointClient
 
-        session = self.FakeSession(self.FakeResponse(payload))
+        session = FakeSession([FakeResponse(200, payload)])
         client = EmbeddingEndpointClient("http://emb.test/v1", model="m", session=session)
         with pytest.raises(RetrieverError, match="embedding endpoint failed"):
             client("hello")
