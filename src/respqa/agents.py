@@ -141,6 +141,11 @@ def assemble_prompt(
     documents at all), PromptTooLargeError reports both sizes. A template
     without ``doc_slot``, or a call without ``docs``, has no documents.
     """
+    return _fit(template, bindings, docs, doc_slot, max_input_tokens)[0]
+
+
+def _fit(template, bindings, docs, doc_slot, max_input_tokens) -> tuple[str, int]:
+    """``assemble_prompt``'s prompt and how many of ``docs`` it carries."""
     truncatable = docs is not None and doc_slot in referenced_slots(template)
     docs = docs if truncatable else []
 
@@ -148,9 +153,11 @@ def assemble_prompt(
         filled = {**bindings, doc_slot: "\n\n".join(docs[:count])} if truncatable else bindings
         return render_template(template, filled)
 
+    prompt = prompt_with(len(docs))
+    if whitespace_token_estimate(prompt) <= max_input_tokens:
+        return prompt, len(docs)
     floor = min(1, len(docs))
-    prompt = prompt_with(floor)
-    estimate = whitespace_token_estimate(prompt)
+    estimate = whitespace_token_estimate(prompt_with(floor))
     if estimate > max_input_tokens:
         raise PromptTooLargeError(
             f"prompt estimate {estimate:.0f} tokens exceeds cap "
@@ -159,12 +166,12 @@ def assemble_prompt(
             cap=max_input_tokens,
         )
     # The estimate never shrinks as documents are added, so the counts that fit are a prefix.
-    added = bisect_right(
-        range(floor + 1, len(docs) + 1),
+    count = floor + bisect_right(
+        range(floor + 1, len(docs)),
         max_input_tokens,
-        key=lambda count: whitespace_token_estimate(prompt_with(count)),
+        key=lambda n: whitespace_token_estimate(prompt_with(n)),
     )
-    return prompt_with(floor + added) if added else prompt
+    return prompt_with(count), count
 
 
 @dataclass(frozen=True)
@@ -321,18 +328,26 @@ class PipelineAgents:
     ) -> str:
         return self._take(self._start(key, role_tag, template, bindings, docs, doc_slot))
 
-    def summarize_global(self, docs: list[RetrievedDocument], overarching_question: str) -> str:
+    def summarize_global(
+        self, docs: list[RetrievedDocument], overarching_question: str, summarized: set[str] | None = None
+    ) -> str:
         """Summary of support for the overarching question found in ``docs``; with
-        no documents, the no-information sentinel, and no call is made."""
+        no documents, the no-information sentinel, and no call is made. The prompt
+        offers only the docs whose ids are not in ``summarized`` (those an earlier
+        prompt carried), or all of them when none is new or the first new one alone
+        overflows the input cap; the ids of the new docs it carries join the set."""
         if not docs:
             return NO_INFO_SENTINEL
-        raw = self._call(
-            "global_summary",
-            "summarizer",
-            self.templates.global_evidence,
-            {SLOT_OVERARCHING: overarching_question},
-            docs=render_docs(docs),
-        )
+        template, bindings = self.templates.global_evidence, {SLOT_OVERARCHING: overarching_question}
+        summarized = set() if summarized is None else summarized
+        new = [doc for doc in docs if doc.doc_id not in summarized]
+        try:
+            kept = _fit(template, bindings, render_docs(new), SLOT_DOCS, self.config.max_input_tokens)[1]
+        except PromptTooLargeError:
+            kept = 0
+        summarized.update(doc.doc_id for doc in new[:kept])
+        offered = render_docs(new if kept else docs)
+        raw = self._call("global_summary", "summarizer", template, bindings, offered)
         return parse_global_summary(raw)
 
     def answer_local(self, sub_question: str, memory: MemoryState) -> LocalAnswer:

@@ -154,7 +154,10 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
     """Run the full iterative loop for one question.
 
     Round 0 retrieves with the question itself and produces no local answer.
-    Every round, the newest global summary is pushed before anything reads
+    A round summarizes only its hits that no earlier summarizer prompt of the
+    question carried (a hit the cap cut is still new), in rank order, or all of
+    them if none is new or the first new one alone overflows the cap; its record
+    lists every hit. The newest global summary is pushed before anything reads
     memory; the judge then decides whether to generate or plan. The loop
     ends on a sufficient judgement, on the iteration cap (generation happens
     anyway), or when planning cannot produce a novel sub-question. The caps
@@ -169,10 +172,11 @@ def run_resp(question: str, retriever: Retriever, agents: PipelineAgents, config
     with _Run(question, agents, config) as run:
         agents = run.agents
         memory = run.memory = MemoryState()
+        summarized: set[str] = set()  # ids of the documents a summarizer prompt carried
         sub_question = question
         for round_index in range(config.max_iterations):
             hits = retriever.retrieve(sub_question, config.top_k)
-            summary = agents.summarize_global(hits, question)
+            summary = agents.summarize_global(hits, question, summarized)
             memory.push_global(round_index, summary)
 
             local_answer: LocalAnswer | None = None

@@ -127,6 +127,13 @@ def scripted_agents(
     return PipelineAgents(router, PromptTemplateSet.load_default(), config), backend
 
 
+def summarized_titles(prompt: str) -> list[str]:
+    """The titles of the documents a summarizer prompt carries, in prompt order
+    (for documents whose title and text hold no line break)."""
+    passages = prompt.removeprefix("Passages: ").split("\nYour job is")[0]
+    return [chunk.split("\n")[0] for chunk in passages.split("\n\n")]
+
+
 class CaptureBackend:
     """Answers every request with one fixed reply and keeps the requests."""
 

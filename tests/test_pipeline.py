@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,15 @@ import pytest
 
 import respqa
 from respqa import llm
-from respqa.agents import NO_INFO_SENTINEL, PipelineAgents, PromptTemplateSet
+from respqa.agents import (
+    NO_INFO_SENTINEL,
+    SLOT_DOCS,
+    SLOT_OVERARCHING,
+    PipelineAgents,
+    PromptTemplateSet,
+    render_docs,
+    render_template,
+)
 from respqa.errors import BackendError, PipelineError, PromptTooLargeError
 from respqa.evaluation import EvalReport, QAExample, evaluate
 from respqa.llm import (
@@ -38,7 +47,7 @@ from respqa.pipeline import (
     run_standard_rag,
     sweep_k,
 )
-from respqa.retrieval import BM25Index, Document
+from respqa.retrieval import BM25Index, Document, RetrievedDocument
 
 from helpers import (
     GENERATE_MARKER,
@@ -58,6 +67,7 @@ from helpers import (
     overplanning_rules,
     repetitive_rules,
     scripted_agents,
+    summarized_titles,
 )
 
 TOPIC_DOCS = [
@@ -587,6 +597,77 @@ class TestGeneratorContextStability:
             trace = run_resp(OVERPLANNING_QUESTION, index, agents, PipelineConfig(top_k=k))
             sizes.append(trace.generator_prompt_tokens)
         assert sizes[0] == sizes[1]
+
+
+class TableRetriever:
+    """Serves each query the documents its table lists, ranked in list order.
+    Document ``x`` is titled ``x``; its text is ``x`` and ``words[x]`` more words."""
+
+    def __init__(self, table: dict[str, list[str]], words: dict[str, int]):
+        self.table, self.words = table, words
+
+    def documents(self, ids: list[str]) -> list[RetrievedDocument]:
+        return [
+            RetrievedDocument(x, x, " ".join([x] + ["filler"] * self.words.get(x, 4)), 1.0, rank)
+            for rank, x in enumerate(ids, 1)
+        ]
+
+    def retrieve(self, query, k):
+        return self.documents(self.table[query][:k])
+
+
+class TestSummarizeOnce:
+    """Each document reaches the summarizer once per question, unless a round
+    has nothing new that fits, when it sends what it would send without the rule."""
+
+    SUB_QUESTIONS = [TOPIC_QUESTION, "What about alpha specifically?", "What about beta specifically?"]
+
+    def run(self, rounds: list[list[str]], words: dict[str, int] | None = None, **config):
+        """always_no_rules' three rounds; round i retrieves ``rounds[i]``."""
+        retriever = TableRetriever(dict(zip(self.SUB_QUESTIONS, rounds)), words or {})
+        agents, backend = scripted_agents(always_no_rules())
+        trace = run_resp(TOPIC_QUESTION, retriever, agents, PipelineConfig(log_prompts=True, **config))
+        sent = [summarized_titles(record.prompts["global_summary"]) for record in trace.iterations]
+        return trace, backend, sent
+
+    def summarizer_estimate(self, ids: list[str], words: dict[str, int]) -> float:
+        docs = render_docs(TableRetriever({}, words).documents(ids))
+        template = PromptTemplateSet.load_default().global_evidence
+        bindings = {SLOT_OVERARCHING: TOPIC_QUESTION, SLOT_DOCS: "\n\n".join(docs)}
+        return whitespace_token_estimate(render_template(template, bindings))
+
+    def test_a_round_summarizes_only_its_new_hits_in_rank_order(self):
+        _, _, sent = self.run([["a", "b", "c"], ["b", "d", "a", "e"], ["e", "f"]])
+        assert sent == [["a", "b", "c"], ["d", "e"], ["f"]]
+
+    def test_a_round_with_no_new_hit_resends_them_all_with_the_same_calls(self):
+        trace, backend, sent = self.run([["a", "b"], ["b", "a"], ["a"]])
+        assert sent == [["a", "b"], ["b", "a"], ["a"]]
+        summarize, local, judge, plan = "summarizer", "summarizer", "reasoner", "reasoner"
+        assert [call.role_tag for call in backend.history] == [
+            summarize, judge, plan, summarize, local, judge, plan, summarize, local, judge, "generator"
+        ]
+        assert trace.stop_reason == STOP_MAX_ITERATIONS
+        assert [entry.text for entry in trace.memory.global_evidence] == ["A summary of the evidence."] * 3
+
+    def test_a_hit_the_cap_cut_is_offered_again(self):
+        words = dict.fromkeys("abcd", 40)
+        cap = math.ceil(self.summarizer_estimate(["a", "b"], words))
+        assert cap < self.summarizer_estimate(["a", "b", "c"], words)
+        _, _, sent = self.run([["a", "b", "c"], ["a", "c", "d"], ["c"]], words, max_input_tokens=cap)
+        assert sent == [["a", "b"], ["c", "d"], ["c"]]
+
+    def test_a_first_new_hit_over_the_cap_alone_sends_the_rounds_full_prompt(self):
+        words = {"huge": 400}
+        assert self.summarizer_estimate(["huge"], words) > 300
+        trace, _, sent = self.run([["a", "b"], ["a", "huge", "d"], ["d"]], words, max_input_tokens=300)
+        assert sent == [["a", "b"], ["a"], ["d"]]
+        assert trace.stop_reason == STOP_MAX_ITERATIONS
+
+    def test_the_record_lists_every_hit(self):
+        rounds = [["a", "b", "c"], ["b", "d", "a", "e"], ["a", "b"]]
+        trace, _, _ = self.run(rounds)
+        assert [[hit.doc_id for hit in record.retrieved] for record in trace.iterations] == rounds
 
 
 class TestTraceSerialization:

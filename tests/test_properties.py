@@ -1,9 +1,11 @@
 """Property tests: the reply parsers are total, the input cap holds for any cap,
 a saved index keeps its documents and ranks like the one it was saved from,
 its UTF-8 check accepts and refuses what bytes.decode does,
-the vectors file parses to the rows json.loads gives, whatever its values, and
-token F1 scores the tokens of the normalized answers."""
+the vectors file parses to the rows json.loads gives, whatever its values,
+token F1 scores the tokens of the normalized answers, and a question's loop
+sends each document to the summarizer once without losing evidence."""
 
+import itertools
 import json
 import math
 import re
@@ -19,20 +21,30 @@ from hypothesis import strategies as st
 import respqa.retrieval
 from respqa.agents import (
     SLOT_DOCS,
+    SLOT_OVERARCHING,
     Judgement,
+    PipelineAgents,
     assemble_prompt,
     parse_judgement,
     parse_local_answer,
     parse_plan_surface,
+    render_docs,
     render_template,
 )
 from respqa.errors import CorpusError, PromptTooLargeError
 from respqa.evaluation import normalize_answer, token_f1
-from respqa.llm import truncate_to_token_estimate, whitespace_token_estimate
+from respqa.llm import (
+    ROLE_TAGS,
+    BackendRouter,
+    LlmResponse,
+    truncate_to_token_estimate,
+    whitespace_token_estimate,
+)
 from respqa.memory import NO_ANSWER_MARKER
+from respqa.pipeline import PipelineConfig, run_resp
 from respqa.retrieval import BM25Index, Document, _check_utf8, load_vectors, tokenize
 
-from helpers import bm25_brute_force, f1_brute_force
+from helpers import JUDGE_MARKER, LOCAL_MARKER, bm25_brute_force, f1_brute_force, summarized_titles
 
 # Replies near the parsers' prefixes are where a parse could go wrong.
 replies = st.one_of(
@@ -392,3 +404,108 @@ def test_token_f1_scores_the_tokenized_normalized_answers(prediction, gold):
     else:
         expected = f1_brute_force(tokenize(prediction_norm), tokenize(gold_norm))
     assert token_f1(prediction, [gold]) == expected
+
+
+class RoleBackend:
+    """Replies by role, never by the documents a prompt carries: the judge and
+    the planner cycle through their scripted replies, the summarizer and the
+    generator give fixed ones. So a run takes the same rounds, and retrieves
+    the same hits, whichever of them reach the summarizer."""
+
+    backend_id = "roles"
+    order_dependent = True
+
+    def __init__(self, judgements: list[str], plans: list[str]) -> None:
+        self.judgements, self.plans = itertools.cycle(judgements), itertools.cycle(plans)
+
+    def complete(self, request):
+        if request.role_tag == "reasoner":
+            text = next(self.judgements if JUDGE_MARKER in request.prompt else self.plans)
+        elif request.role_tag == "summarizer":
+            text = "No" if LOCAL_MARKER in request.prompt else "Evidence. [DONE]"
+        else:
+            text = "answer"
+        return LlmResponse(text=text, backend_id=self.backend_id, latency=0.0)
+
+
+class RecordingRetriever:
+    """A retriever that keeps the hits of each call."""
+
+    def __init__(self, inner) -> None:
+        self.inner, self.hits = inner, []
+
+    def retrieve(self, query, k):
+        self.hits.append(self.inner.retrieve(query, k))
+        return self.hits[-1]
+
+
+# A few words, so that the sub-questions of a question retrieve overlapping
+# hits. The other agents' prompts stay under 150 tokens; the summarizer's
+# reaches 88 with no document, so a document can overflow the cap alone.
+topic_words = st.sampled_from(["alpha", "beta", "gamma", "delta", "omega"])
+topic_questions = st.lists(topic_words, min_size=1, max_size=4).map(" ".join)
+topic_texts = st.builds(
+    lambda words, repeats: " ".join(words * repeats),
+    st.lists(topic_words, min_size=1, max_size=8),
+    st.sampled_from([1, 4, 16]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(topic_texts, min_size=1, max_size=12),
+    question=topic_questions,
+    judgements=st.lists(st.sampled_from(["Yes", "No"]), min_size=1, max_size=4),
+    plans=st.lists(topic_questions, min_size=1, max_size=4),
+    k=st.integers(1, 6),
+    rounds=st.integers(1, 4),
+    cap=st.integers(160, 500),
+)
+# Round 1's first new hit overflows the cap alone, behind a hit round 0 sent.
+@example(
+    texts=["alpha " * 4, "alpha beta beta beta " * 16], question="alpha", judgements=["No"],
+    plans=["alpha alpha"], k=2, rounds=2, cap=160,
+)
+# The cap cuts d1 from round 0's prompt; round 1 retrieves it again.
+@example(
+    texts=["gamma " * 8, "alpha gamma " * 40, "alpha " * 2], question="gamma", judgements=["No"],
+    plans=["alpha"], k=2, rounds=2, cap=192,
+)
+def test_each_document_is_summarized_once_and_no_evidence_is_lost(
+    texts, question, judgements, plans, k, rounds, cap
+):
+    retriever = RecordingRetriever(BM25Index.build(
+        [Document(f"d{i}", f"d{i}", text) for i, text in enumerate(texts)]
+    ))
+    backend = RoleBackend(judgements, plans)
+    agents = PipelineAgents(BackendRouter(dict.fromkeys(ROLE_TAGS, backend)))
+    config = PipelineConfig(top_k=k, max_iterations=rounds, max_input_tokens=cap, log_prompts=True)
+
+    def fitting(hits) -> list[str]:
+        """The ids of the longest prefix of ``hits`` whose summarizer prompt fits the cap."""
+        def fits(count):
+            docs = "\n\n".join(render_docs(hits[:count]))
+            bindings = {SLOT_OVERARCHING: question, SLOT_DOCS: docs}
+            return whitespace_token_estimate(render_template(agents.templates.global_evidence, bindings)) <= cap
+        return [hit.doc_id for hit in hits[: max(n for n in range(len(hits) + 1) if fits(n))]]
+
+    try:
+        trace = run_resp(question, retriever, agents, config)
+    except PromptTooLargeError:
+        # The round fails without the rule too: its top hit overflows the cap alone.
+        assert not fitting(retriever.hits[-1])
+        return
+    earlier: set[str] = set()
+    for record in trace.iterations:
+        if not record.retrieved:
+            assert "global_summary" not in record.prompts
+            continue
+        sent = summarized_titles(record.prompts["global_summary"])
+        full = fitting(record.retrieved)  # what the round would send without the rule
+        assert set(full) <= set(sent) | earlier
+        new = [hit for hit in record.retrieved if hit.doc_id not in earlier]
+        if not new or not fitting(new):
+            assert sent == full
+        else:
+            assert not earlier.intersection(sent)
+        earlier.update(sent)
